@@ -14,10 +14,11 @@ namespace tce {
 
 /// Multiplies two unsigned sizes, throwing ContractViolation on overflow.
 inline std::uint64_t checked_mul(std::uint64_t a, std::uint64_t b) {
-  if (a != 0 && b > std::numeric_limits<std::uint64_t>::max() / a) {
+  std::uint64_t r = 0;
+  if (__builtin_mul_overflow(a, b, &r)) {
     TCE_UNREACHABLE("checked_mul overflow");
   }
-  return a * b;
+  return r;
 }
 
 /// Adds two unsigned sizes, throwing ContractViolation on overflow.
@@ -34,10 +35,11 @@ inline std::uint64_t checked_add(std::uint64_t a, std::uint64_t b) {
 /// allocated or compared exactly.
 inline std::uint64_t saturating_mul(std::uint64_t a,
                                     std::uint64_t b) noexcept {
-  if (a != 0 && b > std::numeric_limits<std::uint64_t>::max() / a) {
+  std::uint64_t r = 0;
+  if (__builtin_mul_overflow(a, b, &r)) {
     return std::numeric_limits<std::uint64_t>::max();
   }
-  return a * b;
+  return r;
 }
 
 /// Adds with clamping; see saturating_mul.

@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <unordered_map>
 
 #include "tce/common/checked.hpp"
 #include "tce/common/error.hpp"
 #include "tce/common/json.hpp"
 #include "tce/common/thread_pool.hpp"
 #include "tce/common/timer.hpp"
+#include "tce/core/accounting.hpp"
 #include "tce/core/frontier.hpp"
 #include "tce/costmodel/characterization.hpp"
-#include "tce/costmodel/rotate_cost.hpp"
 #include "tce/fusion/fused.hpp"
 #include "tce/lint/lint.hpp"
 #include "tce/obs/log.hpp"
@@ -25,22 +24,12 @@ namespace tce {
 namespace {
 
 /// One partial solution at a node (§3.3): produced distribution, fusion
-/// with the parent, subtree cost and memory, plus provenance for plan
+/// with the parent, the subtree's Footprint, plus provenance for plan
 /// extraction.
 struct Sol {
   Distribution dist;
   IndexSet fusion;
-  double cost = 0;
-  std::uint64_t mem = 0;      ///< Per-processor array bytes, subtree (the
-                              ///< paper's sum-over-all-arrays model).
-  std::uint64_t max_msg = 0;  ///< Per-processor largest message, subtree.
-  // Liveness accounting (extension; see OptimizerConfig::liveness_aware):
-  std::uint64_t peak = 0;     ///< Peak live intermediate bytes while the
-                              ///< subtree executes (inputs excluded).
-  std::uint64_t working = 0;  ///< Bytes that must stay live while the
-                              ///< parent executes (own array plus fused
-                              ///< children's working sets).
-  std::uint64_t input_bytes = 0;  ///< Σ input blocks in the subtree.
+  Footprint fp;
 
   /// Position in the node's canonical sequential enumeration order
   /// (work-unit index in the high bits, within-unit counter in the low
@@ -71,7 +60,9 @@ struct Sol {
 /// is its unique maximal set — independent of insertion order — and it
 /// coincides with what the former weak-dominance sequential insertion
 /// kept.
-bool dominates(const Sol& a, const Sol& b, bool liveness) {
+bool dominates(const Sol& as, const Sol& bs, bool liveness) {
+  const Footprint& a = as.fp;
+  const Footprint& b = bs.fp;
   if (a.cost > b.cost || a.max_msg > b.max_msg) return false;
   bool strict = a.cost < b.cost || a.max_msg < b.max_msg;
   if (liveness) {
@@ -85,26 +76,12 @@ bool dominates(const Sol& a, const Sol& b, bool liveness) {
     if (a.mem > b.mem) return false;
     strict = strict || a.mem < b.mem;
   }
-  return strict || a.seq < b.seq;
+  return strict || as.seq < bs.seq;
 }
 
 /// (distribution, fusion) bucket key of the per-node frontier.
 using StateKey = std::pair<Distribution, IndexSet>;
 using SolFrontier = KeyedFrontier<StateKey, Sol>;
-
-/// One way of obtaining an operand with a required distribution.
-struct Operand {
-  int sol = -1;           ///< Child solution index; -1 for a leaf.
-  IndexSet fusion;        ///< Child's fusion with this node (∅ for leaf).
-  double cost = 0;        ///< Child subtree cost, excluding redist.
-  double redist = 0;      ///< Redistribution cost paid here.
-  std::uint64_t mem = 0;  ///< Child subtree memory (summed model).
-  std::uint64_t max_msg = 0;
-  std::uint64_t peak = 0;
-  std::uint64_t working = 0;
-  std::uint64_t input_bytes = 0;
-  IndexSet loop_indices;  ///< Child loop nest (for the nesting rule).
-};
 
 /// Per-node (and, during the fan-out, per-chunk) search effort.  The
 /// chunk accumulators are summed in chunk order, so every total is
@@ -150,82 +127,6 @@ class CurveScope {
   const CurveCounters before_;
 };
 
-/// Memoized geometry for the hot inner loops: per-processor block
-/// bytes (dist_bytes) keyed by (array, distribution, fusion), total
-/// fused-slice bytes (fused_bytes) and fused-loop repeat factors keyed
-/// by the fused set.  One instance per work chunk — never shared
-/// across threads — so lookups are lock-free; the functions are pure,
-/// so caching cannot change any result.
-class GeomCache {
- public:
-  GeomCache(const IndexSpace& space, const ProcGrid& grid)
-      : space_(space), grid_(grid) {}
-
-  std::uint64_t bytes(const TensorRef& v, const Distribution& d,
-                      IndexSet fused) {
-    const Key k{&v, fused.bits(), pack(d)};
-    auto [it, fresh] = bytes_.try_emplace(k, 0);
-    if (fresh) it->second = dist_bytes(v, d, fused, space_, grid_);
-    return it->second;
-  }
-
-  std::uint64_t fused_total(const TensorRef& v, IndexSet fused) {
-    const Key k{&v, fused.bits(), kFusedTag};
-    auto [it, fresh] = bytes_.try_emplace(k, 0);
-    if (fresh) it->second = fused_bytes(v, fused, space_);
-    return it->second;
-  }
-
-  /// Π N_j over the fused set (fused indices are never distributed).
-  double repeat(IndexSet fused) {
-    auto [it, fresh] = repeat_.try_emplace(fused.bits(), 0.0);
-    if (fresh) {
-      double r = 1.0;
-      for (IndexId j : fused) r *= static_cast<double>(space_.extent(j));
-      it->second = r;
-    }
-    return it->second;
-  }
-
- private:
-  static constexpr std::uint32_t kFusedTag = 0xFFFF0000;
-
-  static std::uint32_t pack(const Distribution& d) {
-    return (static_cast<std::uint32_t>(d.at(1)) << 8) |
-           static_cast<std::uint32_t>(d.at(2));
-  }
-
-  struct Key {
-    const void* v;
-    std::uint64_t fused;
-    std::uint32_t dist;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      std::uint64_t h = reinterpret_cast<std::uintptr_t>(k.v);
-      h = (h ^ k.fused) * 0x9E3779B97F4A7C15ull;
-      h = (h ^ k.dist) * 0xC2B2AE3D27D4EB4Full;
-      return static_cast<std::size_t>(h ^ (h >> 29));
-    }
-  };
-
-  const IndexSpace& space_;
-  const ProcGrid& grid_;
-  std::unordered_map<Key, std::uint64_t, KeyHash> bytes_;
-  std::unordered_map<std::uint64_t, double> repeat_;
-};
-
-/// One outer work unit of the replicate-compute-reduce enumeration
-/// (solve_replicated's four outermost loop variables); the j_pick /
-/// fusion / operand nest runs inside the unit.
-struct ReplUnit {
-  bool repl_right = false;
-  IndexId s_r = kNoIndex;
-  IndexId s_k = kNoIndex;
-  bool tr = false;
-};
-
 class Search {
  public:
   Search(const ContractionTree& tree, const MachineModel& model,
@@ -256,8 +157,9 @@ class Search {
     // near-linear sweep replaces the former all-pairs scan.
     std::vector<FrontierPoint> points(root_sols.size());
     for (std::size_t i = 0; i < root_sols.size(); ++i) {
-      points[i] = {root_sols[i].cost, metric(root_sols[i]),
-                   root_sols[i].max_msg, static_cast<std::uint32_t>(i)};
+      const Footprint& fp = root_sols[i].fp;
+      points[i] = {fp.cost, memory_metric(fp, cfg_.liveness_aware),
+                   fp.max_msg, static_cast<std::uint32_t>(i)};
     }
     std::vector<OptimizedPlan> plans;
     for (std::uint32_t idx : pareto_min_filter(std::move(points))) {
@@ -412,12 +314,6 @@ class Search {
     }
   }
 
-  /// The memory metric the active accounting mode compares and limits.
-  std::uint64_t metric(const Sol& s) const {
-    return cfg_.liveness_aware ? checked_add(s.input_bytes, s.peak)
-                               : s.mem;
-  }
-
   const Sol* best_root_sol() const {
     const NodeId root = tree_.root();
     if (tree_.node(root).kind == ContractionNode::Kind::kInput) {
@@ -426,41 +322,30 @@ class Search {
     const auto& root_sols = sols_[static_cast<std::size_t>(root)];
     const Sol* best = nullptr;
     for (const Sol& s : root_sols) {
-      if (best == nullptr || s.cost < best->cost) best = &s;
+      if (best == nullptr || s.fp.cost < best->fp.cost) best = &s;
     }
     TCE_ENSURES(best != nullptr);
     return best;
   }
 
-  bool feasible(const Sol& s) const {
-    if (cfg_.mem_limit_node_bytes == 0) return true;
-    const std::uint64_t per_node = checked_mul(
-        checked_add(metric(s), s.max_msg), grid_.procs_per_node);
-    return per_node <= cfg_.mem_limit_node_bytes;
+  /// The frontier's dominance relation under the accounting mode.
+  auto dom() const {
+    return [lv = cfg_.liveness_aware](const Sol& a, const Sol& b) {
+      return dominates(a, b, lv);
+    };
   }
 
-  /// Candidate fused sets between node \p id and its parent.
-  std::vector<IndexSet> fusion_candidates(NodeId id) const {
-    if (cfg_.fixed_fusions.has_value()) {
-      auto it = cfg_.fixed_fusions->find(id);
-      return {it == cfg_.fixed_fusions->end() ? IndexSet() : it->second};
+  /// Stamps a priced candidate's enumeration position and, when it fits
+  /// the per-node limit, offers it to the frontier.
+  void offer(Sol&& s, std::size_t unit, std::uint64_t& local,
+             SolFrontier& frontier, NodeAccum& acc) const {
+    s.seq = (static_cast<std::uint64_t>(unit) << 32) | local++;
+    ++acc.candidates;
+    if (!fits(s.fp, cfg_, grid_)) {
+      ++acc.infeasible;
+      return;
     }
-    if (!cfg_.enable_fusion) return {IndexSet()};
-    std::vector<IndexSet> out;
-    for_each_subset(fusable_indices(tree_, id),
-                    [&](IndexSet f) { out.push_back(f); });
-    return out;
-  }
-
-  /// Iteration count contributed by the fused loops enclosing a node's
-  /// collectives.  Fused indices are never grid-distributed in this
-  /// search space, so each contributes its full extent.
-  double repeat_factor(IndexSet f_eff) const {
-    double r = 1.0;
-    for (IndexId j : f_eff) {
-      r *= static_cast<double>(space_.extent(j));
-    }
-    return r;
+    frontier.insert({s.dist, s.fusion}, std::move(s), dom(), acc.dominated);
   }
 
   // ------------------------------------------------ operand memoization
@@ -487,7 +372,7 @@ class Search {
   /// node visit (before the parallel_for fan-out) and passed to the
   /// workers by const reference, so the fan-out reads it without
   /// locking; never mutated concurrently.
-  using OperandCache = std::map<OperandKey, std::vector<Operand>>;
+  using OperandCache = std::map<OperandKey, std::vector<Delivered>>;
 
   static OperandKey operand_key(NodeId child, const Distribution& beta,
                                 IndexSet triplet, bool any_dist) {
@@ -497,151 +382,71 @@ class Search {
   /// Computes (once per key) all ways to obtain the operand rooted at
   /// \p child with distribution \p beta, given the consuming node's
   /// triplet indices.  When \p any_dist is set (the replicated operand
-  /// of a replicate-compute-reduce step), the required distribution is
-  /// irrelevant — the allgather collects the array from whatever
-  /// layout it is in — so every child solution qualifies without
-  /// redistribution; \p beta is then only used for a leaf's storage
-  /// accounting.  The Cannon choices of one triplet differ only in
-  /// rotation index and orientation, so this scan used to repeat per
-  /// choice; the cache runs it once.
-  const std::vector<Operand>& ensure_operands(OperandCache& cache,
-                                              NodeId child,
-                                              const Distribution& beta,
-                                              IndexSet triplet,
-                                              bool any_dist,
-                                              NodeAccum& acc) const {
+  /// of a replicate-compute-reduce step) every child solution qualifies
+  /// as is; \p beta is then only a leaf's storage layout.  The Cannon
+  /// choices of one triplet differ only in rotation index and
+  /// orientation, so this scan used to repeat per choice; the cache
+  /// runs it once.
+  void ensure_operands(OperandCache& cache, GeomCache& geom, NodeId child,
+                       const Distribution& beta, IndexSet triplet,
+                       bool any_dist, NodeAccum& acc) const {
     const OperandKey key = operand_key(child, beta, triplet, any_dist);
-    auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
+    if (cache.contains(key)) return;
 
     const ContractionNode& cn = tree_.node(child);
-    std::vector<Operand> out;
+    std::vector<Delivered>& out = cache[key];
     if (cn.kind == ContractionNode::Kind::kInput) {
       // Inputs can be distributed initially in any way at zero cost.
-      Operand o;
-      o.mem = dist_bytes(cn.tensor, beta, IndexSet(), space_, grid_);
-      o.input_bytes = o.mem;  // inputs stay resident throughout
-      out.push_back(o);
-      return cache.emplace(key, std::move(out)).first->second;
+      out.push_back(leaf_operand(geom, cn.tensor, beta));
+      return;
     }
     const auto& sols = sols_[static_cast<std::size_t>(child)];
     for (int i = 0; i < static_cast<int>(sols.size()); ++i) {
       const Sol& s = sols[static_cast<std::size_t>(i)];
       if (!(s.fusion & triplet).empty()) continue;
-      Operand o;
-      o.sol = i;
-      o.fusion = s.fusion;
-      o.cost = s.cost;
-      o.mem = s.mem;
-      o.max_msg = s.max_msg;
-      o.peak = s.peak;
-      o.working = s.working;
-      o.input_bytes = s.input_bytes;
-      o.loop_indices = cn.loop_indices();
-      if (any_dist || s.dist == beta) {
-        out.push_back(o);
-      } else if (cfg_.enable_redistribution && s.fusion.empty()) {
-        // A fully materialized intermediate can be reshuffled once,
-        // outside any fused loops.
-        ++acc.redistributions;
-        o.redist = redistribute_cost(model_, cn.tensor, s.dist, beta,
-                                     IndexSet(), space_);
-        o.max_msg = std::max(
-            o.max_msg,
-            dist_bytes(cn.tensor, s.dist, IndexSet(), space_, grid_));
-        out.push_back(o);
-      }
+      std::optional<Delivered> d =
+          produced_operand(model_, geom, cfg_, cn.tensor, s.fp, s.dist,
+                           s.fusion, beta, any_dist);
+      if (!d) continue;
+      if (!any_dist && s.dist != beta) ++acc.redistributions;
+      d->sol = i;
+      out.push_back(*d);
     }
-    return cache.emplace(key, std::move(out)).first->second;
-  }
-
-  /// A compact storage distribution for a leaf (used for the replicated
-  /// operand, whose layout before the allgather is arbitrary): split the
-  /// first (up to) two dimensions.
-  Distribution compact_dist(const TensorRef& ref) const {
-    const IndexId d1 = !ref.dims.empty() ? ref.dims[0] : kNoIndex;
-    const IndexId d2 = ref.dims.size() > 1 ? ref.dims[1] : kNoIndex;
-    return Distribution(d1, d2);
-  }
-
-  /// Cost of the computation duplicated across grid dimensions the
-  /// node's block decomposition leaves unused: executing with only
-  /// \p split_dims of the two grid dimensions splitting work leaves a
-  /// factor √P per unused dimension of redundant flops on every
-  /// processor.  Fully assigned configurations (all of the paper's
-  /// solutions) have zero penalty.
-  double duplication_penalty(NodeId id, int split_dims) const {
-    TCE_EXPECTS(split_dims >= 0 && split_dims <= 2);
-    double dup = 1.0;
-    for (int d = split_dims; d < 2; ++d) {
-      dup *= static_cast<double>(grid_.edge);
-    }
-    if (dup == 1.0) return 0.0;
-    const double share = static_cast<double>(tree_.flops(id)) /
-                         static_cast<double>(grid_.procs);
-    return model_.compute_time(
-        static_cast<std::uint64_t>((dup - 1.0) * share));
   }
 
   // ------------------------------------------------------- contraction
 
-  static IndexSet triplet_of(const CannonChoice& c) {
-    IndexSet triplet;
-    for (IndexId t : {c.i, c.j, c.k}) {
-      if (t != kNoIndex) triplet.insert(t);
-    }
-    return triplet;
-  }
-
-  /// The outer replicate-compute-reduce units, in the sequential
-  /// enumeration order of the nested loops they replace.
-  std::vector<ReplUnit> repl_unit_list(const ContractionNode& n) const {
-    std::vector<ReplUnit> units;
-    for (bool repl_right : {false, true}) {
-      const IndexSet stat_side =
-          repl_right ? n.left_indices : n.right_indices;
-      for (IndexId s_r : with_none(stat_side)) {
-        for (IndexId s_k : with_none(n.sum_indices)) {
-          for (bool tr : {false, true}) {
-            if (s_r == kNoIndex && s_k == kNoIndex && tr) continue;
-            units.push_back({repl_right, s_r, s_k, tr});
-          }
-        }
-      }
-    }
-    return units;
-  }
-
-  static std::vector<IndexId> with_none(IndexSet set) {
-    std::vector<IndexId> v;
-    for (IndexId i : set) v.push_back(i);
-    v.push_back(kNoIndex);
-    return v;
-  }
-
   void solve_contraction(NodeId id, NodeAccum& acc) {
     const ContractionNode& n = tree_.node(id);
     const auto choices = enumerate_cannon_choices(n);
-    const auto fusions = fusion_candidates(id);
-    std::vector<ReplUnit> repl_units;
-    if (cfg_.enable_replication_template) {
-      repl_units = repl_unit_list(n);
-    }
+    const auto fusions = fusion_candidates(tree_, cfg_, id);
+    std::vector<ReplUnit> units;
+    if (cfg_.enable_replication_template) units = repl_units(n);
 
     // Sequential prologue: memoize every operand-options scan the work
     // units will need, so the fan-out below only reads the cache.
     OperandCache opcache;
     {
       const CurveScope cs(acc);
+      GeomCache geom(space_, grid_);
       for (const CannonChoice& c : choices) {
         const IndexSet triplet = triplet_of(c);
-        ensure_operands(opcache, n.left, c.left_dist(), triplet,
+        ensure_operands(opcache, geom, n.left, c.left_dist(), triplet,
                         /*any_dist=*/false, acc);
-        ensure_operands(opcache, n.right, c.right_dist(), triplet,
+        ensure_operands(opcache, geom, n.right, c.right_dist(), triplet,
                         /*any_dist=*/false, acc);
       }
-      for (const ReplUnit& u : repl_units) {
-        prefetch_repl_operands(n, u, opcache, acc);
+      for (const ReplUnit& u : units) {
+        const NodeId repl_id = u.repl_right ? n.right : n.left;
+        for (IndexId j_pick : with_none(repl_side(n, u))) {
+          const ReplStep st = repl_step(u, j_pick);
+          ensure_operands(opcache, geom, u.repl_right ? n.left : n.right,
+                          st.stationary, st.triplet, /*any_dist=*/false,
+                          acc);
+          ensure_operands(opcache, geom, repl_id,
+                          compact_dist(tree_.node(repl_id).tensor),
+                          st.triplet, /*any_dist=*/true, acc);
+        }
       }
     }
 
@@ -652,11 +457,11 @@ class Search {
     // insertion exactly (see frontier.hpp), so the result is the same
     // at every thread count — including 1, which runs this very loop
     // inline.
-    const std::size_t units = choices.size() + repl_units.size();
+    const std::size_t total = choices.size() + units.size();
     const std::size_t chunks =
         threads_ <= 1 ? 1
                       : std::min<std::size_t>(
-                            units, static_cast<std::size_t>(threads_) * 4);
+                            total, static_cast<std::size_t>(threads_) * 4);
     struct ChunkOut {
       SolFrontier frontier;
       NodeAccum acc;
@@ -667,27 +472,23 @@ class Search {
           ChunkOut& o = outs[ci];
           const CurveScope cs(o.acc);
           GeomCache geom(space_, grid_);
-          const std::size_t begin = ci * units / chunks;
-          const std::size_t end = (ci + 1) * units / chunks;
+          const std::size_t begin = ci * total / chunks;
+          const std::size_t end = (ci + 1) * total / chunks;
           for (std::size_t u = begin; u < end; ++u) {
             if (u < choices.size()) {
               eval_choice(id, n, choices[u], u, fusions, opcache, geom,
                           o.frontier, o.acc);
             } else {
-              eval_replicated(id, n, repl_units[u - choices.size()], u,
-                              fusions, opcache, geom, o.frontier, o.acc);
+              eval_replicated(id, n, units[u - choices.size()], u, fusions,
+                              opcache, geom, o.frontier, o.acc);
             }
           }
         });
 
-    const bool lv = cfg_.liveness_aware;
-    const auto dom = [lv](const Sol& a, const Sol& b) {
-      return dominates(a, b, lv);
-    };
     SolFrontier frontier;
     for (ChunkOut& o : outs) {
       acc.add(o.acc);
-      frontier.merge(std::move(o.frontier), dom, acc.dominated);
+      frontier.merge(std::move(o.frontier), dom(), acc.dominated);
     }
 
     if (frontier.empty()) {
@@ -704,129 +505,65 @@ class Search {
                    const std::vector<IndexSet>& fusions,
                    const OperandCache& opcache, GeomCache& geom,
                    SolFrontier& frontier, NodeAccum& acc) const {
-    const bool lv = cfg_.liveness_aware;
-    const auto dom = [lv](const Sol& a, const Sol& b) {
-      return dominates(a, b, lv);
-    };
     std::uint64_t local = 0;
-
     const IndexSet triplet = triplet_of(c);
-    const double dup_penalty =
-        duplication_penalty(id, static_cast<int>(triplet.count()) - 1);
+    const double dup = duplication_s(model_, tree_.flops(id),
+                                     static_cast<int>(triplet.count()) - 1);
     const Distribution alpha = c.result_dist();
-    const Distribution beta = c.left_dist();
-    const Distribution gamma = c.right_dist();
-
+    const ContractionNode& ln = tree_.node(n.left);
+    const ContractionNode& rn = tree_.node(n.right);
+    const IndexSet l_loops = ln.loop_indices();
+    const IndexSet r_loops = rn.loop_indices();
     const auto& lopts = opcache.at(
-        operand_key(n.left, beta, triplet, /*any_dist=*/false));
+        operand_key(n.left, c.left_dist(), triplet, /*any_dist=*/false));
     const auto& ropts = opcache.at(
-        operand_key(n.right, gamma, triplet, /*any_dist=*/false));
-
-    const TensorRef& lref = tree_.node(n.left).tensor;
-    const TensorRef& rref = tree_.node(n.right).tensor;
+        operand_key(n.right, c.right_dist(), triplet, /*any_dist=*/false));
 
     for (IndexSet f_u : fusions) {
       if (!(f_u & triplet).empty()) continue;
       const std::uint64_t own_mem = geom.bytes(n.tensor, alpha, f_u);
-
-      for (const Operand& lo : lopts) {
-        if (!fusion_nesting_ok(f_u, lo.fusion, lo.loop_indices)) continue;
-        for (const Operand& ro : ropts) {
-          if (!fusion_nesting_ok(f_u, ro.fusion, ro.loop_indices)) {
-            continue;
-          }
+      for (const Delivered& lo : lopts) {
+        if (!fusion_nesting_ok(f_u, lo.fusion, l_loops)) continue;
+        for (const Delivered& ro : ropts) {
+          if (!fusion_nesting_ok(f_u, ro.fusion, r_loops)) continue;
           const IndexSet f_eff = f_u | lo.fusion | ro.fusion;
-          const double repeat = geom.repeat(f_eff);
-
-          Sol s;
-          s.dist = alpha;
-          s.fusion = f_u;
+          const StepComm comm = cannon_comm(model_, geom, c, ln.tensor,
+                                            rn.tensor, n.tensor, f_eff);
+          Sol s = step_sol(alpha, f_u, f_eff, lo, ro, comm);
           s.choice = c;
-          s.left_sol = lo.sol;
-          s.right_sol = ro.sol;
-          s.left_dist = beta;
-          s.right_dist = gamma;
-          s.eff_fused = f_eff;
-          s.redist_left = lo.redist;
-          s.redist_right = ro.redist;
-          s.seq = (static_cast<std::uint64_t>(unit) << 32) | local++;
-
-          std::uint64_t msg = std::max(lo.max_msg, ro.max_msg);
-          if (c.rotates_left()) {
-            const std::uint64_t block = geom.bytes(lref, beta, f_eff);
-            s.rot_left =
-                repeat * model_.rotate_cost(block, c.left_rot_dim());
-            msg = std::max(msg, block);
-          }
-          if (c.rotates_right()) {
-            const std::uint64_t block = geom.bytes(rref, gamma, f_eff);
-            s.rot_right =
-                repeat * model_.rotate_cost(block, c.right_rot_dim());
-            msg = std::max(msg, block);
-          }
-          if (c.rotates_result()) {
-            const std::uint64_t block = geom.bytes(n.tensor, alpha, f_eff);
-            s.rot_result =
-                repeat * model_.rotate_cost(block, c.result_rot_dim());
-            msg = std::max(msg, block);
-          }
-
-          s.cost = lo.cost + ro.cost + lo.redist + ro.redist +
-                   s.rot_left + s.rot_right + s.rot_result + dup_penalty;
-          s.mem = checked_add(checked_add(lo.mem, ro.mem), own_mem);
-          s.max_msg = msg;
-          // Liveness: left subtree runs, then right (left's working set
-          // retained), then this node's loops with both operands and
-          // the accumulator live.
-          s.input_bytes = checked_add(lo.input_bytes, ro.input_bytes);
-          s.peak = std::max(
-              {lo.peak, checked_add(lo.working, ro.peak),
-               checked_add(checked_add(lo.working, ro.working),
-                           own_mem)});
-          // A node fused with its parent re-executes inside the
-          // parent's loops, so *all* of its operands' working sets
-          // stay live alongside its slice buffer; an unfused node is
-          // materialized once and its operands are freed.
-          s.working = own_mem;
-          if (!f_u.empty()) {
-            s.working = checked_add(
-                s.working, checked_add(lo.working, ro.working));
-          }
-
-          ++acc.candidates;
-          if (!feasible(s)) {
-            ++acc.infeasible;
-            continue;
-          }
-          frontier.insert({s.dist, s.fusion}, std::move(s), dom,
-                          acc.dominated);
+          s.left_dist = c.left_dist();
+          s.right_dist = c.right_dist();
+          s.fp = roll_up(lo, ro, comm, dup, own_mem, !f_u.empty());
+          offer(std::move(s), unit, local, frontier, acc);
         }
       }
     }
   }
 
+  /// The fields every contraction candidate records: result layout,
+  /// fusions, and per-operand provenance of \p left / \p right.
+  static Sol step_sol(const Distribution& alpha, IndexSet f_u,
+                      IndexSet f_eff, const Delivered& left,
+                      const Delivered& right, const StepComm& comm) {
+    Sol s;
+    s.dist = alpha;
+    s.fusion = f_u;
+    s.eff_fused = f_eff;
+    s.left_sol = left.sol;
+    s.right_sol = right.sol;
+    s.redist_left = left.redist_s;
+    s.redist_right = right.redist_s;
+    s.rot_left = comm.left_s;
+    s.rot_right = comm.right_s;
+    s.rot_result = comm.result_s;
+    return s;
+  }
+
   // ----------------------------------------- replicate-compute-reduce
 
-  /// Memoizes the operand scans one replication unit will need.
-  void prefetch_repl_operands(const ContractionNode& n, const ReplUnit& u,
-                              OperandCache& cache, NodeAccum& acc) const {
-    const NodeId stat_id = u.repl_right ? n.left : n.right;
-    const NodeId repl_id = u.repl_right ? n.right : n.left;
-    const TensorRef& repl_ref = tree_.node(repl_id).tensor;
-    const IndexSet repl_side =
-        u.repl_right ? n.right_indices : n.left_indices;
-    Distribution delta(u.s_r, u.s_k);
-    if (u.tr) delta = delta.transposed();
-    for (IndexId j_pick : with_none(repl_side)) {
-      IndexSet triplet;
-      if (u.s_r != kNoIndex) triplet.insert(u.s_r);
-      if (u.s_k != kNoIndex) triplet.insert(u.s_k);
-      if (j_pick != kNoIndex) triplet.insert(j_pick);
-      ensure_operands(cache, stat_id, delta, triplet, /*any_dist=*/false,
-                      acc);
-      ensure_operands(cache, repl_id, compact_dist(repl_ref), triplet,
-                      /*any_dist=*/true, acc);
-    }
+  /// Indices of the gathered operand (the scatter index comes from them).
+  static IndexSet repl_side(const ContractionNode& n, const ReplUnit& u) {
+    return u.repl_right ? n.right_indices : n.left_indices;
   }
 
   /// All candidates of one replicate-compute-reduce unit (see
@@ -840,140 +577,40 @@ class Search {
                        const std::vector<IndexSet>& fusions,
                        const OperandCache& opcache, GeomCache& geom,
                        SolFrontier& frontier, NodeAccum& acc) const {
-    const bool lv = cfg_.liveness_aware;
-    const auto dom = [lv](const Sol& a, const Sol& b) {
-      return dominates(a, b, lv);
-    };
     std::uint64_t local = 0;
+    const NodeId stat_id = u.repl_right ? n.left : n.right;
+    const NodeId repl_id = u.repl_right ? n.right : n.left;
+    const ContractionNode& sn = tree_.node(stat_id);
+    const ContractionNode& gn = tree_.node(repl_id);
+    const IndexSet s_loops = sn.loop_indices();
+    const IndexSet g_loops = gn.loop_indices();
+    const double dup = duplication_s(model_, tree_.flops(id), u.split_dims());
 
-    const bool repl_right = u.repl_right;
-    const NodeId stat_id = repl_right ? n.left : n.right;
-    const NodeId repl_id = repl_right ? n.right : n.left;
-    const TensorRef& repl_ref = tree_.node(repl_id).tensor;
-    const IndexSet repl_side =
-        repl_right ? n.right_indices : n.left_indices;
-    const IndexId s_r = u.s_r;
-    const IndexId s_k = u.s_k;
-    const bool tr = u.tr;
-
-    Distribution delta(s_r, s_k);
-    if (tr) delta = delta.transposed();
-    const int reduce_dim = delta.dim_of(s_k);
-    const int split_dims =
-        (s_r != kNoIndex ? 1 : 0) + (s_k != kNoIndex ? 1 : 0);
-    const double dup_penalty = duplication_penalty(id, split_dims);
-
-    IndexSet stat_triplet;
-    if (s_r != kNoIndex) stat_triplet.insert(s_r);
-    if (s_k != kNoIndex) stat_triplet.insert(s_k);
-
-    for (IndexId j_pick : with_none(repl_side)) {
-      Distribution alpha(s_r, j_pick);
-      if (tr) alpha = alpha.transposed();
-      // The partial result before the reduce-scatter: only the
-      // stationary side's index splits it.
-      Distribution partial(s_r, kNoIndex);
-      if (tr) partial = partial.transposed();
-
-      IndexSet triplet = stat_triplet;
-      if (j_pick != kNoIndex) triplet.insert(j_pick);
-
-      const auto& sopts = opcache.at(
-          operand_key(stat_id, delta, triplet, /*any_dist=*/false));
-      const auto& ropts = opcache.at(operand_key(
-          repl_id, compact_dist(repl_ref), triplet, /*any_dist=*/true));
+    for (IndexId j_pick : with_none(repl_side(n, u))) {
+      const ReplStep st = repl_step(u, j_pick);
+      const auto& sopts = opcache.at(operand_key(
+          stat_id, st.stationary, st.triplet, /*any_dist=*/false));
+      const auto& gopts = opcache.at(operand_key(
+          repl_id, compact_dist(gn.tensor), st.triplet, /*any_dist=*/true));
 
       for (IndexSet f_u : fusions) {
-        if (!(f_u & triplet).empty()) continue;
-        const std::uint64_t own_mem = geom.bytes(n.tensor, alpha, f_u);
-
-        for (const Operand& so : sopts) {
-          if (!fusion_nesting_ok(f_u, so.fusion, so.loop_indices)) {
-            continue;
-          }
-          for (const Operand& ro : ropts) {
-            if (!fusion_nesting_ok(f_u, ro.fusion, ro.loop_indices)) {
-              continue;
-            }
-            const IndexSet f_eff = f_u | so.fusion | ro.fusion;
-
-            // Allgather of the replicated operand: once per iteration
-            // of the fused loops that slice it.
-            const double ag_repeat =
-                geom.repeat(f_eff & repl_ref.index_set());
-            const std::uint64_t slice_total =
-                geom.fused_total(repl_ref, f_eff);
-            const double ag =
-                ag_repeat * model_.allgather_cost(slice_total);
-
-            // Reduce-scatter of the result partials: once per
-            // iteration of the fused loops that slice the result
-            // (partials for other loops accumulate locally and the
-            // reduction hoists out).
-            const IndexSet f_red = f_eff & n.tensor.index_set();
-            const double red_repeat = geom.repeat(f_red);
-            const std::uint64_t partial_bytes =
-                geom.bytes(n.tensor, partial, f_red);
-            double rs = 0;
-            if (reduce_dim != 0) {
-              rs = red_repeat * model_.reduce_scatter_cost(partial_bytes,
-                                                           reduce_dim);
-              // Without a scatter index the reduced result must stay
-              // replicated along the line: allreduce ≈ 2x.
-              if (j_pick == kNoIndex) rs *= 2.0;
-            }
-
-            // Transient storage: the gathered slice plus the oversized
-            // partial coexist on every rank.
-            const std::uint64_t own_block =
-                geom.bytes(n.tensor, alpha, f_eff);
-            const std::uint64_t transient = checked_add(
-                slice_total, partial_bytes > own_block
-                                 ? partial_bytes - own_block
-                                 : 0);
-
-            Sol s;
-            s.dist = alpha;
-            s.fusion = f_u;
+        if (!(f_u & st.triplet).empty()) continue;
+        const std::uint64_t own_mem = geom.bytes(n.tensor, st.result, f_u);
+        for (const Delivered& so : sopts) {
+          if (!fusion_nesting_ok(f_u, so.fusion, s_loops)) continue;
+          for (const Delivered& go : gopts) {
+            if (!fusion_nesting_ok(f_u, go.fusion, g_loops)) continue;
+            const IndexSet f_eff = f_u | so.fusion | go.fusion;
+            const StepComm comm = replicated_comm(model_, geom, st,
+                                                  gn.tensor, n.tensor, f_eff);
+            Sol s = step_sol(st.result, f_u, f_eff, u.repl_right ? so : go,
+                             u.repl_right ? go : so, comm);
             s.replicated = true;
-            s.replicate_right = repl_right;
-            s.reduce_dim = reduce_dim;
-            s.left_sol = repl_right ? so.sol : ro.sol;
-            s.right_sol = repl_right ? ro.sol : so.sol;
-            s.left_dist = repl_right ? delta : Distribution();
-            s.right_dist = repl_right ? Distribution() : delta;
-            s.eff_fused = f_eff;
-            s.redist_left = repl_right ? so.redist : ro.redist;
-            s.redist_right = repl_right ? ro.redist : so.redist;
-            // Comm attribution: replicated side = allgather,
-            // result = reduce.
-            s.rot_left = repl_right ? 0 : ag;
-            s.rot_right = repl_right ? ag : 0;
-            s.rot_result = rs;
-            s.seq = (static_cast<std::uint64_t>(unit) << 32) | local++;
-
-            s.cost = so.cost + ro.cost + so.redist + ro.redist + ag +
-                     rs + dup_penalty;
-            s.mem = checked_add(checked_add(so.mem, ro.mem), own_mem);
-            s.max_msg = std::max({so.max_msg, ro.max_msg, transient});
-            s.input_bytes = checked_add(so.input_bytes, ro.input_bytes);
-            s.peak = std::max(
-                {so.peak, checked_add(so.working, ro.peak),
-                 checked_add(checked_add(so.working, ro.working),
-                             own_mem)});
-            s.working = own_mem;
-            if (!f_u.empty()) {
-              s.working = checked_add(
-                  s.working, checked_add(so.working, ro.working));
-            }
-
-            ++acc.candidates;
-            if (!feasible(s)) {
-              ++acc.infeasible;
-              continue;
-            }
-            frontier.insert({s.dist, s.fusion}, std::move(s), dom,
-                            acc.dominated);
+            s.replicate_right = u.repl_right;
+            s.reduce_dim = st.reduce_dim;
+            (u.repl_right ? s.left_dist : s.right_dist) = st.stationary;
+            s.fp = roll_up(so, go, comm, dup, own_mem, !f_u.empty());
+            offer(std::move(s), unit, local, frontier, acc);
           }
         }
       }
@@ -985,90 +622,47 @@ class Search {
   void solve_reduce(NodeId id, NodeAccum& acc) {
     const CurveScope cs(acc);
     const ContractionNode& n = tree_.node(id);
-    const NodeId child = n.left;
-    const ContractionNode& cn = tree_.node(child);
-    const auto fusions = fusion_candidates(id);
-    const bool lv = cfg_.liveness_aware;
-    const auto dom = [lv](const Sol& a, const Sol& b) {
-      return dominates(a, b, lv);
-    };
+    const ContractionNode& cn = tree_.node(n.left);
+    const auto fusions = fusion_candidates(tree_, cfg_, id);
+    GeomCache geom(space_, grid_);
 
     // Child options: every distribution of a leaf, or the child's own
     // (unfused) solutions.
-    struct ChildOpt {
-      Distribution dist;
-      int sol = -1;
-      double cost = 0;
-      std::uint64_t mem = 0, max_msg = 0;
-      std::uint64_t peak = 0, working = 0, input_bytes = 0;
-    };
-    std::vector<ChildOpt> copts;
+    std::vector<std::pair<Distribution, Delivered>> copts;
     if (cn.kind == ContractionNode::Kind::kInput) {
       for (const Distribution& d : enumerate_distributions(cn.tensor)) {
-        ChildOpt o;
-        o.dist = d;
-        o.mem = dist_bytes(cn.tensor, d, IndexSet(), space_, grid_);
-        o.input_bytes = o.mem;
-        copts.push_back(o);
+        copts.emplace_back(d, leaf_operand(geom, cn.tensor, d));
       }
     } else {
-      const auto& sols = sols_[static_cast<std::size_t>(child)];
+      const auto& sols = sols_[static_cast<std::size_t>(n.left)];
       for (int i = 0; i < static_cast<int>(sols.size()); ++i) {
         const Sol& s = sols[static_cast<std::size_t>(i)];
         if (!s.fusion.empty()) continue;  // reduce consumes materialized
-        copts.push_back({s.dist, i, s.cost, s.mem, s.max_msg, s.peak,
-                         s.working, s.input_bytes});
+        Delivered d;
+        d.fp = s.fp;
+        d.sol = i;
+        copts.emplace_back(s.dist, d);
       }
     }
 
     SolFrontier frontier;
     std::uint64_t seq = 0;
-    for (const ChildOpt& co : copts) {
-      // Result distribution: drop reduced indices from the child's pair.
-      auto position = [&](int d) {
-        const IndexId i = co.dist.at(d);
-        return (i != kNoIndex && n.sum_indices.contains(i)) ? kNoIndex : i;
-      };
-      const Distribution rdist(position(1), position(2));
-      const bool needs_allreduce = rdist != co.dist;
-
+    for (const auto& [cdist, co] : copts) {
+      const Distribution rdist = reduce_dist(cdist, n.sum_indices);
       for (IndexSet f_u : fusions) {
         if (!(f_u & rdist.index_set()).empty()) continue;
+        const StepComm comm =
+            reduce_comm(model_, geom, n.tensor, cdist, rdist, f_u);
         Sol s;
         s.dist = rdist;
         s.fusion = f_u;
         s.left_sol = co.sol;
-        s.left_dist = co.dist;
+        s.left_dist = cdist;
         s.eff_fused = f_u;
-        s.seq = seq++;
-        const std::uint64_t own_mem =
-            dist_bytes(n.tensor, rdist, f_u, space_, grid_);
-        std::uint64_t msg = co.max_msg;
-        if (needs_allreduce) {
-          // Partial sums are combined across the grid dimension(s) that
-          // held reduced indices; modeled with the redistribution curve.
-          const std::uint64_t block =
-              dist_bytes(n.tensor, rdist, f_u, space_, grid_);
-          s.rot_result =
-              repeat_factor(f_u) * model_.redistribute_cost(block);
-          msg = std::max(msg, block);
-        }
-        s.cost = co.cost + s.rot_result;
-        s.mem = checked_add(co.mem, own_mem);
-        s.max_msg = msg;
-        s.input_bytes = co.input_bytes;
-        s.peak = std::max(co.peak, checked_add(co.working, own_mem));
-        s.working = own_mem;
-        if (!f_u.empty()) {
-          s.working = checked_add(s.working, co.working);
-        }
-        ++acc.candidates;
-        if (!feasible(s)) {
-          ++acc.infeasible;
-          continue;
-        }
-        frontier.insert({s.dist, s.fusion}, std::move(s), dom,
-                        acc.dominated);
+        s.rot_result = comm.result_s;
+        s.fp = roll_up(co, Delivered(), comm, 0.0,
+                       geom.bytes(n.tensor, rdist, f_u), !f_u.empty());
+        offer(std::move(s), 0, seq, frontier, acc);
       }
     }
     if (frontier.empty()) {
@@ -1085,16 +679,17 @@ class Search {
     const NodeId root = tree_.root();
 
     OptimizedPlan plan;
-    plan.total_comm_s = best->cost;
+    plan.total_comm_s = best->fp.cost;
     plan.total_compute_s =
         model_.compute_time(tree_.total_flops() / grid_.procs);
-    plan.array_bytes_per_proc = best->mem;
-    plan.max_msg_bytes_per_proc = best->max_msg;
+    plan.array_bytes_per_proc = best->fp.mem;
+    plan.max_msg_bytes_per_proc = best->fp.max_msg;
     plan.peak_live_bytes_per_proc =
-        checked_add(best->input_bytes, best->peak);
+        checked_add(best->fp.input_bytes, best->fp.peak);
     plan.liveness_aware = cfg_.liveness_aware;
     plan.procs_per_node = grid_.procs_per_node;
     plan.stats = stats_;
+    plan.stats.achieved_comm_words = best->fp.comm_words;
 
     // Walk the provenance tree, collecting steps (post-order) and array
     // rows.  Consumer-side info for each child array is attached while
@@ -1263,14 +858,8 @@ std::uint64_t prove_or_throw(const ContractionTree& tree,
   if (!config.enable_static_prover || config.mem_limit_node_bytes == 0) {
     return 0;
   }
-  lint::LintConfig lcfg;
-  lcfg.mem_limit_node_bytes = config.mem_limit_node_bytes;
-  // Fixed fusions are subsets of the fusable sets, so the fusion-aware
-  // (smaller, still sound) bound covers that baseline too.
-  lcfg.enable_fusion =
-      config.enable_fusion || config.fixed_fusions.has_value();
-  lcfg.liveness_aware = config.liveness_aware;
-  const lint::ProverResult pr = lint::prove_memory(tree, model.grid(), lcfg);
+  const lint::ProverResult pr =
+      lint::prove_memory(tree, model.grid(), lint_config_of(config));
   if (pr.certificate) {
     obs::count("opt.prover_infeasible");
     obs::trace_instant("prover_infeasible", "optimizer");
@@ -1291,13 +880,11 @@ std::uint64_t prove_or_throw(const ContractionTree& tree,
 }
 
 /// Stamps the communication-optimality accounting (tce/lint comm
-/// prover): the certified lower bound, this plan's canonical achieved
-/// words, and their ratio.
-void stamp_comm_gap(const ContractionTree& tree, const MachineModel& model,
-                    std::uint64_t comm_lb, OptimizedPlan& plan) {
+/// prover): the certified lower bound and its ratio to the plan's
+/// canonical achieved words (priced by the search; the `commlb` fuzz
+/// oracle recomputes them with lint::plan_comm_words).
+void stamp_comm_gap(std::uint64_t comm_lb, OptimizedPlan& plan) {
   plan.stats.comm_lb_words = comm_lb;
-  plan.stats.achieved_comm_words =
-      lint::plan_comm_words(tree, plan, model.grid());
   if (comm_lb != 0) {
     plan.stats.comm_gap_ratio =
         static_cast<double>(plan.stats.achieved_comm_words) /
@@ -1310,17 +897,27 @@ void stamp_comm_gap(const ContractionTree& tree, const MachineModel& model,
   }
 }
 
-/// The communication prover's view of the active configuration.
-lint::CommBoundConfig comm_config(const OptimizerConfig& config) {
-  lint::CommBoundConfig ccfg;
-  ccfg.mem_limit_node_bytes = config.mem_limit_node_bytes;
-  ccfg.enable_fusion =
+}  // namespace
+
+// Fixed fusions are subsets of the fusable sets, so they count as fusion
+// enabled: the fusion-aware (smaller, still sound) bounds cover that
+// baseline too.
+lint::LintConfig lint_config_of(const OptimizerConfig& config) {
+  lint::LintConfig lcfg;
+  lcfg.mem_limit_node_bytes = config.mem_limit_node_bytes;
+  lcfg.enable_fusion =
       config.enable_fusion || config.fixed_fusions.has_value();
-  ccfg.enable_replication = config.enable_replication_template;
-  return ccfg;
+  lcfg.liveness_aware = config.liveness_aware;
+  lcfg.enable_replication = config.enable_replication_template;
+  return lcfg;
 }
 
-}  // namespace
+lint::CommBoundConfig comm_config_of(const OptimizerConfig& config) {
+  const lint::LintConfig lcfg = lint_config_of(config);
+  return {.mem_limit_node_bytes = lcfg.mem_limit_node_bytes,
+          .enable_fusion = lcfg.enable_fusion,
+          .enable_replication = lcfg.enable_replication};
+}
 
 OptimizedPlan optimize(const ContractionTree& tree,
                        const MachineModel& model,
@@ -1328,11 +925,12 @@ OptimizedPlan optimize(const ContractionTree& tree,
   const obs::TraceSpan span("optimize", "optimizer");
   const std::uint64_t prover_lb = prove_or_throw(tree, model, config);
   const std::uint64_t comm_lb =
-      lint::prove_comm(tree, model.grid(), comm_config(config)).root_lb_words;
+      lint::prove_comm(tree, model.grid(), comm_config_of(config))
+          .root_lb_words;
   Search search(tree, model, config);
   OptimizedPlan plan = search.run();
   plan.stats.prover_lb_node_bytes = prover_lb;
-  stamp_comm_gap(tree, model, comm_lb, plan);
+  stamp_comm_gap(comm_lb, plan);
   maybe_verify(tree, model, config, plan);
   return plan;
 }
@@ -1343,12 +941,13 @@ std::vector<OptimizedPlan> optimize_frontier(const ContractionTree& tree,
   const obs::TraceSpan span("optimize_frontier", "optimizer");
   const std::uint64_t prover_lb = prove_or_throw(tree, model, config);
   const std::uint64_t comm_lb =
-      lint::prove_comm(tree, model.grid(), comm_config(config)).root_lb_words;
+      lint::prove_comm(tree, model.grid(), comm_config_of(config))
+          .root_lb_words;
   Search search(tree, model, config);
   std::vector<OptimizedPlan> plans = search.run_frontier();
   for (OptimizedPlan& plan : plans) {
     plan.stats.prover_lb_node_bytes = prover_lb;
-    stamp_comm_gap(tree, model, comm_lb, plan);
+    stamp_comm_gap(comm_lb, plan);
     maybe_verify(tree, model, config, plan);
   }
   return plans;

@@ -15,24 +15,9 @@
 /// pruned.  At the root, the cheapest feasible solution is extracted into
 /// an OptimizedPlan.
 ///
-/// Cost model notes (see DESIGN.md §5 for the exact formulas):
-///  * RotateCost(v, α, i, f) = repeat(f_eff) · RCost(DistSize(v,α,f_eff),
-///    rot dim), where f_eff is the union of the node's fusion with its
-///    parent and its fused children's fusions — every collective at the
-///    node sits inside all of those loops.  For a rotated array that does
-///    not itself carry a fused index this charges the physically
-///    unavoidable re-rotation per iteration (the paper's printed formula
-///    would charge it only once; with that literal reading the published
-///    Table 2 solution would not be optimal under the paper's own
-///    numbers, so we price the repeat).
-///  * Fused loop indices are never grid-distributed here (distributions
-///    name only Cannon triplet indices), so LoopRange(j ∈ f) = N_j.
-///  * Redistribution is allowed only for fully materialized (unfused)
-///    intermediates and is hoisted outside fused loops.
-///  * Memory = Σ over all arrays of their per-processor block bytes (the
-///    paper's accounting in §4) plus the largest message as a
-///    send/receive buffer; the limit is checked per node
-///    (procs-per-node × per-processor bytes).
+/// Every number the search compares — cost, memory, largest message,
+/// canonical words, feasibility — comes from the costing kernel in
+/// accounting.hpp, whose header holds the cost-model notes.
 
 #include "tce/core/plan.hpp"
 #include "tce/costmodel/machine_model.hpp"
@@ -40,6 +25,11 @@
 
 #include <map>
 #include <optional>
+
+namespace tce::lint {
+struct LintConfig;       // tce/lint/lint.hpp
+struct CommBoundConfig;  // tce/lint/comm_bounds.hpp
+}  // namespace tce::lint
 
 namespace tce {
 
@@ -87,6 +77,11 @@ struct OptimizerConfig {
   /// setting; see docs/ALGORITHM.md ("Parallel search").
   unsigned threads = 0;
 };
+
+/// The memory prover's and the communication prover's view of \p config
+/// (tce/lint).  Fixed fusions count as fusion enabled.
+lint::LintConfig lint_config_of(const OptimizerConfig& config);
+lint::CommBoundConfig comm_config_of(const OptimizerConfig& config);
 
 /// Runs the search.  Throws InfeasibleError when no plan fits the memory
 /// limit, tce::Error when the tree contains a node the Cannon framework

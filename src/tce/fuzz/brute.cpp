@@ -1,31 +1,14 @@
 #include "tce/fuzz/brute.hpp"
 
-#include <algorithm>
 #include <set>
 #include <tuple>
 
-#include "tce/common/assert.hpp"
 #include "tce/dist/cannon_space.hpp"
-#include "tce/costmodel/rotate_cost.hpp"
 #include "tce/fusion/fused.hpp"
 
 namespace tce::fuzz {
 
 namespace {
-
-/// One way of obtaining an operand (mirrors the optimizer's Operand).
-struct BOperand {
-  IndexSet fusion;
-  double cost = 0;
-  double redist = 0;
-  std::uint64_t mem = 0;
-  std::uint64_t max_msg = 0;
-  std::uint64_t peak = 0;
-  std::uint64_t working = 0;
-  std::uint64_t input_bytes = 0;
-  std::uint64_t comm_words = 0;
-  IndexSet loop_indices;
-};
 
 class Brute {
   using DedupKey =
@@ -40,11 +23,8 @@ class Brute {
       : tree_(tree),
         model_(model),
         cfg_(cfg),
-        grid_(model.grid()),
-        space_(tree.space()),
-        cap_(cap) {
-    TCE_EXPECTS(!cfg.enable_replication_template);
-  }
+        cap_(cap),
+        geom_(tree.space(), model.grid()) {}
 
   BruteResult run() {
     sols_.assign(tree_.size(), {});
@@ -65,95 +45,26 @@ class Brute {
     BruteResult out;
     for (const BruteSol& s :
          sols_[static_cast<std::size_t>(tree_.root())]) {
-      if (feasible(s)) out.root.push_back(s);
+      if (fits(s.fp, cfg_, model_.grid())) out.root.push_back(s);
     }
     return out;
   }
 
  private:
-  bool feasible(const BruteSol& s) const {
-    if (cfg_.mem_limit_node_bytes == 0) return true;
-    const std::uint64_t per_node =
-        checked_mul(checked_add(s.metric(cfg_.liveness_aware), s.max_msg),
-                    grid_.procs_per_node);
-    return per_node <= cfg_.mem_limit_node_bytes;
-  }
-
-  std::vector<IndexSet> fusion_candidates(NodeId id) const {
-    if (cfg_.fixed_fusions.has_value()) {
-      auto it = cfg_.fixed_fusions->find(id);
-      return {it == cfg_.fixed_fusions->end() ? IndexSet() : it->second};
-    }
-    if (!cfg_.enable_fusion) return {IndexSet()};
-    std::vector<IndexSet> out;
-    for_each_subset(fusable_indices(tree_, id),
-                    [&](IndexSet f) { out.push_back(f); });
-    return out;
-  }
-
-  double repeat_factor(IndexSet f_eff) const {
-    double r = 1.0;
-    for (IndexId j : f_eff) r *= static_cast<double>(space_.extent(j));
-    return r;
-  }
-
-  /// Integer fused-loop trip count (the word accounting stays exact).
-  std::uint64_t trip_count(IndexSet f_eff) const {
-    std::uint64_t r = 1;
-    for (IndexId j : f_eff) r = checked_mul(r, space_.extent(j));
-    return r;
-  }
-
-  double duplication_penalty(NodeId id, int split_dims) const {
-    double dup = 1.0;
-    for (int d = split_dims; d < 2; ++d) {
-      dup *= static_cast<double>(grid_.edge);
-    }
-    if (dup == 1.0) return 0.0;
-    const double share = static_cast<double>(tree_.flops(id)) /
-                         static_cast<double>(grid_.procs);
-    return model_.compute_time(
-        static_cast<std::uint64_t>((dup - 1.0) * share));
-  }
-
-  /// All ways of obtaining child \p child in distribution \p beta under
-  /// the consumer's \p triplet (mirrors the optimizer's ensure_operands).
-  std::vector<BOperand> operands(NodeId child, const Distribution& beta,
-                                 IndexSet triplet) const {
+  /// All ways of getting child \p child in layout \p to under the
+  /// consumer's \p triplet.
+  std::vector<Delivered> operands(NodeId child, const Distribution& to,
+                                  IndexSet triplet, bool any_layout) {
     const ContractionNode& cn = tree_.node(child);
-    std::vector<BOperand> out;
     if (cn.kind == ContractionNode::Kind::kInput) {
-      BOperand o;
-      o.mem = dist_bytes(cn.tensor, beta, IndexSet(), space_, grid_);
-      o.input_bytes = o.mem;
-      out.push_back(o);
-      return out;
+      return {leaf_operand(geom_, cn.tensor, to)};
     }
+    std::vector<Delivered> out;
     for (const BruteSol& s : sols_[static_cast<std::size_t>(child)]) {
       if (!(s.fusion & triplet).empty()) continue;
-      BOperand o;
-      o.fusion = s.fusion;
-      o.cost = s.cost;
-      o.mem = s.mem;
-      o.max_msg = s.max_msg;
-      o.peak = s.peak;
-      o.working = s.working;
-      o.input_bytes = s.input_bytes;
-      o.comm_words = s.comm_words;
-      o.loop_indices = cn.loop_indices();
-      if (s.dist == beta) {
-        out.push_back(o);
-      } else if (cfg_.enable_redistribution && s.fusion.empty()) {
-        o.redist = redistribute_cost(model_, cn.tensor, s.dist, beta,
-                                     IndexSet(), space_);
-        o.max_msg = std::max(
-            o.max_msg,
-            dist_bytes(cn.tensor, s.dist, IndexSet(), space_, grid_));
-        // The reshuffle moves the source block once.
-        o.comm_words = checked_add(
-            o.comm_words,
-            dist_size(cn.tensor, s.dist, IndexSet(), space_, grid_));
-        out.push_back(o);
+      if (auto d = produced_operand(model_, geom_, cfg_, cn.tensor, s.fp,
+                                    s.dist, s.fusion, to, any_layout)) {
+        out.push_back(*d);
       }
     }
     return out;
@@ -161,104 +72,86 @@ class Brute {
 
   /// Appends \p s unless an identical solution is already recorded.
   void keep(std::vector<BruteSol>& sols, Dedup& seen, BruteSol s) {
-    const auto key = std::make_tuple(s.dist, s.fusion.bits(), s.cost,
-                                     s.mem, s.max_msg, s.peak, s.working,
-                                     s.input_bytes, s.comm_words);
+    const Footprint& fp = s.fp;
+    const auto key =
+        std::make_tuple(s.dist, s.fusion.bits(), fp.cost, fp.mem,
+                        fp.max_msg, fp.peak, fp.working, fp.input_bytes,
+                        fp.comm_words);
     if (!seen.insert(key).second) return;
     sols.push_back(std::move(s));
     if (sols.size() > cap_) over_cap_ = true;
   }
 
+  /// Keeps every (fused set, first operand, second operand) combination
+  /// of one step layout; \p comm_of prices the step's collectives for
+  /// the effective fused set.
+  template <typename CommOf>
+  void combine(NodeId id, const Distribution& alpha, IndexSet triplet,
+               double dup, NodeId first_id,
+               const std::vector<Delivered>& firsts, NodeId second_id,
+               const std::vector<Delivered>& seconds, CommOf&& comm_of,
+               std::vector<BruteSol>& sols, Dedup& seen) {
+    if (over_cap_) return;
+    const ContractionNode& n = tree_.node(id);
+    const IndexSet first_loops = tree_.node(first_id).loop_indices();
+    const IndexSet second_loops = tree_.node(second_id).loop_indices();
+    for (IndexSet f_u : fusion_candidates(tree_, cfg_, id)) {
+      if (!(f_u & triplet).empty()) continue;
+      const std::uint64_t own_mem = geom_.bytes(n.tensor, alpha, f_u);
+      for (const Delivered& a : firsts) {
+        if (!fusion_nesting_ok(f_u, a.fusion, first_loops)) continue;
+        for (const Delivered& b : seconds) {
+          if (!fusion_nesting_ok(f_u, b.fusion, second_loops)) continue;
+          const IndexSet f_eff = f_u | a.fusion | b.fusion;
+          keep(sols, seen,
+               {alpha, f_u,
+                roll_up(a, b, comm_of(f_eff), dup, own_mem, !f_u.empty())});
+          if (over_cap_) return;
+        }
+      }
+    }
+  }
+
   void solve_contraction(NodeId id) {
     const ContractionNode& n = tree_.node(id);
-    const auto choices = enumerate_cannon_choices(n);
-    const auto fusions = fusion_candidates(id);
+    const TensorRef& lref = tree_.node(n.left).tensor;
+    const TensorRef& rref = tree_.node(n.right).tensor;
     std::vector<BruteSol> sols;
     Dedup seen;
 
-    for (const CannonChoice& c : choices) {
-      IndexSet triplet;
-      for (IndexId t : {c.i, c.j, c.k}) {
-        if (t != kNoIndex) triplet.insert(t);
-      }
-      const double dup_penalty =
-          duplication_penalty(id, static_cast<int>(triplet.count()) - 1);
-      const Distribution alpha = c.result_dist();
-      const Distribution beta = c.left_dist();
-      const Distribution gamma = c.right_dist();
-      const auto lopts = operands(n.left, beta, triplet);
-      const auto ropts = operands(n.right, gamma, triplet);
-      const TensorRef& lref = tree_.node(n.left).tensor;
-      const TensorRef& rref = tree_.node(n.right).tensor;
-
-      for (IndexSet f_u : fusions) {
-        if (!(f_u & triplet).empty()) continue;
-        const std::uint64_t own_mem =
-            dist_bytes(n.tensor, alpha, f_u, space_, grid_);
-        for (const BOperand& lo : lopts) {
-          if (!fusion_nesting_ok(f_u, lo.fusion, lo.loop_indices)) {
-            continue;
-          }
-          for (const BOperand& ro : ropts) {
-            if (!fusion_nesting_ok(f_u, ro.fusion, ro.loop_indices)) {
-              continue;
-            }
-            const IndexSet f_eff = f_u | lo.fusion | ro.fusion;
-            const double repeat = repeat_factor(f_eff);
-            const std::uint64_t trips = trip_count(f_eff);
-            const std::uint64_t hops = grid_.edge - 1;
-
-            BruteSol s;
-            s.dist = alpha;
-            s.fusion = f_u;
-            s.comm_words = checked_add(lo.comm_words, ro.comm_words);
-            double rot = 0;
-            std::uint64_t msg = std::max(lo.max_msg, ro.max_msg);
-            if (c.rotates_left()) {
-              const std::uint64_t block =
-                  dist_bytes(lref, beta, f_eff, space_, grid_);
-              rot += repeat * model_.rotate_cost(block, c.left_rot_dim());
-              msg = std::max(msg, block);
-              s.comm_words = checked_add(
-                  s.comm_words,
-                  checked_mul(trips, checked_mul(hops, block / 8)));
-            }
-            if (c.rotates_right()) {
-              const std::uint64_t block =
-                  dist_bytes(rref, gamma, f_eff, space_, grid_);
-              rot += repeat * model_.rotate_cost(block, c.right_rot_dim());
-              msg = std::max(msg, block);
-              s.comm_words = checked_add(
-                  s.comm_words,
-                  checked_mul(trips, checked_mul(hops, block / 8)));
-            }
-            if (c.rotates_result()) {
-              const std::uint64_t block =
-                  dist_bytes(n.tensor, alpha, f_eff, space_, grid_);
-              rot +=
-                  repeat * model_.rotate_cost(block, c.result_rot_dim());
-              msg = std::max(msg, block);
-              s.comm_words = checked_add(
-                  s.comm_words,
-                  checked_mul(trips, checked_mul(hops, block / 8)));
-            }
-            s.cost = lo.cost + ro.cost + lo.redist + ro.redist + rot +
-                     dup_penalty;
-            s.mem = checked_add(checked_add(lo.mem, ro.mem), own_mem);
-            s.max_msg = msg;
-            s.input_bytes = checked_add(lo.input_bytes, ro.input_bytes);
-            s.peak = std::max(
-                {lo.peak, checked_add(lo.working, ro.peak),
-                 checked_add(checked_add(lo.working, ro.working),
-                             own_mem)});
-            s.working = own_mem;
-            if (!f_u.empty()) {
-              s.working = checked_add(
-                  s.working, checked_add(lo.working, ro.working));
-            }
-            keep(sols, seen, std::move(s));
-            if (over_cap_) return;
-          }
+    for (const CannonChoice& c : enumerate_cannon_choices(n)) {
+      const IndexSet triplet = triplet_of(c);
+      combine(id, c.result_dist(), triplet,
+              duplication_s(model_, tree_.flops(id),
+                            static_cast<int>(triplet.count()) - 1),
+              n.left, operands(n.left, c.left_dist(), triplet, false),
+              n.right, operands(n.right, c.right_dist(), triplet, false),
+              [&](IndexSet f_eff) {
+                return cannon_comm(model_, geom_, c, lref, rref, n.tensor,
+                                   f_eff);
+              },
+              sols, seen);
+    }
+    if (cfg_.enable_replication_template) {
+      for (const ReplUnit& u : repl_units(n)) {
+        const NodeId stat_id = u.repl_right ? n.left : n.right;
+        const NodeId repl_id = u.repl_right ? n.right : n.left;
+        const TensorRef& gathered = tree_.node(repl_id).tensor;
+        const double dup =
+            duplication_s(model_, tree_.flops(id), u.split_dims());
+        for (IndexId j_pick :
+             with_none(u.repl_right ? n.right_indices : n.left_indices)) {
+          const ReplStep st = repl_step(u, j_pick);
+          combine(id, st.result, st.triplet, dup, stat_id,
+                  operands(stat_id, st.stationary, st.triplet, false),
+                  repl_id,
+                  operands(repl_id, compact_dist(gathered), st.triplet,
+                           true),
+                  [&](IndexSet f_eff) {
+                    return replicated_comm(model_, geom_, st, gathered,
+                                           n.tensor, f_eff);
+                  },
+                  sols, seen);
         }
       }
     }
@@ -267,9 +160,7 @@ class Brute {
 
   void solve_reduce(NodeId id) {
     const ContractionNode& n = tree_.node(id);
-    const NodeId child = n.left;
-    const ContractionNode& cn = tree_.node(child);
-    const auto fusions = fusion_candidates(id);
+    const ContractionNode& cn = tree_.node(n.left);
     std::vector<BruteSol> sols;
     Dedup seen;
 
@@ -278,51 +169,26 @@ class Brute {
     std::vector<BruteSol> copts;
     if (cn.kind == ContractionNode::Kind::kInput) {
       for (const Distribution& d : enumerate_distributions(cn.tensor)) {
-        BruteSol o;
-        o.dist = d;
-        o.mem = dist_bytes(cn.tensor, d, IndexSet(), space_, grid_);
-        o.input_bytes = o.mem;
-        copts.push_back(o);
+        copts.push_back({d, IndexSet(), leaf_operand(geom_, cn.tensor, d).fp});
       }
     } else {
-      for (const BruteSol& s : sols_[static_cast<std::size_t>(child)]) {
+      for (const BruteSol& s : sols_[static_cast<std::size_t>(n.left)]) {
         if (s.fusion.empty()) copts.push_back(s);
       }
     }
 
     for (const BruteSol& co : copts) {
-      auto position = [&](int d) {
-        const IndexId i = co.dist.at(d);
-        return (i != kNoIndex && n.sum_indices.contains(i)) ? kNoIndex : i;
-      };
-      const Distribution rdist(position(1), position(2));
-      const bool needs_allreduce = rdist != co.dist;
-
-      for (IndexSet f_u : fusions) {
+      const Distribution rdist = reduce_dist(co.dist, n.sum_indices);
+      Delivered child;
+      child.fp = co.fp;
+      for (IndexSet f_u : fusion_candidates(tree_, cfg_, id)) {
         if (!(f_u & rdist.index_set()).empty()) continue;
-        const std::uint64_t own_mem =
-            dist_bytes(n.tensor, rdist, f_u, space_, grid_);
-        BruteSol s;
-        s.dist = rdist;
-        s.fusion = f_u;
-        std::uint64_t msg = co.max_msg;
-        double allreduce = 0;
-        s.comm_words = co.comm_words;
-        if (needs_allreduce) {
-          const std::uint64_t block = own_mem;
-          allreduce = repeat_factor(f_u) * model_.redistribute_cost(block);
-          msg = std::max(msg, block);
-          s.comm_words = checked_add(
-              s.comm_words, checked_mul(trip_count(f_u), block / 8));
-        }
-        s.cost = co.cost + allreduce;
-        s.mem = checked_add(co.mem, own_mem);
-        s.max_msg = msg;
-        s.input_bytes = co.input_bytes;
-        s.peak = std::max(co.peak, checked_add(co.working, own_mem));
-        s.working = own_mem;
-        if (!f_u.empty()) s.working = checked_add(s.working, co.working);
-        keep(sols, seen, std::move(s));
+        const StepComm comm =
+            reduce_comm(model_, geom_, n.tensor, co.dist, rdist, f_u);
+        keep(sols, seen,
+             {rdist, f_u,
+              roll_up(child, Delivered(), comm, 0.0,
+                      geom_.bytes(n.tensor, rdist, f_u), !f_u.empty())});
         if (over_cap_) return;
       }
     }
@@ -332,9 +198,8 @@ class Brute {
   const ContractionTree& tree_;
   const MachineModel& model_;
   const OptimizerConfig& cfg_;
-  const ProcGrid& grid_;
-  const IndexSpace& space_;
   const std::size_t cap_;
+  GeomCache geom_;
   bool over_cap_ = false;
   std::vector<std::vector<BruteSol>> sols_;
 };

@@ -2,28 +2,30 @@
 /// \file brute.hpp
 /// Exhaustive reference planner for differential testing.
 ///
-/// Recomputes the optimizer's search space bottom-up with NO Pareto
-/// pruning and NO per-node feasibility filtering: every node keeps every
-/// (distribution, fusion, cost, memory) combination its subtree admits,
-/// deduplicated only on exact equality of all carried metrics.  The
-/// memory metric and largest message are monotone nondecreasing from
-/// child to parent, so filtering feasibility at the root alone yields
-/// exactly the root solutions the pruned DP can reach — which makes the
-/// two directly comparable:
+/// Walks the optimizer's candidate space bottom-up — every Cannon choice
+/// and, when enabled, every replicate-compute-reduce step — with NO
+/// Pareto pruning and NO per-node feasibility filtering: every node keeps
+/// every (distribution, fusion, Footprint) combination its subtree
+/// admits, deduplicated only on exact equality.  Each candidate is priced
+/// by the shared costing kernel (core/accounting.hpp), so what this
+/// checks is the DP's enumeration, pruning and feasibility, not its
+/// pricing (the verifier re-derives that independently).  The memory
+/// metric and largest message are monotone nondecreasing from child to
+/// parent, so filtering feasibility at the root alone yields exactly the
+/// root solutions the pruned DP can reach — which makes the two directly
+/// comparable:
 ///   * the minimum root cost must equal optimize()'s total_comm_s;
 ///   * every optimize_frontier() plan must exist among the brute root
 ///     solutions;
 ///   * every brute root solution must be weakly dominated by some
 ///     frontier plan.
 ///
-/// The replicate-compute-reduce template is not mirrored here; callers
-/// must not use brute_force with enable_replication_template set.
 /// Exhaustive enumeration is exponential — brute_force gives up (sets
 /// BruteResult::skipped) once any node's solution list exceeds the cap.
 
 #include <vector>
 
-#include "tce/common/checked.hpp"
+#include "tce/core/accounting.hpp"
 #include "tce/core/optimizer.hpp"
 #include "tce/costmodel/machine_model.hpp"
 #include "tce/dist/distribution.hpp"
@@ -31,28 +33,12 @@
 
 namespace tce::fuzz {
 
-/// One exhaustive root solution, carrying the same metrics as the
-/// optimizer's internal Sol.
+/// One exhaustive root solution.  Footprint::comm_words is the
+/// differential reference for the `commlb` fuzz oracle.
 struct BruteSol {
   Distribution dist;
   IndexSet fusion;
-  double cost = 0;
-  std::uint64_t mem = 0;
-  std::uint64_t max_msg = 0;
-  std::uint64_t peak = 0;
-  std::uint64_t working = 0;
-  std::uint64_t input_bytes = 0;
-  /// Canonical communication volume in words/processor, accumulated
-  /// with exactly lint::plan_comm_words' accounting (rotations count
-  /// (√P−1) blocks per sweep, redistributions the source block, reduce
-  /// allreduces the result block, each times the fused trip count) —
-  /// the differential reference for the `commlb` fuzz oracle.
-  std::uint64_t comm_words = 0;
-
-  /// The limit-checked memory metric under the given accounting mode.
-  std::uint64_t metric(bool liveness) const {
-    return liveness ? checked_add(input_bytes, peak) : mem;
-  }
+  Footprint fp;
 };
 
 /// Result of one exhaustive enumeration.
@@ -65,7 +51,6 @@ struct BruteResult {
 };
 
 /// Exhaustively enumerates the search space of \p tree under \p cfg.
-/// Throws ContractViolation when cfg.enable_replication_template is set.
 BruteResult brute_force(const ContractionTree& tree,
                         const MachineModel& model,
                         const OptimizerConfig& cfg,

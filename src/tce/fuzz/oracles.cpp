@@ -47,9 +47,6 @@ std::optional<OptimizedPlan> try_optimize(const OracleInput& in,
 }  // namespace
 
 OracleOutcome oracle_brute(const OracleInput& in) {
-  if (in.inst->replication) {
-    return skip("replication template not mirrored by brute force");
-  }
   const OptimizerConfig cfg = config_of(*in.inst);
   const BruteResult br = brute_force(*in.tree, *in.model, cfg);
   if (br.skipped) return skip("search space above brute-force cap");
@@ -70,8 +67,10 @@ OracleOutcome oracle_brute(const OracleInput& in) {
   if (infeasible) return pass();
 
   const bool lv = cfg.liveness_aware;
-  double min_cost = br.root.front().cost;
-  for (const BruteSol& s : br.root) min_cost = std::min(min_cost, s.cost);
+  double min_cost = br.root.front().fp.cost;
+  for (const BruteSol& s : br.root) {
+    min_cost = std::min(min_cost, s.fp.cost);
+  }
   if (!close(min_cost, frontier.front().total_comm_s)) {
     return fail("optimal cost mismatch: DP " +
                 std::to_string(frontier.front().total_comm_s) +
@@ -82,10 +81,10 @@ OracleOutcome oracle_brute(const OracleInput& in) {
   for (const OptimizedPlan& p : frontier) {
     const bool found = std::any_of(
         br.root.begin(), br.root.end(), [&](const BruteSol& s) {
-          return close(s.cost, p.total_comm_s) &&
-                 s.mem == p.array_bytes_per_proc &&
-                 s.max_msg == p.max_msg_bytes_per_proc &&
-                 checked_add(s.input_bytes, s.peak) ==
+          return close(s.fp.cost, p.total_comm_s) &&
+                 s.fp.mem == p.array_bytes_per_proc &&
+                 s.fp.max_msg == p.max_msg_bytes_per_proc &&
+                 memory_metric(s.fp, /*liveness=*/true) ==
                      p.peak_live_bytes_per_proc;
         });
     if (!found) {
@@ -100,19 +99,21 @@ OracleOutcome oracle_brute(const OracleInput& in) {
   // on (cost, memory metric, largest message) — otherwise the DP pruned
   // a Pareto point it should have kept.
   for (const BruteSol& s : br.root) {
-    const std::uint64_t s_metric = s.metric(lv);
+    const std::uint64_t s_metric = memory_metric(s.fp, lv);
     const bool covered = std::any_of(
         frontier.begin(), frontier.end(), [&](const OptimizedPlan& p) {
           const std::uint64_t p_metric =
               lv ? p.peak_live_bytes_per_proc : p.array_bytes_per_proc;
-          return (p.total_comm_s <= s.cost || close(p.total_comm_s, s.cost)) &&
+          return (p.total_comm_s <= s.fp.cost ||
+                  close(p.total_comm_s, s.fp.cost)) &&
                  p_metric <= s_metric &&
-                 p.max_msg_bytes_per_proc <= s.max_msg;
+                 p.max_msg_bytes_per_proc <= s.fp.max_msg;
         });
     if (!covered) {
-      return fail("brute-force solution (cost " + std::to_string(s.cost) +
-                  ", metric " + std::to_string(s_metric) + ", msg " +
-                  std::to_string(s.max_msg) +
+      return fail("brute-force solution (cost " +
+                  std::to_string(s.fp.cost) + ", metric " +
+                  std::to_string(s_metric) + ", msg " +
+                  std::to_string(s.fp.max_msg) +
                   ") is not dominated by any DP frontier plan");
     }
   }
@@ -279,12 +280,9 @@ OracleOutcome oracle_lint(const OracleInput& in) {
     return skip("no memory limit; nothing for the prover to certify");
   }
   OptimizerConfig cfg = config_of(*in.inst);
-  lint::LintConfig lcfg;
-  lcfg.mem_limit_node_bytes = cfg.mem_limit_node_bytes;
-  lcfg.enable_fusion = cfg.enable_fusion || cfg.fixed_fusions.has_value();
-  lcfg.liveness_aware = cfg.liveness_aware;
   const std::optional<lint::InfeasibilityCertificate> cert =
-      lint::prove_infeasible(*in.tree, in.model->grid(), lcfg);
+      lint::prove_infeasible(*in.tree, in.model->grid(),
+                             lint_config_of(cfg));
   // Prover silence is not a feasibility claim — only a certificate is
   // checkable.
   if (!cert) return pass();
@@ -300,8 +298,7 @@ OracleOutcome oracle_lint(const OracleInput& in) {
   } catch (const InfeasibleError&) {
   }
 
-  // So must exhaustive enumeration, inside its domain.
-  if (in.inst->replication) return pass();
+  // So must exhaustive enumeration, below its cap.
   const BruteResult br = brute_force(*in.tree, *in.model, cfg);
   if (br.skipped) return pass();
   if (!br.root.empty()) {
@@ -314,12 +311,9 @@ OracleOutcome oracle_lint(const OracleInput& in) {
 
 OracleOutcome oracle_commlb(const OracleInput& in) {
   const OptimizerConfig cfg = config_of(*in.inst);
-  lint::CommBoundConfig ccfg;
-  ccfg.mem_limit_node_bytes = cfg.mem_limit_node_bytes;
-  ccfg.enable_fusion = cfg.enable_fusion || cfg.fixed_fusions.has_value();
-  ccfg.enable_replication = cfg.enable_replication_template;
   const std::uint64_t lb =
-      lint::prove_comm(*in.tree, in.model->grid(), ccfg).root_lb_words;
+      lint::prove_comm(*in.tree, in.model->grid(), comm_config_of(cfg))
+          .root_lb_words;
 
   bool checked = false;
 
@@ -346,17 +340,15 @@ OracleOutcome oracle_commlb(const OracleInput& in) {
     }
   }
 
-  // Every exhaustive root solution, inside brute force's domain.
-  if (!in.inst->replication) {
-    const BruteResult br = brute_force(*in.tree, *in.model, cfg);
-    if (!br.skipped) {
-      for (const BruteSol& s : br.root) {
-        checked = true;
-        if (lb > s.comm_words) {
-          return fail("UNSOUND: certified comm LB " + std::to_string(lb) +
-                      " words/proc exceeds a brute-force plan's achieved " +
-                      std::to_string(s.comm_words));
-        }
+  // Every exhaustive root solution, below brute force's cap.
+  const BruteResult br = brute_force(*in.tree, *in.model, cfg);
+  if (!br.skipped) {
+    for (const BruteSol& s : br.root) {
+      checked = true;
+      if (lb > s.fp.comm_words) {
+        return fail("UNSOUND: certified comm LB " + std::to_string(lb) +
+                    " words/proc exceeds a brute-force plan's achieved " +
+                    std::to_string(s.fp.comm_words));
       }
     }
   }

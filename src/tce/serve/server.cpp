@@ -315,12 +315,10 @@ std::string Server::plan_canonical(const PlanRequest& req,
   // certificate short-circuits the request with the rule id and the
   // binding node (translated back into the request's vocabulary).
   if (req.mem_limit_bytes > 0) {
-    lint::LintConfig lcfg;
-    lcfg.mem_limit_node_bytes = req.mem_limit_bytes;
-    lcfg.enable_fusion = req.fusion;
-    lcfg.liveness_aware = req.liveness;
     const std::optional<lint::InfeasibilityCertificate> cert =
-        lint::prove_infeasible(tree, model->grid(), lcfg);
+        lint::prove_infeasible(
+            tree, model->grid(),
+            lint_config_of(optimizer_config(req, options_.threads)));
     if (cert.has_value()) {
       obs::count("serve.rejected");
       const std::string node = rename_back(cert->node, canon.renames);

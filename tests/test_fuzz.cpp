@@ -121,29 +121,42 @@ TEST(FuzzOracles, CommLbSoundOnPinnedWindow) {
   EXPECT_LE(report.skipped.at("commlb"), 30) << report.str();
 }
 
+TEST(FuzzOracles, BruteSkipsStayRareOnPinnedWindow) {
+  // Brute force prices every template the DP searches, replication
+  // included, so over the documented 200-seed window it skips only
+  // instances above its enumeration cap.
+  FuzzOptions opts;
+  opts.seed = 1;
+  opts.runs = 200;
+  opts.oracle = "brute";
+  const FuzzReport report = run_fuzz(opts);
+  EXPECT_TRUE(report.failures.empty()) << report.str();
+  EXPECT_LE(report.skipped.at("brute"), 5) << report.str();
+}
+
 TEST(FuzzOracles, SkipTelemetryListsAlwaysSkippedOracles) {
-  // A replication instance is outside brute force's domain, so a
-  // one-run brute-only fuzz is 100% skips — the report must still show
+  // An instance on the analytic model has no reference network, so a
+  // one-run simnet-only fuzz is 100% skips — the report must still show
   // the oracle's row instead of silently dropping it (the bug this
   // guards against: str() iterates `executed`, which the skip path
   // never touched).
   std::uint64_t seed = 0;
   for (std::uint64_t s = 1; s <= 200; ++s) {
-    if (generate_instance(s, {}).replication) {
+    if (!generate_instance(s, {}).characterized) {
       seed = s;
       break;
     }
   }
-  ASSERT_NE(seed, 0u) << "no replication instance in the probe range";
+  ASSERT_NE(seed, 0u) << "no analytic-model instance in the probe range";
   FuzzOptions opts;
   opts.seed = seed;
   opts.runs = 1;
-  opts.oracle = "brute";
+  opts.oracle = "simnet";
   const FuzzReport report = run_fuzz(opts);
-  ASSERT_EQ(report.executed.count("brute"), 1u);
-  EXPECT_EQ(report.executed.at("brute"), 0);
-  EXPECT_EQ(report.skipped.at("brute"), 1);
-  EXPECT_NE(report.str().find("brute: 0 checked, 1 skipped"),
+  ASSERT_EQ(report.executed.count("simnet"), 1u);
+  EXPECT_EQ(report.executed.at("simnet"), 0);
+  EXPECT_EQ(report.skipped.at("simnet"), 1);
+  EXPECT_NE(report.str().find("simnet: 0 checked, 1 skipped"),
             std::string::npos)
       << report.str();
 }
@@ -242,8 +255,8 @@ TEST(FuzzBrute, SingleMatmulEnumerationIsExhaustive) {
   ASSERT_FALSE(br.skipped);
   ASSERT_FALSE(br.root.empty());
   for (const BruteSol& sol : br.root) {
-    EXPECT_GT(sol.mem, 0u);
-    EXPECT_GE(sol.cost, 0.0);
+    EXPECT_GT(sol.fp.mem, 0u);
+    EXPECT_GE(sol.fp.cost, 0.0);
   }
 }
 

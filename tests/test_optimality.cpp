@@ -420,7 +420,7 @@ TEST(CommBoundSoundness, CertificateHoldsForEveryBruteSolution) {
     const fuzz::BruteResult br = fuzz::brute_force(tree, model, cfg);
     ASSERT_FALSE(br.skipped);
     for (const fuzz::BruteSol& s : br.root) {
-      EXPECT_LE(lb, s.comm_words) << "limit=" << limit;
+      EXPECT_LE(lb, s.fp.comm_words) << "limit=" << limit;
     }
   }
 }
