@@ -66,12 +66,21 @@ bool dominates(const Sol& as, const Sol& bs, bool liveness) {
   if (a.cost > b.cost || a.max_msg > b.max_msg) return false;
   bool strict = a.cost < b.cost || a.max_msg < b.max_msg;
   if (liveness) {
-    // Saturating: these sums are only compared, and a clamped compare
-    // stays correct while a wrapped one inverts the dominance.
-    const std::uint64_t am = saturating_add(a.input_bytes, a.peak);
-    const std::uint64_t bm = saturating_add(b.input_bytes, b.peak);
-    if (am > bm || a.working > b.working) return false;
-    strict = strict || am < bm || a.working < b.working;
+    // The parent's liveness roll-up adds a child's input_bytes to that
+    // child's peak and working terms and to its sibling's, so a must be
+    // no worse on input_bytes, input_bytes + peak and input_bytes +
+    // working alike.  Saturating: these sums are only compared, and a
+    // clamped compare stays correct while a wrapped one inverts the
+    // dominance.
+    const std::uint64_t a_peak = saturating_add(a.input_bytes, a.peak);
+    const std::uint64_t b_peak = saturating_add(b.input_bytes, b.peak);
+    const std::uint64_t a_work = saturating_add(a.input_bytes, a.working);
+    const std::uint64_t b_work = saturating_add(b.input_bytes, b.working);
+    if (a.input_bytes > b.input_bytes || a_peak > b_peak || a_work > b_work) {
+      return false;
+    }
+    strict = strict || a.input_bytes < b.input_bytes || a_peak < b_peak ||
+             a_work < b_work;
   } else {
     if (a.mem > b.mem) return false;
     strict = strict || a.mem < b.mem;

@@ -134,6 +134,23 @@ TEST(FuzzOracles, BruteSkipsStayRareOnPinnedWindow) {
   EXPECT_LE(report.skipped.at("brute"), 5) << report.str();
 }
 
+TEST(FuzzOracles, LivenessDominanceComparesEveryRolledUpTerm) {
+  // Replication + liveness instances on which a dominance test that
+  // compared only input_bytes + peak and working let a solution holding
+  // more resident input prune one that gives the parent a smaller
+  // footprint: brute force then found a root plan no DP frontier plan
+  // dominates.
+  for (std::uint64_t seed : {50121ull, 50209ull}) {
+    FuzzOptions opts;
+    opts.seed = seed;
+    opts.runs = 1;
+    opts.oracle = "brute";
+    const FuzzReport report = run_fuzz(opts);
+    EXPECT_TRUE(report.failures.empty()) << report.str();
+    EXPECT_EQ(report.executed.at("brute"), 1) << report.str();
+  }
+}
+
 TEST(FuzzOracles, SkipTelemetryListsAlwaysSkippedOracles) {
   // An instance on the analytic model has no reference network, so a
   // one-run simnet-only fuzz is 100% skips — the report must still show
