@@ -3,7 +3,9 @@
 /// The differential oracles: independent ways of evaluating a plan (or
 /// the planner) that must agree with the DP optimizer.
 ///
-///   brute    exhaustive enumeration (brute.hpp) vs the DP root frontier
+///   brute    exhaustive enumeration (brute.hpp) vs the DP root frontier;
+///            both price candidates with core/accounting, so this checks
+///            the DP's enumeration, pruning and feasibility
 ///   threads  plans at --threads 1 and --threads 8 are byte-identical
 ///   verify   every plan passes the rule-based verifier, including after
 ///            a JSON round trip through the plan codec
@@ -18,13 +20,14 @@
 ///   commlb   the static communication lower-bound prover is sound:
 ///            CommLB(root) ≤ the canonical achieved word count of the
 ///            DP plan and of every brute-force root solution, and the
-///            stats stamped on the DP plan (comm_lb_words,
-///            achieved_comm_words) match independent recomputation
+///            stats stamped on the DP plan (comm_lb_words, and the
+///            achieved_comm_words core/accounting priced) match
+///            independent recomputation (lint::plan_comm_words)
 ///
 /// Each oracle returns pass / skip / fail plus a human-readable detail;
-/// a skip means the instance is outside the oracle's domain (e.g. a
-/// replication instance for brute), never that a check was silently
-/// weakened.
+/// a skip means the instance is outside the oracle's domain (e.g. an
+/// analytic-model instance for simnet, or a search space above brute
+/// force's cap), never that a check was silently weakened.
 
 #include <string>
 

@@ -126,9 +126,10 @@ CommBoundResult prove_comm(const ContractionTree& tree, const ProcGrid& grid,
 /// allreduce), an operand redistribution counts the source block, and a
 /// reduce node's allreduce counts its result block — each scaled by the
 /// enclosing fused-loop trip counts, mirroring the optimizer's cost
-/// attribution term by term.  The same accounting is reproduced
-/// independently by the brute-force enumerator, and `optimize()` stamps
-/// the value into OptimizerStats::achieved_comm_words.
+/// attribution term by term.  The costing kernel (core/accounting.hpp)
+/// prices the same words per candidate and `optimize()` stamps the
+/// chosen plan's into OptimizerStats::achieved_comm_words; this is the
+/// independent recomputation from the finished plan.
 std::uint64_t plan_comm_words(const ContractionTree& tree,
                               const OptimizedPlan& plan,
                               const ProcGrid& grid);
