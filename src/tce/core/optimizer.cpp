@@ -519,14 +519,16 @@ class Search {
     const double dup = duplication_s(model_, tree_.flops(id),
                                      static_cast<int>(triplet.count()) - 1);
     const Distribution alpha = c.result_dist();
+    const Distribution beta = c.left_dist();
+    const Distribution gamma = c.right_dist();
     const ContractionNode& ln = tree_.node(n.left);
     const ContractionNode& rn = tree_.node(n.right);
     const IndexSet l_loops = ln.loop_indices();
     const IndexSet r_loops = rn.loop_indices();
-    const auto& lopts = opcache.at(
-        operand_key(n.left, c.left_dist(), triplet, /*any_dist=*/false));
-    const auto& ropts = opcache.at(
-        operand_key(n.right, c.right_dist(), triplet, /*any_dist=*/false));
+    const auto& lopts =
+        opcache.at(operand_key(n.left, beta, triplet, /*any_dist=*/false));
+    const auto& ropts =
+        opcache.at(operand_key(n.right, gamma, triplet, /*any_dist=*/false));
 
     for (IndexSet f_u : fusions) {
       if (!(f_u & triplet).empty()) continue;
@@ -540,8 +542,8 @@ class Search {
                                             rn.tensor, n.tensor, f_eff);
           Sol s = step_sol(alpha, f_u, f_eff, lo, ro, comm);
           s.choice = c;
-          s.left_dist = c.left_dist();
-          s.right_dist = c.right_dist();
+          s.left_dist = beta;
+          s.right_dist = gamma;
           s.fp = roll_up(lo, ro, comm, dup, own_mem, !f_u.empty());
           offer(std::move(s), unit, local, frontier, acc);
         }

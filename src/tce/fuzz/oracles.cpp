@@ -68,9 +68,7 @@ OracleOutcome oracle_brute(const OracleInput& in) {
 
   const bool lv = cfg.liveness_aware;
   double min_cost = br.root.front().fp.cost;
-  for (const BruteSol& s : br.root) {
-    min_cost = std::min(min_cost, s.fp.cost);
-  }
+  for (const BruteSol& s : br.root) min_cost = std::min(min_cost, s.fp.cost);
   if (!close(min_cost, frontier.front().total_comm_s)) {
     return fail("optimal cost mismatch: DP " +
                 std::to_string(frontier.front().total_comm_s) +
