@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "tce/cannon/executor.hpp"
 #include "tce/common/error.hpp"
 #include "tce/expr/parser.hpp"
@@ -152,20 +154,25 @@ TEST_F(CannonFixture, RejectsNonDividingExtents) {
 
 // Parameterized sweep over random contraction shapes and grids: the
 // executor must agree with the reference evaluator everywhere.
+// gtest names each case by the bytes of its parameter, so the struct must
+// have no padding: indeterminate padding bytes would give the same case a
+// different name in each build.
 struct SweepCase {
-  std::uint32_t procs;
+  std::uint64_t procs;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<SweepCase>);
 
 class CannonSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(CannonSweep, RandomShapesMatchReference) {
   const SweepCase param = GetParam();
+  const auto procs = static_cast<std::uint32_t>(param.procs);
   Rng rng(param.seed);
-  const ProcGrid grid = ProcGrid::make(param.procs, 1);
-  ClusterSpec spec = ClusterSpec::itanium2003(param.procs);
+  const ProcGrid grid = ProcGrid::make(procs, 1);
+  ClusterSpec spec = ClusterSpec::itanium2003(procs);
   spec.procs_per_node = 1;
-  spec.nodes = param.procs;
+  spec.nodes = procs;
   Network net(spec);
 
   // Random contraction: ranks 2-3 per operand, extents multiples of edge.
