@@ -140,13 +140,19 @@ void BM_OpminSubsetDP(benchmark::State& state) {
   text += "S[x0,x" + std::to_string(n) + "] = sum[";
   for (int i = 1; i < n; ++i) {
     if (i > 1) text += ",";
-    text += "x" + std::to_string(i);
+    text += 'x';
+    text += std::to_string(i);
   }
   text += "] ";
   for (int i = 0; i < n; ++i) {
     if (i > 0) text += " * ";
-    text += "W" + std::to_string(i) + "[x" + std::to_string(i) + ",x" +
-            std::to_string(i + 1) + "]";
+    text += 'W';
+    text += std::to_string(i);
+    text += "[x";
+    text += std::to_string(i);
+    text += ",x";
+    text += std::to_string(i + 1);
+    text += ']';
   }
   ParsedProgram p = parse_program(text);
   OpMinInput in = OpMinInput::from_statement(p.statements[0]);

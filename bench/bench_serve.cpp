@@ -69,10 +69,12 @@ std::string make_program(std::uint64_t i, unsigned variant) {
 
 std::string make_request(std::uint64_t i, unsigned variant,
                          std::uint64_t procs, std::uint64_t seq) {
+  std::string id = "q";
+  id += std::to_string(seq);
   return json::ObjectWriter()
       .field("schema", "tce-serve/1")
       .field("op", "plan")
-      .field("id", "q" + std::to_string(seq))
+      .field("id", id)
       .field("program", make_program(i, variant))
       .field("procs", procs)
       .str();

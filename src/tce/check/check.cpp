@@ -139,7 +139,10 @@ std::string CheckReport::str() const {
   for (const Finding& f : findings) {
     out += (f.severity == Severity::kError) ? "error " : "warning ";
     out += f.file;
-    if (f.line > 0) out += ":" + std::to_string(f.line);
+    if (f.line > 0) {
+      out += ':';
+      out += std::to_string(f.line);
+    }
     out += " rule=" + f.rule + ": " + f.message + "\n";
   }
   std::uint64_t errors = 0;

@@ -6,7 +6,12 @@ std::string Distribution::str(const IndexSpace& space) const {
   auto pos = [&](IndexId id) -> std::string {
     return id == kNoIndex ? "·" : space.name(id);
   };
-  return "<" + pos(d1_) + "," + pos(d2_) + ">";
+  std::string out = "<";
+  out += pos(d1_);
+  out += ',';
+  out += pos(d2_);
+  out += '>';
+  return out;
 }
 
 std::uint64_t dist_range(IndexId i, const Distribution& alpha,

@@ -56,8 +56,16 @@ struct Gen {
     return v;
   }
 
-  std::string new_input() { return "X" + std::to_string(inputs++); }
-  std::string new_temp() { return "T" + std::to_string(++temps); }
+  std::string new_input() {
+    std::string name = "X";
+    name += std::to_string(inputs++);
+    return name;
+  }
+  std::string new_temp() {
+    std::string name = "T";
+    name += std::to_string(++temps);
+    return name;
+  }
 
   std::vector<std::string> concat(std::vector<std::string> a,
                                   const std::vector<std::string>& b) {

@@ -138,8 +138,13 @@ std::string fresh_input_name(const FuzzInstance& inst) {
       }
     }
   }
-  while (used.contains("X" + std::to_string(next))) ++next;
-  return "X" + std::to_string(next);
+  const auto input_name = [](std::uint64_t n) {
+    std::string name = "X";
+    name += std::to_string(n);
+    return name;
+  };
+  while (used.contains(input_name(next))) ++next;
+  return input_name(next);
 }
 
 FuzzInstance shrink_instance(

@@ -407,8 +407,9 @@ TEST(Log, FlightRecorderKeepsTheLastEventsOldestFirst) {
   EXPECT_TRUE(obs::log_enabled(obs::LogLevel::kDebug))
       << "the recorder captures every level";
   for (int i = 0; i < 100; ++i) {
-    obs::log_event(obs::LogLevel::kInfo, "test",
-                   "e" + std::to_string(i));
+    std::string event = "e";
+    event += std::to_string(i);
+    obs::log_event(obs::LogLevel::kInfo, "test", event);
   }
   const std::string dump = obs::flight_recorder_dump();
   obs::flight_recorder_enable(false);

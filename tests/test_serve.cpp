@@ -408,9 +408,14 @@ TEST(ServeServer, ConcurrentHitMissStormRepliesAreByteIdentical) {
   // (problem, spelling) must be byte-identical no matter which thread
   // won the search and which ones hit the cache.
   const auto spelling = [](int problem, int t) {
-    const std::string ix = "x" + std::to_string(t);
-    const std::string iy = "y" + std::to_string(t);
-    const std::string ik = "k" + std::to_string(t);
+    const auto label = [t](char c) {
+      std::string s(1, c);
+      s += std::to_string(t);
+      return s;
+    };
+    const std::string ix = label('x');
+    const std::string iy = label('y');
+    const std::string ik = label('k');
     const std::string extent = problem == 0 ? "64" : "96";
     return "index " + ix + ", " + iy + " = " + extent + "\nindex " + ik +
            " = 16\nR" + std::to_string(t) + "[" + ix + "," + iy +
@@ -452,7 +457,8 @@ TEST(ServePlanCache, ConcurrentGetPutIsRaceFree) {
   for (int t = 0; t < 8; ++t) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < 200; ++i) {
-        const std::string key = "k" + std::to_string((t + i) % 12);
+        std::string key = "k";
+        key += std::to_string((t + i) % 12);
         if (cache.get(key).has_value()) {
           found.fetch_add(1, std::memory_order_relaxed);
         } else {
