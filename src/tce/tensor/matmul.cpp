@@ -1,7 +1,5 @@
 #include "tce/tensor/matmul.hpp"
 
-#include <algorithm>
-
 #include "tce/common/checked.hpp"
 #include "tce/common/error.hpp"
 #include "tce/tensor/kernel.hpp"
@@ -26,86 +24,11 @@ void matmul_acc(std::span<const double> a, std::span<const double> b,
   }
 }
 
-namespace {
-
-/// Strides of \p t for the loop order row_dims ++ col_dims, plus the
-/// extent product of each group.
-struct PackPlan {
-  std::vector<std::uint64_t> extents;  // loop extents, rows then cols
-  std::vector<std::uint64_t> strides;  // matching tensor strides
-  std::uint64_t rows = 1;
-  std::uint64_t cols = 1;
-};
-
-PackPlan make_plan(const DenseTensor& t, const std::vector<IndexId>& rows,
-                   const std::vector<IndexId>& cols) {
-  if (rows.size() + cols.size() != t.rank()) {
-    throw Error("pack_matrix: dimension groups must cover the tensor");
-  }
-  PackPlan p;
-  for (IndexId id : rows) {
-    p.extents.push_back(t.extent_of(id));
-    p.strides.push_back(t.stride(t.pos_of(id)));
-    p.rows = checked_mul(p.rows, p.extents.back());
-  }
-  for (IndexId id : cols) {
-    p.extents.push_back(t.extent_of(id));
-    p.strides.push_back(t.stride(t.pos_of(id)));
-    p.cols = checked_mul(p.cols, p.extents.back());
-  }
-  return p;
-}
-
-}  // namespace
-
-void pack_matrix(const DenseTensor& t, const std::vector<IndexId>& row_dims,
-                 const std::vector<IndexId>& col_dims,
-                 std::vector<double>& out, std::uint64_t& rows,
-                 std::uint64_t& cols) {
-  const PackPlan p = make_plan(t, row_dims, col_dims);
-  rows = p.rows;
-  cols = p.cols;
-  out.resize(p.rows * p.cols);
-
-  std::span<const double> src = t.data();
-  MultiIndex mi(p.extents);
-  std::uint64_t flat = 0;
-  do {
-    std::uint64_t off = 0;
-    const auto idx = mi.values();
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      off += idx[i] * p.strides[i];
-    }
-    out[flat++] = src[off];
-  } while (mi.advance());
-}
-
-void unpack_matrix_acc(std::span<const double> m,
-                       const std::vector<IndexId>& row_dims,
-                       const std::vector<IndexId>& col_dims,
-                       DenseTensor& t) {
-  const PackPlan p = make_plan(t, row_dims, col_dims);
-  TCE_EXPECTS(m.size() == p.rows * p.cols);
-
-  std::span<double> dst = t.data();
-  MultiIndex mi(p.extents);
-  std::uint64_t flat = 0;
-  do {
-    std::uint64_t off = 0;
-    const auto idx = mi.values();
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      off += idx[i] * p.strides[i];
-    }
-    dst[off] += m[flat++];
-  } while (mi.advance());
-}
-
 void contract_blocks_acc(const DenseTensor& a, const DenseTensor& b,
                          IndexSet sum_indices, DenseTensor& c) {
   // The TTGT lowering classifies labels into (batch, M, N, K) from the
   // result's dims, pre-reduces one-operand summed labels, and runs the
-  // per-batch GEMMs through the dispatching matmul_acc above — the
-  // executor's local multiplies pick up the kernel-selection layer here.
+  // per-batch GEMMs through the dispatching matmul_acc above.
   ttgt_contract_acc(a, b, sum_indices, c);
 }
 

@@ -3,11 +3,11 @@
 /// The fast path for local block contractions.
 ///
 /// A true contraction C(I,J) += A(I,K)·B(K,J) maps to a matrix product
-/// after packing the I dimensions into rows and the K (resp. J)
-/// dimensions into columns.  pack_matrix performs the permutation;
-/// matmul_acc is a cache-blocked kernel; contract_blocks composes them
-/// and accumulates into a labeled result tensor.  This is what each
-/// simulated rank executes during a Cannon step.
+/// once the I dimensions are packed into rows and the K (resp. J)
+/// dimensions into columns.  The TTGT lowering (tce/tensor/ttgt.hpp)
+/// performs the permutation; matmul_acc is the dispatching GEMM;
+/// contract_blocks_acc composes them and accumulates into a labeled
+/// result tensor.
 
 #include "tce/tensor/dense.hpp"
 
@@ -19,22 +19,6 @@ namespace tce {
 void matmul_acc(std::span<const double> a, std::span<const double> b,
                 std::span<double> c, std::size_t m, std::size_t k,
                 std::size_t n);
-
-/// Packs tensor \p t into a row-major (row_dims × col_dims) matrix.  The
-/// two groups together must cover every dimension of \p t exactly once.
-/// Returns the matrix in \p out (resized); row and column element counts
-/// via the out-parameters.
-void pack_matrix(const DenseTensor& t, const std::vector<IndexId>& row_dims,
-                 const std::vector<IndexId>& col_dims,
-                 std::vector<double>& out, std::uint64_t& rows,
-                 std::uint64_t& cols);
-
-/// Scatters a packed (row_dims × col_dims) matrix back into tensor \p t,
-/// accumulating (+=).
-void unpack_matrix_acc(std::span<const double> m,
-                       const std::vector<IndexId>& row_dims,
-                       const std::vector<IndexId>& col_dims,
-                       DenseTensor& t);
 
 /// c += contraction of blocks a and b over the labels in
 /// \p sum_indices, via the TTGT lowering (tce/tensor/ttgt.hpp): pack →

@@ -224,20 +224,6 @@ TEST(Matmul, BatchLabelsContractPerSlice) {
   }
 }
 
-TEST(Matmul, PackUnpackRoundTrip) {
-  Rng rng(5);
-  DenseTensor t({3, 7, 9}, {2, 3, 4});
-  t.fill_random(rng);
-  std::vector<double> m;
-  std::uint64_t rows = 0, cols = 0;
-  pack_matrix(t, {7}, {9, 3}, m, rows, cols);
-  EXPECT_EQ(rows, 3u);
-  EXPECT_EQ(cols, 8u);
-  DenseTensor u({3, 7, 9}, {2, 3, 4});
-  unpack_matrix_acc(m, {7}, {9, 3}, u);
-  EXPECT_LT(t.max_abs_diff(u), 1e-15);
-}
-
 // ------------------------------------------------------------------ Blocks
 
 class BlockFixture : public ::testing::Test {
