@@ -10,6 +10,7 @@
 #include "tce/obs/trace.hpp"
 #include "tce/tensor/kernel.hpp"
 #include "tce/tensor/matmul.hpp"
+#include "tce/tensor/ttgt.hpp"
 
 namespace tce {
 
@@ -85,6 +86,65 @@ Triple triple_at(const CannonChoice& c, std::uint32_t e, std::uint32_t w1,
   return {w1, moving, w2};  // rot == j
 }
 
+/// The storage of \p full (a const or mutable DenseTensor) from the
+/// origin of block \p r on — where gather_packed and
+/// scatter_packed_acc start their walk.
+template <typename Tensor>
+auto from_origin(Tensor& full, const BlockRange& r) {
+  return full.data().subspan(full.offset(r.lo));
+}
+
+/// Lowers one executor contraction.  run_cannon and run_replicated
+/// reject batch labels, and a ContractionTree sums only indices found
+/// in both operands, so the lowering is a plain M/N/K split.
+/// \p left_block etc. are the block shapes every rank shares.
+TtgtLowering lower_node(const ContractionNode& node,
+                        const DenseTensor& left_full,
+                        const BlockRange& left_block,
+                        const DenseTensor& right_full,
+                        const BlockRange& right_block,
+                        const DenseTensor& result_full,
+                        const BlockRange& result_block) {
+  const TtgtGroups g = classify_ttgt(left_full, right_full,
+                                     node.tensor.dims, node.sum_indices);
+  TCE_EXPECTS_MSG(g.covered && g.batch.empty() && g.a_only_sum.empty() &&
+                      g.b_only_sum.empty(),
+                  "executor: contraction is not a plain M/N/K product");
+  return lower_ttgt(g, left_full, left_block.extents(), right_full,
+                    right_block.extents(), result_full,
+                    result_block.extents());
+}
+
+/// c += s elementwise.  The four-wide body lets -O2 use packed adds;
+/// each element still takes exactly one addition.
+void add_into(std::span<double> c, std::span<const double> s) {
+  TCE_EXPECTS(c.size() == s.size());
+  double* __restrict cp = c.data();
+  const double* __restrict sp = s.data();
+  const std::size_t n = c.size();
+  std::size_t x = 0;
+  for (; x + 4 <= n; x += 4) {
+    cp[x] += sp[x];
+    cp[x + 1] += sp[x + 1];
+    cp[x + 2] += sp[x + 2];
+    cp[x + 3] += sp[x + 3];
+  }
+  for (; x < n; ++x) cp[x] += sp[x];
+}
+
+/// c += the GEMM product of packed a and b.  The product goes to the
+/// zeroed \p scratch first and is then added to \p c: the same
+/// per-element additions as the one-shot ttgt_contract_acc, which a
+/// GEMM straight into \p c would reorder whenever K spans several KC
+/// panels.
+void block_product_acc(const TtgtLowering& low, std::span<const double> a,
+                       std::span<const double> b, std::span<double> c,
+                       std::span<double> scratch) {
+  std::fill(scratch.begin(), scratch.end(), 0.0);
+  matmul_acc(a, b, scratch, low.m(), low.k(), low.n());
+  add_into(c, scratch);
+}
+
 /// Network::run_phases, plus a histogram sample per phase duration
 /// ("cannon.phase_s") when the registry is recording — per-phase
 /// spread is what the p50/p99 of an execution's rotation steps read.
@@ -129,7 +189,7 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
   obs::count("cannon.runs");
   obs::count("cannon.steps", e);
   if (obs::trace_enabled()) {
-    // The initial skewed alignment (blocks are extracted pre-aligned to
+    // The initial skewed alignment (blocks are gathered pre-aligned to
     // their step-0 triple — Cannon's skew).
     obs::trace_instant(
         "cannon.skew " + node.tensor.name, "cannon",
@@ -154,9 +214,32 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
   TCE_EXPECTS(node.right_indices.contains(choice.j));
   TCE_EXPECTS(node.sum_indices.contains(choice.k));
 
-  // Per-logical-processor block state, flattened w1 * e + w2.
+  // Block ranges of the triple (bi, bj, bk).  Every split extent
+  // divides the grid edge, so all ranks' blocks share one shape and the
+  // contraction is lowered once, from rank (0, 0)'s step-0 triple.
+  auto a_range = [&](const Triple& t) {
+    return range_for(a_ref, space, e, {{choice.i, t.bi}, {choice.k, t.bk}});
+  };
+  auto b_range = [&](const Triple& t) {
+    return range_for(b_ref, space, e, {{choice.k, t.bk}, {choice.j, t.bj}});
+  };
+  auto c_range = [&](const Triple& t) {
+    return range_for(c_ref, space, e, {{choice.i, t.bi}, {choice.j, t.bj}});
+  };
+  CannonRunResult out;
+  out.result = make_tensor(c_ref, space);
+  const Triple first = triple_at(choice, e, 0, 0, 0);
+  const BlockRange a_first = a_range(first);
+  const BlockRange b_first = b_range(first);
+  const BlockRange c_first = c_range(first);
+  const TtgtLowering low = lower_node(node, left_full, a_first, right_full,
+                                      b_first, out.result, c_first);
+
+  // Per-logical-processor block state in packed GEMM layout, flattened
+  // w1 * e + w2: A as [m][k], B as [k][n] and the accumulated result as
+  // [m][n].  Each block is gathered once; rotations move whole buffers.
   const std::size_t np = static_cast<std::size_t>(e) * e;
-  std::vector<DenseTensor> a_blk(np), b_blk(np), c_blk(np);
+  std::vector<std::vector<double>> a_blk(np), b_blk(np), c_blk(np);
   std::vector<Triple> coords(np);
 
   for (std::uint32_t w1 = 0; w1 < e; ++w1) {
@@ -164,19 +247,11 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
       const Triple t = triple_at(choice, e, w1, w2, 0);
       const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
       coords[p] = t;
-      a_blk[p] = extract_block(
-          left_full, range_for(a_ref, space, e,
-                               {{choice.i, t.bi}, {choice.k, t.bk}}));
-      b_blk[p] = extract_block(
-          right_full, range_for(b_ref, space, e,
-                                {{choice.k, t.bk}, {choice.j, t.bj}}));
-      const BlockRange cr = range_for(
-          c_ref, space, e, {{choice.i, t.bi}, {choice.j, t.bj}});
-      std::vector<std::uint64_t> cext;
-      for (std::size_t d = 0; d < cr.rank(); ++d) {
-        cext.push_back(cr.extent(d));
-      }
-      c_blk[p] = DenseTensor(c_ref.dims, std::move(cext));
+      a_blk[p].resize(low.a.size());
+      gather_packed(from_origin(left_full, a_range(t)), low.a, a_blk[p]);
+      b_blk[p].resize(low.b.size());
+      gather_packed(from_origin(right_full, b_range(t)), low.b, b_blk[p]);
+      c_blk[p].assign(low.c.size(), 0.0);
     }
   }
 
@@ -203,6 +278,7 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
   std::vector<Phase> phases;
   phases.reserve(e);
   std::uint64_t peak = 0;
+  std::vector<double> scratch(low.c.size());
 
   for (std::uint32_t s = 0; s < e; ++s) {
     Phase phase;
@@ -214,7 +290,7 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
     for (std::uint32_t w1 = 0; w1 < e; ++w1) {
       for (std::uint32_t w2 = 0; w2 < e; ++w2) {
         const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
-        contract_blocks_acc(a_blk[p], b_blk[p], node.sum_indices, c_blk[p]);
+        block_product_acc(low, a_blk[p], b_blk[p], c_blk[p], scratch);
         phase.compute.push_back({phys(w1, w2), flops_per_block});
 
         std::uint64_t resident = (a_blk[p].size() + b_blk[p].size() +
@@ -229,7 +305,7 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
         // Emit the shift flows for this step (every step shifts; the last
         // shift returns blocks to their aligned start — the √P-step
         // rotation accounting of §3.2).
-        auto emit = [&](const DenseTensor& blk, int logical_dim) {
+        auto emit = [&](const std::vector<double>& blk, int logical_dim) {
           const std::size_t q = shifted(w1, w2, logical_dim);
           const std::uint32_t src = phys(w1, w2);
           const std::uint32_t dst =
@@ -247,9 +323,9 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
     phases.push_back(std::move(phase));
 
     // Apply the shifts to the block state.
-    auto apply_shift = [&](std::vector<DenseTensor>& blocks,
+    auto apply_shift = [&](std::vector<std::vector<double>>& blocks,
                            int logical_dim) {
-      std::vector<DenseTensor> next(np);
+      std::vector<std::vector<double>> next(np);
       for (std::uint32_t w1 = 0; w1 < e; ++w1) {
         for (std::uint32_t w2 = 0; w2 < e; ++w2) {
           const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
@@ -275,17 +351,19 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
     }
   }
 
-  // Gather the result by tracked block coordinates.
-  CannonRunResult out;
-  out.result = make_tensor(c_ref, space);
-  for (std::uint32_t w1 = 0; w1 < e; ++w1) {
-    for (std::uint32_t w2 = 0; w2 < e; ++w2) {
-      const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
-      const BlockRange cr =
-          range_for(c_ref, space, e,
-                    {{choice.i, coords[p].bi}, {choice.j, coords[p].bj}});
-      place_block(c_blk[p], cr, out.result);
-    }
+  // Scatter the result by tracked block coordinates.  Every element of
+  // the zeroed result receives exactly one block, so the accumulating
+  // scatter is a plain placement.
+  for (std::size_t p = 0; p < np; ++p) {
+    scatter_packed_acc(c_blk[p], low.c,
+                       from_origin(out.result, c_range(coords[p])));
+  }
+  if (obs::metrics_enabled()) {
+    // The run's TTGT packs: each rank's two operand gathers and its
+    // result scatter.
+    obs::count("kernel.pack_bytes",
+               np * (low.a.size() + low.b.size() + low.c.size()) *
+                   sizeof(double));
   }
   out.timing = run_phases_observed(net, phases);
   out.peak_rank_bytes = peak;
@@ -369,9 +447,34 @@ CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
           ? spec.stationary_dist.at(2)
           : kNoIndex);
 
+  // Every rank's stationary block, replicated slice and partial result
+  // share one shape, so the contraction is lowered once, from rank
+  // (0, 0)'s blocks.
+  auto stat_range = [&](std::uint32_t z1, std::uint32_t z2) {
+    return block_range(stat_ref, spec.stationary_dist, space, grid, z1, z2);
+  };
+  auto repl_range = [&](std::uint32_t z1, std::uint32_t z2) {
+    return block_range(repl_ref, repl_slice_dist, space, grid, z1, z2);
+  };
+  auto partial_range = [&](std::uint32_t z1, std::uint32_t z2) {
+    return block_range(node.tensor, partial_dist, space, grid, z1, z2);
+  };
   CannonRunResult out;
   out.result = make_tensor(node.tensor, space);
+  const BlockRange stat_first = stat_range(0, 0);
+  const BlockRange repl_first = repl_range(0, 0);
+  const BlockRange partial_first = partial_range(0, 0);
+  const TtgtLowering low =
+      spec.replicate_right
+          ? lower_node(node, left_full, stat_first, right_full, repl_first,
+                       out.result, partial_first)
+          : lower_node(node, left_full, repl_first, right_full, stat_first,
+                       out.result, partial_first);
+  const PackedWalk& stat_walk = spec.replicate_right ? low.a : low.b;
+  const PackedWalk& repl_walk = spec.replicate_right ? low.b : low.a;
+
   std::uint64_t peak = 0;
+  std::uint64_t packed = 0;
   Phase compute_phase;
   if (obs::trace_enabled()) {
     compute_phase.label = node.tensor.name + " compute";
@@ -383,33 +486,28 @@ CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
       checked_mul(2, node.loop_indices().extent_product(space));
   for (int d = 0; d < split_dims; ++d) per_rank_flops /= e;
 
+  std::vector<double> stat_blk(stat_walk.size());
+  std::vector<double> repl_blk(repl_walk.size());
+  std::vector<double> partial(low.c.size());
+  std::vector<double> scratch(low.c.size());
   for (std::uint32_t z1 = 0; z1 < e; ++z1) {
     for (std::uint32_t z2 = 0; z2 < e; ++z2) {
-      const BlockRange sr = block_range(stat_ref, spec.stationary_dist,
-                                        space, grid, z1, z2);
-      DenseTensor stat_blk = extract_block(stat_full, sr);
-      DenseTensor repl_blk = extract_block(
-          repl_full,
-          block_range(repl_ref, repl_slice_dist, space, grid, z1, z2));
-      const BlockRange pr = block_range(node.tensor, partial_dist, space,
-                                        grid, z1, z2);
-      std::vector<std::uint64_t> pext;
-      for (std::size_t d = 0; d < pr.rank(); ++d) {
-        pext.push_back(pr.extent(d));
-      }
-      DenseTensor partial(node.tensor.dims, std::move(pext));
+      gather_packed(from_origin(stat_full, stat_range(z1, z2)), stat_walk,
+                    stat_blk);
+      gather_packed(from_origin(repl_full, repl_range(z1, z2)), repl_walk,
+                    repl_blk);
+      std::fill(partial.begin(), partial.end(), 0.0);
       if (spec.replicate_right) {
-        contract_blocks_acc(stat_blk, repl_blk, node.sum_indices,
-                            partial);
+        block_product_acc(low, stat_blk, repl_blk, partial, scratch);
       } else {
-        contract_blocks_acc(repl_blk, stat_blk, node.sum_indices,
-                            partial);
+        block_product_acc(low, repl_blk, stat_blk, partial, scratch);
       }
       compute_phase.compute.push_back({grid.rank(z1, z2),
                                        per_rank_flops});
       peak = std::max(peak, (stat_blk.size() + repl_full.size() +
                              partial.size()) *
                                 sizeof(double));
+      packed += stat_blk.size() + repl_blk.size();
 
       // Accumulate into the full result; replicas (grid dims that split
       // nothing of the stationary operand and carry no reduction) only
@@ -421,8 +519,17 @@ CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
       if (spec.stationary_dist.at(2) == kNoIndex && z2 != 0) {
         contribute = false;
       }
-      if (contribute) accumulate_block(partial, pr, out.result);
+      if (contribute) {
+        scatter_packed_acc(partial, low.c,
+                           from_origin(out.result, partial_range(z1, z2)));
+        packed += partial.size();
+      }
     }
+  }
+  if (obs::metrics_enabled()) {
+    // The run's TTGT packs: each rank's two operand gathers and the
+    // contributing ranks' result scatters.
+    obs::count("kernel.pack_bytes", packed * sizeof(double));
   }
   phases.push_back(std::move(compute_phase));
 

@@ -4,10 +4,12 @@
 /// simulated cluster.
 ///
 /// The executor is an SPMD simulation: every rank owns real double-
-/// precision blocks, local block contractions run through the matmul fast
-/// path, and each synchronized rotation step emits its point-to-point
+/// precision blocks, local block products run through the dispatching
+/// GEMM, and each synchronized rotation step emits its point-to-point
 /// flows to the flow-level network simulator, which prices them under
-/// contention.  The result is therefore both a *numerically correct*
+/// contention.  Each contraction is lowered once per run, and every
+/// rank keeps its blocks in packed GEMM layout from the first gather to
+/// the final scatter (docs/KERNELS.md).  The result is therefore both a *numerically correct*
 /// output tensor (validated against the reference einsum in tests) and a
 /// *simulated wall time* decomposed into communication and computation.
 ///

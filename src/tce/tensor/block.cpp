@@ -63,9 +63,7 @@ void for_each_position(const DenseTensor& full, const BlockRange& r,
 }  // namespace
 
 DenseTensor extract_block(const DenseTensor& full, const BlockRange& r) {
-  std::vector<std::uint64_t> extents;
-  for (std::size_t d = 0; d < r.rank(); ++d) extents.push_back(r.extent(d));
-  DenseTensor block(full.dims(), std::move(extents));
+  DenseTensor block(full.dims(), r.extents());
   std::span<double> out = block.data();
   for_each_position(full, r,
                     [&](std::uint64_t flat,

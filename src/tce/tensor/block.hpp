@@ -22,6 +22,12 @@ struct BlockRange {
 
   std::size_t rank() const { return lo.size(); }
   std::uint64_t extent(std::size_t d) const { return hi[d] - lo[d]; }
+  std::vector<std::uint64_t> extents() const {
+    std::vector<std::uint64_t> out;
+    out.reserve(lo.size());
+    for (std::size_t d = 0; d < lo.size(); ++d) out.push_back(extent(d));
+    return out;
+  }
   std::uint64_t size() const {
     std::uint64_t s = 1;
     for (std::size_t d = 0; d < lo.size(); ++d) {

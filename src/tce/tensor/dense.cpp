@@ -42,14 +42,18 @@ bool DenseTensor::has_dim(IndexId id) const {
   return false;
 }
 
-double& DenseTensor::at(std::span<const std::uint64_t> idx) {
+std::uint64_t DenseTensor::offset(std::span<const std::uint64_t> idx) const {
   TCE_EXPECTS(idx.size() == dims_.size());
   std::uint64_t off = 0;
   for (std::size_t i = 0; i < idx.size(); ++i) {
     TCE_EXPECTS(idx[i] < extents_[i]);
     off += idx[i] * strides_[i];
   }
-  return data_[off];
+  return off;
+}
+
+double& DenseTensor::at(std::span<const std::uint64_t> idx) {
+  return data_[offset(idx)];
 }
 
 double DenseTensor::at(std::span<const std::uint64_t> idx) const {

@@ -43,6 +43,10 @@ class DenseTensor {
   /// Total element count.
   std::uint64_t size() const noexcept { return data_.size(); }
 
+  /// Flat storage offset of multi-index \p idx (one entry per
+  /// dimension, in dims() order).
+  std::uint64_t offset(std::span<const std::uint64_t> idx) const;
+
   /// Element access by multi-index (one entry per dimension, in dims()
   /// order).
   double& at(std::span<const std::uint64_t> idx);

@@ -1,6 +1,7 @@
 #include "tce/tensor/ttgt.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "tce/common/checked.hpp"
 #include "tce/common/error.hpp"
@@ -16,97 +17,69 @@ bool in_group(const std::vector<IndexId>& group, IndexId d) {
   return std::find(group.begin(), group.end(), d) != group.end();
 }
 
-/// Strides of \p t for the loop order batch ++ rows ++ cols — the
-/// three-group generalization of matmul.cpp's two-group PackPlan.  The
-/// groups must cover every dimension of \p t exactly once.
-struct GroupPlan {
-  std::vector<std::uint64_t> extents;
-  std::vector<std::uint64_t> strides;
-  std::uint64_t batch = 1;
-  std::uint64_t rows = 1;
-  std::uint64_t cols = 1;
-};
-
-GroupPlan make_group_plan(const DenseTensor& t,
-                          const std::vector<IndexId>& batch_dims,
-                          const std::vector<IndexId>& row_dims,
-                          const std::vector<IndexId>& col_dims) {
+/// \p t's block of per-dimension sizes \p block walked in the group
+/// order batch ++ rows ++ cols.  The groups must cover every dimension
+/// of \p t exactly once.
+PackedWalk make_walk(const DenseTensor& t,
+                     std::span<const std::uint64_t> block,
+                     const std::vector<IndexId>& batch_dims,
+                     const std::vector<IndexId>& row_dims,
+                     const std::vector<IndexId>& col_dims) {
   if (batch_dims.size() + row_dims.size() + col_dims.size() != t.rank()) {
     throw Error("ttgt: dimension groups must cover the tensor");
   }
-  GroupPlan p;
+  TCE_EXPECTS(block.size() == t.rank());
+  PackedWalk w;
   auto add = [&](const std::vector<IndexId>& dims, std::uint64_t& product) {
     for (IndexId id : dims) {
-      p.extents.push_back(t.extent_of(id));
-      p.strides.push_back(t.stride(t.pos_of(id)));
-      product = checked_mul(product, p.extents.back());
+      const std::size_t pos = t.pos_of(id);
+      TCE_EXPECTS(block[pos] > 0 && block[pos] <= t.extents()[pos]);
+      w.extents.push_back(block[pos]);
+      w.strides.push_back(t.stride(pos));
+      product = checked_mul(product, block[pos]);
     }
   };
-  add(batch_dims, p.batch);
-  add(row_dims, p.rows);
-  add(col_dims, p.cols);
-  return p;
+  add(batch_dims, w.batch);
+  add(row_dims, w.rows);
+  add(col_dims, w.cols);
+  return w;
 }
 
-/// Gathers \p t into a contiguous [batch][rows][cols] buffer.  The
-/// innermost dimension runs in a tight strided loop; outer dimensions
-/// advance by odometer.
-void pack_grouped(const DenseTensor& t, const GroupPlan& p,
-                  std::vector<double>& out) {
-  out.resize(checked_mul(checked_mul(p.batch, p.rows), p.cols));
-  std::span<const double> src = t.data();
-  if (p.extents.empty()) {
-    out[0] = src[0];
+/// Offset of the walk's last element from the block origin.
+std::uint64_t last_offset(const PackedWalk& w) {
+  std::uint64_t off = 0;
+  for (std::size_t i = 0; i < w.strides.size(); ++i) {
+    off = checked_add(off, checked_mul(w.extents[i] - 1, w.strides[i]));
+  }
+  return off;
+}
+
+/// Calls run(from, to) for every innermost run of \p w: the run starts
+/// at offset `from` of the block and at offset `to` of the packed
+/// buffer, and is w.extents.back() elements long (1 at rank 0).  Outer
+/// dimensions advance by odometer.
+template <typename Fn>
+void for_each_run(const PackedWalk& w, Fn&& run) {
+  if (w.extents.empty()) {
+    run(std::uint64_t{0}, std::uint64_t{0});
     return;
   }
-  const std::size_t nd = p.extents.size();
-  const std::uint64_t inner_n = p.extents[nd - 1];
-  const std::uint64_t inner_s = p.strides[nd - 1];
-  MultiIndex mi(std::span<const std::uint64_t>(p.extents.data(), nd - 1));
-  std::uint64_t flat = 0;
+  const std::size_t outer = w.extents.size() - 1;
+  MultiIndex mi(std::span<const std::uint64_t>(w.extents.data(), outer));
+  std::uint64_t to = 0;
   do {
     const auto idx = mi.values();
-    std::uint64_t off = 0;
-    for (std::size_t i = 0; i + 1 < nd; ++i) off += idx[i] * p.strides[i];
-    const double* s = src.data() + off;
-    double* d = out.data() + flat;
-    if (inner_s == 1) {
-      for (std::uint64_t j = 0; j < inner_n; ++j) d[j] = s[j];
-    } else {
-      for (std::uint64_t j = 0; j < inner_n; ++j) d[j] = s[j * inner_s];
-    }
-    flat += inner_n;
+    std::uint64_t from = 0;
+    for (std::size_t i = 0; i < outer; ++i) from += idx[i] * w.strides[i];
+    run(from, to);
+    to += w.extents[outer];
   } while (mi.advance());
 }
 
-/// Scatters a packed [batch][rows][cols] buffer back into \p t,
-/// accumulating (+=).
-void unpack_grouped_acc(std::span<const double> buf, const GroupPlan& p,
-                        DenseTensor& t) {
-  TCE_EXPECTS(buf.size() == p.batch * p.rows * p.cols);
-  std::span<double> dst = t.data();
-  if (p.extents.empty()) {
-    dst[0] += buf[0];
-    return;
-  }
-  const std::size_t nd = p.extents.size();
-  const std::uint64_t inner_n = p.extents[nd - 1];
-  const std::uint64_t inner_s = p.strides[nd - 1];
-  MultiIndex mi(std::span<const std::uint64_t>(p.extents.data(), nd - 1));
-  std::uint64_t flat = 0;
-  do {
-    const auto idx = mi.values();
-    std::uint64_t off = 0;
-    for (std::size_t i = 0; i + 1 < nd; ++i) off += idx[i] * p.strides[i];
-    double* d = dst.data() + off;
-    const double* s = buf.data() + flat;
-    if (inner_s == 1) {
-      for (std::uint64_t j = 0; j < inner_n; ++j) d[j] += s[j];
-    } else {
-      for (std::uint64_t j = 0; j < inner_n; ++j) d[j * inner_s] += s[j];
-    }
-    flat += inner_n;
-  } while (mi.advance());
+/// Length and stride of the walk's innermost runs.
+std::pair<std::uint64_t, std::uint64_t> inner_run(const PackedWalk& w) {
+  if (w.extents.empty()) return {1, 1};
+  return {w.extents.back(), w.strides.back()};
 }
 
 }  // namespace
@@ -172,6 +145,60 @@ TtgtGroups classify_ttgt(const DenseTensor& a, const DenseTensor& b,
   return g;
 }
 
+TtgtLowering lower_ttgt(const TtgtGroups& g, const DenseTensor& a,
+                        std::span<const std::uint64_t> a_block,
+                        const DenseTensor& b,
+                        std::span<const std::uint64_t> b_block,
+                        const DenseTensor& c,
+                        std::span<const std::uint64_t> c_block) {
+  // K order: A's layout order, shared by both operand walks.
+  std::vector<IndexId> kdims;
+  for (IndexId d : a.dims()) {
+    if (in_group(g.k, d)) kdims.push_back(d);
+  }
+  TtgtLowering low;
+  low.a = make_walk(a, a_block, g.batch, g.m, kdims);
+  low.b = make_walk(b, b_block, g.batch, kdims, g.n);
+  low.c = make_walk(c, c_block, g.batch, g.m, g.n);
+  TCE_EXPECTS_MSG(low.b.batch == low.a.batch && low.c.batch == low.a.batch &&
+                      low.b.rows == low.a.cols && low.c.rows == low.a.rows &&
+                      low.c.cols == low.b.cols,
+                  "ttgt: block shapes disagree on a shared group");
+  return low;
+}
+
+void gather_packed(std::span<const double> src, const PackedWalk& walk,
+                   std::span<double> out) {
+  TCE_EXPECTS(out.size() == walk.size());
+  TCE_EXPECTS(last_offset(walk) < src.size());
+  const auto [len, stride] = inner_run(walk);
+  for_each_run(walk, [&](std::uint64_t from, std::uint64_t to) {
+    const double* s = src.data() + from;
+    double* d = out.data() + to;
+    if (stride == 1) {
+      std::copy_n(s, len, d);
+    } else {
+      for (std::uint64_t j = 0; j < len; ++j) d[j] = s[j * stride];
+    }
+  });
+}
+
+void scatter_packed_acc(std::span<const double> buf, const PackedWalk& walk,
+                        std::span<double> dst) {
+  TCE_EXPECTS(buf.size() == walk.size());
+  TCE_EXPECTS(last_offset(walk) < dst.size());
+  const auto [len, stride] = inner_run(walk);
+  for_each_run(walk, [&](std::uint64_t from, std::uint64_t to) {
+    double* d = dst.data() + from;
+    const double* s = buf.data() + to;
+    if (stride == 1) {
+      for (std::uint64_t j = 0; j < len; ++j) d[j] += s[j];
+    } else {
+      for (std::uint64_t j = 0; j < len; ++j) d[j * stride] += s[j];
+    }
+  });
+}
+
 void ttgt_contract_acc(const DenseTensor& a, const DenseTensor& b,
                        IndexSet sum_indices, DenseTensor& c) {
   const TtgtGroups g = classify_ttgt(a, b, c.dims(), sum_indices);
@@ -201,33 +228,24 @@ void ttgt_contract_acc(const DenseTensor& a, const DenseTensor& b,
     pb = &b_red;
   }
 
-  // K packing order: A's layout order, shared by both operand packs.
-  std::vector<IndexId> kdims;
-  for (IndexId d : pa->dims()) {
-    if (in_group(g.k, d)) kdims.push_back(d);
-  }
+  const TtgtLowering low = lower_ttgt(g, *pa, pa->extents(), *pb,
+                                      pb->extents(), c, c.extents());
+  std::vector<double> am(low.a.size());
+  std::vector<double> bm(low.b.size());
+  std::vector<double> cm(low.c.size(), 0.0);
+  gather_packed(pa->data(), low.a, am);
+  gather_packed(pb->data(), low.b, bm);
 
-  const GroupPlan ap = make_group_plan(*pa, g.batch, g.m, kdims);
-  const GroupPlan bp = make_group_plan(*pb, g.batch, kdims, g.n);
-  const GroupPlan cp = make_group_plan(c, g.batch, g.m, g.n);
-
-  std::vector<double> am;
-  std::vector<double> bm;
-  pack_grouped(*pa, ap, am);
-  pack_grouped(*pb, bp, bm);
-  std::vector<double> cm(
-      checked_mul(checked_mul(g.batch_elems, g.m_elems), g.n_elems), 0.0);
-
-  const std::size_t a_slice = g.m_elems * g.k_elems;
-  const std::size_t b_slice = g.k_elems * g.n_elems;
-  const std::size_t c_slice = g.m_elems * g.n_elems;
-  for (std::uint64_t bi = 0; bi < g.batch_elems; ++bi) {
+  const std::size_t a_slice = low.a.rows * low.a.cols;
+  const std::size_t b_slice = low.b.rows * low.b.cols;
+  const std::size_t c_slice = low.c.rows * low.c.cols;
+  for (std::uint64_t bi = 0; bi < low.batch(); ++bi) {
     matmul_acc(std::span<const double>(am).subspan(bi * a_slice, a_slice),
                std::span<const double>(bm).subspan(bi * b_slice, b_slice),
                std::span<double>(cm).subspan(bi * c_slice, c_slice),
-               g.m_elems, g.k_elems, g.n_elems);
+               low.m(), low.k(), low.n());
   }
-  unpack_grouped_acc(cm, cp, c);
+  scatter_packed_acc(cm, low.c, c.data());
 
   if (obs::metrics_enabled()) {
     // Pack traffic of the lowering itself: both operand gathers plus

@@ -12,12 +12,21 @@
 ///
 /// A summed index present in only one operand is handled by
 /// pre-reducing that operand (einsum_reduce) before the lowering; K may
-/// be empty (pure outer product, GEMM with k = 1).  Operands are packed
-/// into contiguous [batch][rows][cols] buffers by a generalized
-/// PackPlan (three dimension groups instead of matmul.hpp's two), the
-/// per-batch slices go through the dispatching matmul_acc, and the
-/// result buffer is scattered back with accumulation (docs/KERNELS.md).
+/// be empty (pure outer product, GEMM with k = 1).
+///
+/// The lowering comes in two pieces, shared by the one-shot
+/// ttgt_contract_acc and the Cannon executor (which lowers once per
+/// run and keeps every rank's blocks packed across all its steps):
+///   * lower_ttgt — the classification's K order and each tensor's
+///     PackedWalk: group-ordered extents of a block and the strides of
+///     the full tensor holding it;
+///   * gather_packed / scatter_packed_acc — a strided copy of one block
+///     of a full tensor into contiguous [batch][rows][cols] order, and
+///     back with accumulation (docs/KERNELS.md).
 
+#include <span>
+
+#include "tce/common/checked.hpp"
 #include "tce/expr/index.hpp"
 #include "tce/tensor/dense.hpp"
 
@@ -51,10 +60,63 @@ TtgtGroups classify_ttgt(const DenseTensor& a, const DenseTensor& b,
                          const std::vector<IndexId>& result_dims,
                          IndexSet sum_indices);
 
-/// c[c.dims()] += Σ_sum a·b via pack → GEMM → unpack.  \p c must carry
-/// exactly the non-summed labels (the classification is derived from
-/// it); requires classify_ttgt(...).covered.  The per-batch GEMMs go
-/// through matmul_acc, so the kernel-selection layer applies.
+/// One tensor block walked in packed order: the dimensions of its
+/// batch, row and column groups in that order, each with the block's
+/// extent and the stride of the full tensor the block lives in.
+struct PackedWalk {
+  std::vector<std::uint64_t> extents;
+  std::vector<std::uint64_t> strides;
+  std::uint64_t batch = 1;
+  std::uint64_t rows = 1;
+  std::uint64_t cols = 1;
+
+  /// Elements of the packed [batch][rows][cols] buffer.
+  std::uint64_t size() const {
+    return checked_mul(checked_mul(batch, rows), cols);
+  }
+};
+
+/// A contraction lowered to a batched GEMM: A walks as [batch][m][k], B
+/// as [batch][k][n] and the result as [batch][m][n], with K in A's
+/// layout order so both operand walks agree.
+struct TtgtLowering {
+  PackedWalk a;
+  PackedWalk b;
+  PackedWalk c;
+
+  std::uint64_t batch() const { return a.batch; }
+  std::uint64_t m() const { return a.rows; }
+  std::uint64_t k() const { return a.cols; }
+  std::uint64_t n() const { return b.cols; }
+};
+
+/// Lowers c += Σ a·b, classified as \p g, for blocks of the given
+/// per-dimension sizes (parallel to each tensor's dims; pass the
+/// tensor's own extents for the whole tensor).  The groups must cover
+/// every dimension of each tensor, so one-operand sums must have been
+/// reduced away; throws tce::Error otherwise.
+TtgtLowering lower_ttgt(const TtgtGroups& g, const DenseTensor& a,
+                        std::span<const std::uint64_t> a_block,
+                        const DenseTensor& b,
+                        std::span<const std::uint64_t> b_block,
+                        const DenseTensor& c,
+                        std::span<const std::uint64_t> c_block);
+
+/// Copies the block that starts at \p src[0] (a full tensor's storage
+/// from the block's origin on) into \p out in \p walk's packed order.
+void gather_packed(std::span<const double> src, const PackedWalk& walk,
+                   std::span<double> out);
+
+/// Adds the packed \p buf into the block that starts at \p dst[0], the
+/// inverse walk of gather_packed.
+void scatter_packed_acc(std::span<const double> buf, const PackedWalk& walk,
+                        std::span<double> dst);
+
+/// c[c.dims()] += Σ_sum a·b via lower → gather → GEMM → scatter.  \p c
+/// must carry exactly the non-summed labels (the classification is
+/// derived from it); requires classify_ttgt(...).covered.  The
+/// per-batch GEMMs go through matmul_acc, so the kernel-selection layer
+/// applies.
 void ttgt_contract_acc(const DenseTensor& a, const DenseTensor& b,
                        IndexSet sum_indices, DenseTensor& c);
 

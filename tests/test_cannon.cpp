@@ -1,14 +1,20 @@
 // Tests for tce/cannon: the distributed generalized Cannon executor must
 // produce results identical to the reference einsum for every rotation
-// choice and orientation, with sensible simulated timings.
+// choice and orientation, with sensible simulated timings.  Against a
+// block-by-block reference of its schedule it must agree bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
 #include <type_traits>
 
 #include "tce/cannon/executor.hpp"
 #include "tce/common/error.hpp"
 #include "tce/expr/parser.hpp"
+#include "tce/tensor/kernel.hpp"
+#include "tce/tensor/matmul.hpp"
 
 namespace tce {
 namespace {
@@ -23,6 +29,126 @@ constexpr const char* kSmallPaper = R"(
   T2[b,c,j,k] = sum[d,f] T1[b,c,d,f] * C[d,f,j,k]
   S[a,b,i,j]  = sum[c,k] T2[b,c,j,k] * A[a,c,i,k]
 )";
+
+constexpr KernelKind kBothKernels[] = {KernelKind::kReference,
+                                       KernelKind::kTiled};
+
+bool bitwise_equal(const DenseTensor& x, const DenseTensor& y) {
+  return x.dims() == y.dims() && x.extents() == y.extents() &&
+         std::memcmp(x.data().data(), y.data().data(),
+                     x.size() * sizeof(double)) == 0;
+}
+
+std::vector<CannonChoice> full_triplets(const ContractionNode& node) {
+  std::vector<CannonChoice> out;
+  for (const auto& c : enumerate_cannon_choices(node)) {
+    if (c.i != kNoIndex && c.j != kNoIndex && c.k != kNoIndex) {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+/// Elements of \p dims' block when \p split1 and \p split2 are cut
+/// \p edge ways and every other dimension is whole.
+std::uint64_t block_elems(const IndexSpace& space,
+                          const std::vector<IndexId>& dims, IndexId split1,
+                          IndexId split2, std::uint32_t edge) {
+  std::uint64_t n = 1;
+  for (IndexId d : dims) {
+    n *= (d == split1 || d == split2) ? space.extent(d) / edge
+                                      : space.extent(d);
+  }
+  return n;
+}
+
+/// The schedule of executor.hpp's file comment, block by block with the
+/// public helpers: logical processor (w1, w2) multiplies the triple
+/// (bi, bj, bk) at step s, and each result block starts zeroed, takes
+/// one contract_blocks_acc per step in step order, and is placed last.
+DenseTensor reference_cannon(const IndexSpace& space, const ProcGrid& grid,
+                             const ContractionNode& node,
+                             const CannonChoice& c, const DenseTensor& a,
+                             const DenseTensor& b) {
+  const std::uint32_t e = grid.edge;
+  const TensorRef a_ref{"A", a.dims()};
+  const TensorRef b_ref{"B", b.dims()};
+  auto c_range = [&](std::uint32_t bi, std::uint32_t bj) {
+    return block_range(node.tensor, Distribution(c.i, c.j), space, grid, bi,
+                       bj);
+  };
+  std::map<std::pair<std::uint32_t, std::uint32_t>, DenseTensor> c_blocks;
+  for (std::uint32_t s = 0; s < e; ++s) {
+    for (std::uint32_t w1 = 0; w1 < e; ++w1) {
+      for (std::uint32_t w2 = 0; w2 < e; ++w2) {
+        const std::uint32_t moving = (w1 + w2 + s) % e;
+        std::uint32_t bi = w1, bj = w2, bk = moving;
+        if (c.rot == c.i) {
+          bi = moving;
+          bk = w1;
+        } else if (c.rot == c.j) {
+          bj = moving;
+          bk = w2;
+        }
+        const DenseTensor ab = extract_block(
+            a, block_range(a_ref, Distribution(c.i, c.k), space, grid, bi,
+                           bk));
+        const DenseTensor bb = extract_block(
+            b, block_range(b_ref, Distribution(c.k, c.j), space, grid, bk,
+                           bj));
+        auto it = c_blocks
+                      .try_emplace({bi, bj}, node.tensor.dims,
+                                   c_range(bi, bj).extents())
+                      .first;
+        contract_blocks_acc(ab, bb, node.sum_indices, it->second);
+      }
+    }
+  }
+  DenseTensor out = make_tensor(node.tensor, space);
+  for (const auto& [bij, blk] : c_blocks) {
+    place_block(blk, c_range(bij.first, bij.second), out);
+  }
+  return out;
+}
+
+/// run_cannon's peak_rank_bytes from the block extents alone: the three
+/// resident blocks plus a receive buffer for the largest rotating one.
+std::uint64_t cannon_peak_bytes(const IndexSpace& space,
+                                const ProcGrid& grid,
+                                const ContractionNode& node,
+                                const CannonChoice& c, const DenseTensor& a,
+                                const DenseTensor& b) {
+  const std::uint64_t na = block_elems(space, a.dims(), c.i, c.k, grid.edge);
+  const std::uint64_t nb = block_elems(space, b.dims(), c.k, c.j, grid.edge);
+  const std::uint64_t nc =
+      block_elems(space, node.tensor.dims, c.i, c.j, grid.edge);
+  std::uint64_t moving = 0;
+  if (c.rotates_left()) moving = std::max(moving, na);
+  if (c.rotates_right()) moving = std::max(moving, nb);
+  if (c.rotates_result()) moving = std::max(moving, nc);
+  return (na + nb + nc + moving) * sizeof(double);
+}
+
+/// Runs \p choice under both kernels and requires run_cannon to equal
+/// reference_cannon bit for bit and its peak to match the closed form.
+void expect_cannon_exact(const Network& net, const ProcGrid& grid,
+                         const IndexSpace& space, const ContractionNode& n,
+                         const CannonChoice& choice, const DenseTensor& a,
+                         const DenseTensor& b) {
+  for (const KernelKind kind : kBothKernels) {
+    const ScopedKernelConfig scoped(kind);
+    const CannonRunResult r = run_cannon(net, grid, space, n, choice, a, b);
+    EXPECT_TRUE(bitwise_equal(
+        r.result, reference_cannon(space, grid, n, choice, a, b)))
+        << n.tensor.name << " kernel=" << kernel_kind_name(kind)
+        << " i=" << int(choice.i) << " j=" << int(choice.j)
+        << " k=" << int(choice.k) << " rot=" << int(choice.rot)
+        << " transposed=" << choice.transposed;
+    EXPECT_EQ(r.peak_rank_bytes,
+              cannon_peak_bytes(space, grid, n, choice, a, b))
+        << n.tensor.name;
+  }
+}
 
 class CannonFixture : public ::testing::Test {
  protected:
@@ -74,6 +200,24 @@ TEST_F(CannonFixture, MatchesReferenceForEveryChoice) {
     EXPECT_GT(r.timing.comm_s, 0.0);
     EXPECT_GT(r.timing.compute_s, 0.0);
     EXPECT_GT(r.peak_rank_bytes, 0u);
+  }
+}
+
+TEST_F(CannonFixture, MatchesBlockReferenceBitwise) {
+  // Every contraction of the tree, with reference values as operands.
+  std::map<NodeId, DenseTensor> values;
+  for (NodeId id : tree_.post_order()) {
+    const ContractionNode& n = tree_.node(id);
+    if (n.kind == ContractionNode::Kind::kInput) {
+      values.emplace(id, inputs_.at(n.tensor.name));
+      continue;
+    }
+    const DenseTensor& a = values.at(n.left);
+    const DenseTensor& b = values.at(n.right);
+    for (const CannonChoice& choice : full_triplets(n)) {
+      expect_cannon_exact(net_, grid_, tree_.space(), n, choice, a, b);
+    }
+    values.emplace(id, einsum_pair(a, b, n.tensor.dims, n.sum_indices));
   }
 }
 
@@ -152,6 +296,124 @@ TEST_F(CannonFixture, RejectsNonDividingExtents) {
   (void)n;
 }
 
+/// run_replicated's schedule with the public helpers: each rank
+/// contracts its stationary block against the matching slice of the
+/// replicated operand into a zeroed partial, and every rank that is not
+/// a replica accumulates its partial into the result in rank order.
+DenseTensor reference_replicated(const IndexSpace& space,
+                                 const ProcGrid& grid,
+                                 const ContractionNode& node,
+                                 const ReplicatedSpec& spec,
+                                 const DenseTensor& a, const DenseTensor& b) {
+  const DenseTensor& stat = spec.replicate_right ? a : b;
+  const DenseTensor& repl = spec.replicate_right ? b : a;
+  const TensorRef stat_ref{"S", stat.dims()};
+  const TensorRef repl_ref{"R", repl.dims()};
+  const Distribution& sd = spec.stationary_dist;
+  auto partial_pos = [&](int d) {
+    const IndexId r = spec.result_dist.at(d);
+    return (r != kNoIndex && sd.at(d) == r) ? r : kNoIndex;
+  };
+  auto slice_pos = [&](int d) {
+    return repl_ref.index_set().contains(sd.at(d)) ? sd.at(d) : kNoIndex;
+  };
+  const Distribution partial_dist(partial_pos(1), partial_pos(2));
+  const Distribution slice_dist(slice_pos(1), slice_pos(2));
+
+  DenseTensor out = make_tensor(node.tensor, space);
+  for (std::uint32_t z1 = 0; z1 < grid.edge; ++z1) {
+    for (std::uint32_t z2 = 0; z2 < grid.edge; ++z2) {
+      const DenseTensor sb = extract_block(
+          stat, block_range(stat_ref, sd, space, grid, z1, z2));
+      const DenseTensor rb = extract_block(
+          repl, block_range(repl_ref, slice_dist, space, grid, z1, z2));
+      const BlockRange pr =
+          block_range(node.tensor, partial_dist, space, grid, z1, z2);
+      DenseTensor partial(node.tensor.dims, pr.extents());
+      if (spec.replicate_right) {
+        contract_blocks_acc(sb, rb, node.sum_indices, partial);
+      } else {
+        contract_blocks_acc(rb, sb, node.sum_indices, partial);
+      }
+      const bool replica = (sd.at(1) == kNoIndex && z1 != 0) ||
+                           (sd.at(2) == kNoIndex && z2 != 0);
+      if (!replica) accumulate_block(partial, pr, out);
+    }
+  }
+  return out;
+}
+
+TEST(CannonReplicated, MatchesBlockReferenceBitwise) {
+  // C[i0,i1,j0] = Σ_{k0,k1} A[i0,k0,i1,k1] · B[j0,k0,k1] on 2×2 and 4×4
+  // grids, over every side, stationary split, reduction and
+  // orientation.
+  IndexSpace space;
+  IndexId i0 = space.add("i0", 8), i1 = space.add("i1", 12),
+          j0 = space.add("j0", 8), k0 = space.add("k0", 8),
+          k1 = space.add("k1", 4);
+  ContractionNode node;
+  node.kind = ContractionNode::Kind::kContraction;
+  node.tensor = TensorRef{"C", {i0, i1, j0}};
+  node.sum_indices = IndexSet::of({k0, k1});
+  node.left_indices = IndexSet::of({i0, i1});
+  node.right_indices = IndexSet::single(j0);
+
+  Rng rng(29);
+  DenseTensor a = make_tensor(TensorRef{"A", {i0, k0, i1, k1}}, space);
+  DenseTensor b = make_tensor(TensorRef{"B", {j0, k0, k1}}, space);
+  a.fill_random(rng);
+  b.fill_random(rng);
+
+  int runs = 0;
+  for (const std::uint32_t procs : {4u, 16u}) {
+    const ProcGrid grid = ProcGrid::make(procs, 2);
+    const Network net(ClusterSpec::itanium2003(procs / 2));
+    for (const bool repl_right : {false, true}) {
+      const DenseTensor& stat = repl_right ? a : b;
+      const std::vector<IndexId> s_rs =
+          repl_right ? std::vector<IndexId>{i0, i1, kNoIndex}
+                     : std::vector<IndexId>{j0, kNoIndex};
+      for (const IndexId s_r : s_rs) {
+        for (const IndexId s_k : {k0, k1, kNoIndex}) {
+          for (const bool tr : {false, true}) {
+            ReplicatedSpec spec;
+            spec.replicate_right = repl_right;
+            spec.stationary_dist = Distribution(s_r, s_k);
+            if (tr) spec.stationary_dist = spec.stationary_dist.transposed();
+            spec.reduce_dim = spec.stationary_dist.dim_of(s_k);
+            Distribution alpha(s_r, spec.reduce_dim != 0
+                                        ? (repl_right ? j0 : i0)
+                                        : kNoIndex);
+            spec.result_dist = tr ? alpha.transposed() : alpha;
+
+            const std::uint64_t stat_elems =
+                block_elems(space, stat.dims(), s_r, s_k, grid.edge);
+            const std::uint64_t want_peak =
+                (stat_elems + (repl_right ? b : a).size() +
+                 block_elems(space, node.tensor.dims, s_r, kNoIndex,
+                             grid.edge)) *
+                sizeof(double);
+            for (const KernelKind kind : kBothKernels) {
+              const ScopedKernelConfig scoped(kind);
+              const CannonRunResult r =
+                  run_replicated(net, grid, space, node, spec, a, b);
+              EXPECT_TRUE(bitwise_equal(
+                  r.result,
+                  reference_replicated(space, grid, node, spec, a, b)))
+                  << "procs=" << procs << " repl_right=" << repl_right
+                  << " s_r=" << int(s_r) << " s_k=" << int(s_k)
+                  << " tr=" << tr << " kernel=" << kernel_kind_name(kind);
+              EXPECT_EQ(r.peak_rank_bytes, want_peak);
+              ++runs;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 2 * 2 * (3 + 2) * 3 * 2);
+}
+
 // Parameterized sweep over random contraction shapes and grids: the
 // executor must agree with the reference evaluator everywhere.
 // gtest names each case by the bytes of its parameter, so the struct must
@@ -163,60 +425,79 @@ struct SweepCase {
 };
 static_assert(std::has_unique_object_representations_v<SweepCase>);
 
-class CannonSweep : public ::testing::TestWithParam<SweepCase> {};
-
-TEST_P(CannonSweep, RandomShapesMatchReference) {
-  const SweepCase param = GetParam();
-  const auto procs = static_cast<std::uint32_t>(param.procs);
-  Rng rng(param.seed);
-  const ProcGrid grid = ProcGrid::make(procs, 1);
+ClusterSpec one_proc_per_node(std::uint32_t procs) {
   ClusterSpec spec = ClusterSpec::itanium2003(procs);
   spec.procs_per_node = 1;
   spec.nodes = procs;
-  Network net(spec);
+  return spec;
+}
 
-  // Random contraction: ranks 2-3 per operand, extents multiples of edge.
+/// The sweep's random contraction: ranks-4 operands whose extents are
+/// multiples of the grid edge, filled from the case's seed.
+struct SweepProblem {
+  explicit SweepProblem(const SweepCase& param)
+      : grid(ProcGrid::make(static_cast<std::uint32_t>(param.procs), 1)),
+        net(one_proc_per_node(static_cast<std::uint32_t>(param.procs))),
+        rng(param.seed) {
+    const std::uint32_t e = grid.edge;
+    auto ext = [&] {
+      return e * static_cast<std::uint64_t>(rng.uniform_int(1, 3));
+    };
+    IndexId i0 = space.add("i0", ext());
+    IndexId i1 = space.add("i1", ext());
+    IndexId j0 = space.add("j0", ext());
+    IndexId j1 = space.add("j1", ext());
+    IndexId k0 = space.add("k0", ext());
+    IndexId k1 = space.add("k1", ext());
+
+    TensorRef aref{"Aop", {i0, k0, i1, k1}};
+    TensorRef bref{"Bop", {j0, k0, j1, k1}};
+    TensorRef cref{"Cres", {i0, i1, j0, j1}};
+
+    node.kind = ContractionNode::Kind::kContraction;
+    node.tensor = cref;
+    node.sum_indices = IndexSet::of({k0, k1});
+    node.left_indices = IndexSet::of({i0, i1});
+    node.right_indices = IndexSet::of({j0, j1});
+
+    a = make_tensor(aref, space);
+    b = make_tensor(bref, space);
+    a.fill_random(rng);
+    b.fill_random(rng);
+  }
+
+  ProcGrid grid;
+  Network net;
+  Rng rng;
   IndexSpace space;
-  const std::uint32_t e = grid.edge;
-  auto ext = [&] {
-    return e * static_cast<std::uint64_t>(rng.uniform_int(1, 3));
-  };
-  IndexId i0 = space.add("i0", ext());
-  IndexId i1 = space.add("i1", ext());
-  IndexId j0 = space.add("j0", ext());
-  IndexId j1 = space.add("j1", ext());
-  IndexId k0 = space.add("k0", ext());
-  IndexId k1 = space.add("k1", ext());
-
-  TensorRef aref{"Aop", {i0, k0, i1, k1}};
-  TensorRef bref{"Bop", {j0, k0, j1, k1}};
-  TensorRef cref{"Cres", {i0, i1, j0, j1}};
-
   ContractionNode node;
-  node.kind = ContractionNode::Kind::kContraction;
-  node.tensor = cref;
-  node.sum_indices = IndexSet::of({k0, k1});
-  node.left_indices = IndexSet::of({i0, i1});
-  node.right_indices = IndexSet::of({j0, j1});
+  DenseTensor a;
+  DenseTensor b;
+};
 
-  DenseTensor a = make_tensor(aref, space);
-  DenseTensor b = make_tensor(bref, space);
-  a.fill_random(rng);
-  b.fill_random(rng);
-  DenseTensor want = einsum_pair(a, b, cref.dims, node.sum_indices);
+class CannonSweep : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(CannonSweep, RandomShapesMatchReference) {
+  SweepProblem pr(GetParam());
+  DenseTensor want =
+      einsum_pair(pr.a, pr.b, pr.node.tensor.dims, pr.node.sum_indices);
 
   // Try a handful of random fully-assigned choices.
-  std::vector<CannonChoice> choices;
-  for (const auto& c : enumerate_cannon_choices(node)) {
-    if (c.i != kNoIndex && c.j != kNoIndex && c.k != kNoIndex) {
-      choices.push_back(c);
-    }
-  }
+  const std::vector<CannonChoice> choices = full_triplets(pr.node);
   for (int t = 0; t < 4; ++t) {
-    const auto& choice = choices[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(choices.size()) - 1))];
-    CannonRunResult r = run_cannon(net, grid, space, node, choice, a, b);
+    const auto& choice = choices[static_cast<std::size_t>(pr.rng.uniform_int(
+        0, static_cast<std::int64_t>(choices.size()) - 1))];
+    CannonRunResult r =
+        run_cannon(pr.net, pr.grid, pr.space, pr.node, choice, pr.a, pr.b);
     EXPECT_LT(want.max_abs_diff(r.result), 1e-10);
+  }
+}
+
+TEST_P(CannonSweep, MatchesBlockReferenceBitwise) {
+  SweepProblem pr(GetParam());
+  for (const CannonChoice& choice : full_triplets(pr.node)) {
+    expect_cannon_exact(pr.net, pr.grid, pr.space, pr.node, choice, pr.a,
+                        pr.b);
   }
 }
 
