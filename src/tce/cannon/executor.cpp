@@ -5,6 +5,7 @@
 #include "tce/common/checked.hpp"
 #include "tce/common/error.hpp"
 #include "tce/common/json.hpp"
+#include "tce/costmodel/characterize.hpp"
 #include "tce/obs/log.hpp"
 #include "tce/obs/metrics.hpp"
 #include "tce/obs/trace.hpp"
@@ -411,28 +412,10 @@ CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
   };
   const Distribution partial_dist(partial_pos(1), partial_pos(2));
 
-  std::vector<Phase> phases;
-
   // Allgather of the replicated operand (timing; numerically every rank
   // simply reads repl_full).
-  {
-    const std::uint64_t total = checked_mul(repl_full.size(), sizeof(double));
-    const std::uint64_t block =
-        std::max<std::uint64_t>(total / grid.procs, 1);
-    for (std::uint32_t dist = 1; dist < grid.procs; dist *= 2) {
-      Phase phase;
-      if (obs::trace_enabled()) {
-        phase.label = node.tensor.name + " allgather (distance " +
-                      std::to_string(dist) + ")";
-      }
-      for (std::uint32_t r = 0; r < grid.procs; ++r) {
-        if ((r ^ dist) < grid.procs) {
-          phase.flows.push_back({r, r ^ dist, checked_mul(block, dist)});
-        }
-      }
-      phases.push_back(std::move(phase));
-    }
-  }
+  std::vector<Phase> phases = allgather_phases(
+      grid, checked_mul(repl_full.size(), sizeof(double)), node.tensor.name);
 
   // Local compute: each rank contracts its stationary block against the
   // replicated operand (every rank holds it whole; the contraction reads
@@ -536,37 +519,26 @@ CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
   // Reduce-scatter of the partials (timing; the numeric sum happened in
   // the accumulation above).
   if (spec.reduce_dim != 0) {
-    TensorRef res_ref = node.tensor;
-    const std::uint64_t partial_bytes =
-        dist_size(res_ref, partial_dist, IndexSet(), space, grid) *
-        sizeof(double);
-    std::uint64_t payload = partial_bytes / 2;
-    auto rank_in_line = [&](std::uint32_t line, std::uint32_t pos) {
-      return spec.reduce_dim == 1 ? grid.rank(pos, line)
-                                  : grid.rank(line, pos);
-    };
-    for (std::uint32_t dist = e / 2; dist >= 1; dist /= 2) {
-      Phase phase;
-      if (obs::trace_enabled()) {
-        phase.label = node.tensor.name + " reduce-scatter (distance " +
-                      std::to_string(dist) + ")";
-      }
-      for (std::uint32_t line = 0; line < e; ++line) {
-        for (std::uint32_t pos = 0; pos < e; ++pos) {
-          phase.flows.push_back({rank_in_line(line, pos),
-                                 rank_in_line(line, pos ^ dist),
-                                 std::max<std::uint64_t>(payload, 1)});
-        }
-      }
+    for (Phase& phase : reduce_scatter_phases(
+             grid, spec.reduce_dim,
+             dist_bytes(node.tensor, partial_dist, IndexSet(), space, grid),
+             node.tensor.name)) {
       phases.push_back(std::move(phase));
-      payload /= 2;
-      if (dist == 1) break;
     }
   }
 
   out.timing = run_phases_observed(net, phases);
   out.peak_rank_bytes = peak;
   return out;
+}
+
+ExecChoice exec_choice_of(const PlanStep& s) {
+  if (s.tmpl == StepTemplate::kCannon) return {false, s.choice, {}};
+  const Distribution& stationary =
+      s.replicate_right ? s.left_dist : s.right_dist;
+  return {true,
+          {},
+          {s.replicate_right, stationary, s.result_dist, s.reduce_dim}};
 }
 
 TreeRunResult run_tree(const Network& net, const ProcGrid& grid,

@@ -28,6 +28,7 @@
 /// paper's zero cost for non-rotated arrays and free initial
 /// distributions.
 
+#include "tce/core/plan.hpp"
 #include "tce/costmodel/machine_model.hpp"
 #include "tce/dist/cannon_space.hpp"
 #include "tce/simnet/network.hpp"
@@ -83,6 +84,10 @@ struct ExecChoice {
   CannonChoice cannon{};    ///< Used when !replicated.
   ReplicatedSpec repl{};    ///< Used when replicated.
 };
+
+/// How plan step \p s executes: its replicated spec, or its Cannon
+/// choice.
+ExecChoice exec_choice_of(const PlanStep& s);
 
 /// Per-tree execution: runs every contraction node of \p tree through
 /// run_cannon / run_replicated with the given per-node choices (keyed by

@@ -1,9 +1,7 @@
 #include "tce/core/simulate.hpp"
 
-#include <algorithm>
-
-#include "tce/common/checked.hpp"
 #include "tce/common/json.hpp"
+#include "tce/costmodel/characterize.hpp"
 #include "tce/fusion/fused.hpp"
 #include "tce/obs/trace.hpp"
 
@@ -11,9 +9,8 @@ namespace tce {
 
 namespace {
 
-/// Brute-force flow simulation of a replicated step: per allgather
-/// iteration, recursive-doubling exchange phases of the sliced operand;
-/// plus the reduce-scatter butterflies of the result partials.
+/// Replicated step: per fused iteration an allgather of the replicated
+/// operand's slice, plus the reduce-scatter of the result partials.
 double simulate_replicated_step(const Network& net, const ProcGrid& grid,
                                 const ContractionTree& tree,
                                 const PlanStep& s) {
@@ -24,31 +21,17 @@ double simulate_replicated_step(const Network& net, const ProcGrid& grid,
   const bool tracing = obs::trace_enabled();
   const double base = tracing ? obs::sim_now_s() : 0.0;
 
-  // Allgather phases.
   const TensorRef& rref = tree.node(repl).tensor;
   double ag_repeat = 1.0;
   for (IndexId j : eff & rref.index_set()) {
     ag_repeat *= static_cast<double>(space.extent(j));
   }
-  const std::uint64_t slice_total = fused_bytes(rref, eff, space);
-  const std::uint64_t block =
-      std::max<std::uint64_t>(slice_total / grid.procs, 1);
-  std::vector<Phase> ag_phases;
-  for (std::uint32_t dist = 1; dist < grid.procs; dist *= 2) {
-    Phase phase;
-    if (tracing) {
-      phase.label = s.result_name + " allgather (distance " +
-                    std::to_string(dist) + ")";
-    }
-    for (std::uint32_t r = 0; r < grid.procs; ++r) {
-      phase.flows.push_back({r, r ^ dist, checked_mul(block, dist)});
-    }
-    ag_phases.push_back(std::move(phase));
-  }
-  double simulated_s = net.run_phases(ag_phases).comm_s;
+  double simulated_s =
+      net.run_phases(allgather_phases(grid, fused_bytes(rref, eff, space),
+                                      s.result_name))
+          .comm_s;
   double total = ag_repeat * simulated_s;
 
-  // Reduce-scatter phases.
   if (s.reduce_dim != 0) {
     const IndexSet f_red = eff & n.tensor.index_set();
     double red_repeat = 1.0;
@@ -60,29 +43,10 @@ double simulate_replicated_step(const Network& net, const ProcGrid& grid,
         s.reduce_dim == 1 ? s.result_dist.at(2) : kNoIndex);
     const std::uint64_t partial_bytes =
         dist_bytes(n.tensor, partial, f_red, space, grid);
-    std::vector<Phase> rs_phases;
-    std::uint64_t payload = partial_bytes / 2;
-    auto rank_in_line = [&](std::uint32_t line, std::uint32_t pos) {
-      return s.reduce_dim == 1 ? grid.rank(pos, line)
-                               : grid.rank(line, pos);
-    };
-    for (std::uint32_t dist = grid.edge / 2; dist >= 1; dist /= 2) {
-      Phase phase;
-      if (tracing) {
-        phase.label = s.result_name + " reduce-scatter (distance " +
-                      std::to_string(dist) + ")";
-      }
-      for (std::uint32_t line = 0; line < grid.edge; ++line) {
-        for (std::uint32_t pos = 0; pos < grid.edge; ++pos) {
-          phase.flows.push_back({rank_in_line(line, pos),
-                                 rank_in_line(line, pos ^ dist),
-                                 std::max<std::uint64_t>(payload, 1)});
-        }
-      }
-      rs_phases.push_back(std::move(phase));
-      payload /= 2;
-    }
-    const double rs_s = net.run_phases(rs_phases).comm_s;
+    const double rs_s =
+        net.run_phases(reduce_scatter_phases(grid, s.reduce_dim,
+                                             partial_bytes, s.result_name))
+            .comm_s;
     simulated_s += rs_s;
     total += red_repeat * rs_s;
   }
@@ -101,22 +65,20 @@ double simulate_replicated_step(const Network& net, const ProcGrid& grid,
   return total;
 }
 
-/// Brute-force flow simulation of one plan step: `repeat` iterations of
-/// `edge` ring-shift phases in which every rotating array's blocks move
-/// concurrently.
-double simulate_step_comm_impl(const Network& net, const ProcGrid& grid,
-                          const ContractionTree& tree, const PlanStep& s) {
+}  // namespace
+
+/// A Cannon step is `repeat` iterations of `edge` ring-shift steps of
+/// its rotating arrays, one phase for all of them or one each (\p mode).
+double simulate_step_comm(const Network& net, const ProcGrid& grid,
+                          const ContractionTree& tree, const PlanStep& s,
+                          ReplayMode mode) {
   if (s.tmpl == StepTemplate::kReplicated) {
     return simulate_replicated_step(net, grid, tree, s);
   }
   const IndexSpace& space = tree.space();
   const ContractionNode& n = tree.node(s.node);
 
-  struct Rot {
-    std::uint64_t bytes;
-    int dim;
-  };
-  std::vector<Rot> rots;
+  std::vector<RingShift> rots;
   const IndexSet eff = s.effective_fused;
   if (s.choice.rotates_left()) {
     rots.push_back({dist_bytes(tree.node(n.left).tensor, s.left_dist, eff,
@@ -136,30 +98,23 @@ double simulate_step_comm_impl(const Network& net, const ProcGrid& grid,
 
   const bool tracing = obs::trace_enabled();
   const double base = tracing ? obs::sim_now_s() : 0.0;
-  Phase phase;
-  if (tracing) {
-    phase.label = s.result_name + " rotate step (one of " +
-                  std::to_string(grid.edge) + ")";
-  }
-  for (std::uint32_t z1 = 0; z1 < grid.edge; ++z1) {
-    for (std::uint32_t z2 = 0; z2 < grid.edge; ++z2) {
-      for (const Rot& r : rots) {
-        const std::uint32_t dst =
-            r.dim == 1 ? grid.rank((z1 + 1) % grid.edge, z2)
-                       : grid.rank(z1, (z2 + 1) % grid.edge);
-        phase.flows.push_back({grid.rank(z1, z2), dst, r.bytes});
-      }
+  std::vector<Phase> phases;
+  if (mode == ReplayMode::kConcurrent) {
+    phases.push_back(ring_shift_phase(grid, rots, s.result_name));
+  } else {
+    for (const RingShift& r : rots) {
+      phases.push_back(ring_shift_phase(grid, {r}, s.result_name));
     }
   }
-  const double per_phase = net.run_phase(phase).comm_s;
+  const double per_phase = net.run_phases(phases).comm_s;
 
   double repeat = 1.0;
   for (IndexId j : eff) repeat *= static_cast<double>(space.extent(j));
   const double total =
       repeat * static_cast<double>(grid.edge) * per_phase;
   if (tracing) {
-    // One rotation phase was simulated; the remaining edge−1 rotations
-    // × fused repeats are identical by symmetry and accounted
+    // One rotation step was simulated; the remaining edge−1 steps ×
+    // fused repeats are identical by symmetry and accounted
     // analytically — advance the clock and mark the whole step.
     obs::sim_advance(total - per_phase);
     obs::trace_sim_complete(
@@ -174,20 +129,12 @@ double simulate_step_comm_impl(const Network& net, const ProcGrid& grid,
   return total;
 }
 
-}  // namespace
-
-double simulate_step_comm(const Network& net, const ProcGrid& grid,
-                          const ContractionTree& tree,
-                          const PlanStep& step) {
-  return simulate_step_comm_impl(net, grid, tree, step);
-}
-
 double simulate_plan_comm(const Network& net, const ProcGrid& grid,
                           const ContractionTree& tree,
-                          const OptimizedPlan& plan) {
+                          const OptimizedPlan& plan, ReplayMode mode) {
   double total = 0;
   for (const PlanStep& s : plan.steps) {
-    total += simulate_step_comm(net, grid, tree, s);
+    total += simulate_step_comm(net, grid, tree, s, mode);
   }
   return total;
 }

@@ -3,13 +3,14 @@
 /// Brute-force flow-level simulation of an optimized plan.
 ///
 /// The optimizer *predicts* communication from the characterization
-/// table; this module *executes* the plan's communication patterns —
-/// ring-shift phases for Cannon steps (all rotating arrays sharing the
-/// network concurrently, once per fused iteration), recursive-doubling
-/// allgathers and butterfly reduce-scatters for replicated steps —
-/// directly on the cluster simulator.  Comparing the two validates the
-/// whole RotateCost/DistSize/MsgFactor accounting against first
-/// principles; bench_validate reports agreement within ~1.5 %.
+/// table; this module *replays* the plan's communication on the cluster
+/// simulator and so checks the plan's own accounting: which arrays move
+/// at each step, how many bytes, and how many times the fused loops
+/// repeat them.  The flows themselves are the collectives the table was
+/// measured from (costmodel/characterize.hpp): ring shifts for Cannon
+/// steps, allgathers and reduce-scatters for replicated steps.  One
+/// rotation step is simulated and the rest are accounted by symmetry.
+/// bench_validate reports agreement within ~1.5 %.
 
 #include "tce/core/plan.hpp"
 #include "tce/expr/contraction.hpp"
@@ -17,13 +18,21 @@
 
 namespace tce {
 
+/// How a Cannon step's rotating arrays share the network in a replay:
+/// all in one phase, as the executor moves them, or each in its own
+/// phase, as measure_rotation characterized them and the additive
+/// RotateCost prices them (DESIGN §7).
+enum class ReplayMode { kConcurrent, kSerialized };
+
 /// Simulated communication time of one plan step on \p net.
 double simulate_step_comm(const Network& net, const ProcGrid& grid,
-                          const ContractionTree& tree, const PlanStep& step);
+                          const ContractionTree& tree, const PlanStep& step,
+                          ReplayMode mode = ReplayMode::kConcurrent);
 
 /// Sum over all steps of a plan.
 double simulate_plan_comm(const Network& net, const ProcGrid& grid,
                           const ContractionTree& tree,
-                          const OptimizedPlan& plan);
+                          const OptimizedPlan& plan,
+                          ReplayMode mode = ReplayMode::kConcurrent);
 
 }  // namespace tce

@@ -2,6 +2,7 @@
 
 #include "tce/common/checked.hpp"
 #include "tce/common/error.hpp"
+#include "tce/obs/trace.hpp"
 #include "tce/tensor/kernel.hpp"
 
 namespace tce {
@@ -19,29 +20,36 @@ std::vector<std::uint64_t> default_sizes() {
   return sizes;
 }
 
-/// One full rotation along \p dim: edge synchronized steps, every rank
-/// sending its whole block to its ring neighbor.
-double measure_rotation(const Network& net, const ProcGrid& grid, int dim,
-                        std::uint64_t block_bytes) {
-  std::vector<Phase> phases;
-  Phase step;
-  for (std::uint32_t z1 = 0; z1 < grid.edge; ++z1) {
-    for (std::uint32_t z2 = 0; z2 < grid.edge; ++z2) {
-      const std::uint32_t src = grid.rank(z1, z2);
-      const std::uint32_t dst =
-          dim == 1 ? grid.rank((z1 + 1) % grid.edge, z2)
-                   : grid.rank(z1, (z2 + 1) % grid.edge);
-      step.flows.push_back({src, dst, block_bytes});
-    }
-  }
-  phases.assign(grid.edge, step);
-  return net.run_phases(phases).comm_s;
+/// Labels a collective's phase "<name> <what> (<detail> <n>)" on the
+/// trace timeline when tracing and \p name is non-empty.
+void label(Phase& phase, const std::string& name, const char* what,
+           const char* detail, std::uint32_t n) {
+  if (name.empty() || !obs::trace_enabled()) return;
+  phase.label =
+      name + " " + what + " (" + detail + " " + std::to_string(n) + ")";
 }
 
-/// Row-scatter redistribution: each rank splits its block equally among
-/// the other ranks of its grid row.
-double measure_redistribute(const Network& net, const ProcGrid& grid,
-                            std::uint64_t block_bytes) {
+}  // namespace
+
+Phase ring_shift_phase(const ProcGrid& grid,
+                       const std::vector<RingShift>& shifts,
+                       const std::string& name) {
+  Phase phase;
+  label(phase, name, "rotate step", "one of", grid.edge);
+  for (std::uint32_t z1 = 0; z1 < grid.edge; ++z1) {
+    for (std::uint32_t z2 = 0; z2 < grid.edge; ++z2) {
+      for (const RingShift& r : shifts) {
+        const std::uint32_t dst =
+            r.dim == 1 ? grid.rank((z1 + 1) % grid.edge, z2)
+                       : grid.rank(z1, (z2 + 1) % grid.edge);
+        phase.flows.push_back({grid.rank(z1, z2), dst, r.bytes});
+      }
+    }
+  }
+  return phase;
+}
+
+Phase redistribute_phase(const ProcGrid& grid, std::uint64_t block_bytes) {
   Phase phase;
   const std::uint64_t piece =
       block_bytes / std::max<std::uint32_t>(grid.edge - 1, 1);
@@ -53,20 +61,19 @@ double measure_redistribute(const Network& net, const ProcGrid& grid,
       }
     }
   }
-  return net.run_phase(phase).comm_s;
+  return phase;
 }
 
-/// Allgather of an array of \p total_bytes block-distributed over all P
-/// ranks: recursive doubling when P is a power of two (log2 P exchange
-/// phases with doubling payloads), ring otherwise (P−1 shift phases).
-double measure_allgather(const Network& net, const ProcGrid& grid,
-                         std::uint64_t total_bytes) {
+std::vector<Phase> allgather_phases(const ProcGrid& grid,
+                                    std::uint64_t total_bytes,
+                                    const std::string& name) {
   const std::uint32_t p = grid.procs;
   const std::uint64_t block = std::max<std::uint64_t>(total_bytes / p, 1);
   std::vector<Phase> phases;
   if ((p & (p - 1)) == 0) {
     for (std::uint32_t dist = 1; dist < p; dist *= 2) {
       Phase phase;
+      label(phase, name, "allgather", "distance", dist);
       for (std::uint32_t r = 0; r < p; ++r) {
         phase.flows.push_back({r, r ^ dist, checked_mul(block, dist)});
       }
@@ -74,19 +81,18 @@ double measure_allgather(const Network& net, const ProcGrid& grid,
     }
   } else {
     Phase step;
+    label(step, name, "allgather", "ring of", p);
     for (std::uint32_t r = 0; r < p; ++r) {
       step.flows.push_back({r, (r + 1) % p, block});
     }
     phases.assign(p - 1, step);
   }
-  return net.run_phases(phases).comm_s;
+  return phases;
 }
 
-/// Reduce-scatter within each grid line along \p dim: butterfly with
-/// halving payloads over the √P ranks of a line (√P is a power of two
-/// for the machines we simulate; a ring fallback covers the rest).
-double measure_reduce_scatter(const Network& net, const ProcGrid& grid,
-                              int dim, std::uint64_t partial_bytes) {
+std::vector<Phase> reduce_scatter_phases(const ProcGrid& grid, int dim,
+                                         std::uint64_t partial_bytes,
+                                         const std::string& name) {
   const std::uint32_t e = grid.edge;
   std::vector<Phase> phases;
   auto rank_in_line = [&](std::uint32_t line, std::uint32_t pos) {
@@ -96,6 +102,7 @@ double measure_reduce_scatter(const Network& net, const ProcGrid& grid,
     std::uint64_t payload = partial_bytes / 2;
     for (std::uint32_t dist = e / 2; dist >= 1; dist /= 2) {
       Phase phase;
+      label(phase, name, "reduce-scatter", "distance", dist);
       for (std::uint32_t line = 0; line < e; ++line) {
         for (std::uint32_t pos = 0; pos < e; ++pos) {
           phase.flows.push_back({rank_in_line(line, pos),
@@ -108,6 +115,7 @@ double measure_reduce_scatter(const Network& net, const ProcGrid& grid,
     }
   } else if (e > 1) {
     Phase step;
+    label(step, name, "reduce-scatter", "ring of", e);
     const std::uint64_t chunk =
         std::max<std::uint64_t>(partial_bytes / e, 1);
     for (std::uint32_t line = 0; line < e; ++line) {
@@ -118,6 +126,22 @@ double measure_reduce_scatter(const Network& net, const ProcGrid& grid,
     }
     phases.assign(e - 1, step);
   }
+  return phases;
+}
+
+namespace {
+
+/// One full rotation along \p dim: edge synchronized ring-shift steps.
+double measure_rotation(const Network& net, const ProcGrid& grid, int dim,
+                        std::uint64_t block_bytes) {
+  const Phase step = ring_shift_phase(grid, {{block_bytes, dim}});
+  return net.run_phases(std::vector<Phase>(grid.edge, step)).comm_s;
+}
+
+double measure_reduce_scatter(const Network& net, const ProcGrid& grid,
+                              int dim, std::uint64_t partial_bytes) {
+  const std::vector<Phase> phases =
+      reduce_scatter_phases(grid, dim, partial_bytes);
   if (phases.empty()) return 1e-9;  // single-rank line: no communication
   return net.run_phases(phases).comm_s;
 }
@@ -154,8 +178,10 @@ CharacterizationTable characterize(const Network& net, const ProcGrid& grid,
   for (std::uint64_t s : sizes) {
     t.rotate_dim1.add_sample(s, measure_rotation(net, grid, 1, s));
     t.rotate_dim2.add_sample(s, measure_rotation(net, grid, 2, s));
-    t.redistribute.add_sample(s, measure_redistribute(net, grid, s));
-    t.allgather.add_sample(s, measure_allgather(net, grid, s));
+    t.redistribute.add_sample(
+        s, net.run_phase(redistribute_phase(grid, s)).comm_s);
+    t.allgather.add_sample(
+        s, net.run_phases(allgather_phases(grid, s)).comm_s);
     t.reduce_dim1.add_sample(s, measure_reduce_scatter(net, grid, 1, s));
     t.reduce_dim2.add_sample(s, measure_reduce_scatter(net, grid, 2, s));
   }

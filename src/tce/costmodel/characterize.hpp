@@ -11,7 +11,13 @@
 /// rank's block across its grid row.  Measurements therefore include all
 /// NIC/memory contention effects the simulated machine models, exactly as
 /// real measurements would include the real machine's.
+///
+/// The flow builders below define the machine's collectives once:
+/// characterize() measures them, and core/simulate and the replicated
+/// executor replay them.  A non-empty \p name labels their phases on the
+/// trace timeline, e.g. "T2 allgather (ring of 36)".
 
+#include <string>
 #include <vector>
 
 #include "tce/costmodel/characterization.hpp"
@@ -34,5 +40,36 @@ CharacterizationTable characterize(const Network& net, const ProcGrid& grid,
 /// Convenience: simulated-Itanium characterization for a given processor
 /// count (paper settings: 64 or 16, 2 procs/node).
 CharacterizationTable characterize_itanium(std::uint32_t procs);
+
+/// One array's part of a ring shift: every rank sends its \p bytes to
+/// its ring neighbor along grid dimension \p dim.
+struct RingShift {
+  std::uint64_t bytes;
+  int dim;
+};
+
+/// One synchronized ring-shift step moving all of \p shifts at once.
+Phase ring_shift_phase(const ProcGrid& grid,
+                       const std::vector<RingShift>& shifts,
+                       const std::string& name = {});
+
+/// Row-scatter redistribution: each rank splits \p block_bytes equally
+/// among the other ranks of its grid row.
+Phase redistribute_phase(const ProcGrid& grid, std::uint64_t block_bytes);
+
+/// Allgather of an array of \p total_bytes block-distributed over all P
+/// ranks: recursive doubling when P is a power of two (log2 P exchange
+/// phases with doubling payloads), a ring otherwise (P−1 shift phases).
+std::vector<Phase> allgather_phases(const ProcGrid& grid,
+                                    std::uint64_t total_bytes,
+                                    const std::string& name = {});
+
+/// Reduce-scatter of \p partial_bytes per rank within each grid line
+/// along \p dim: a butterfly with halving payloads when √P is a power of
+/// two, a ring of √P−1 shift phases otherwise, no phase on a one-rank
+/// line.
+std::vector<Phase> reduce_scatter_phases(const ProcGrid& grid, int dim,
+                                         std::uint64_t partial_bytes,
+                                         const std::string& name = {});
 
 }  // namespace tce

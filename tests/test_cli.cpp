@@ -10,6 +10,8 @@
 #include "tce/cli/cli.hpp"
 #include "tce/common/error.hpp"
 
+#include "paper_workload.hpp"
+
 namespace tce {
 namespace {
 
@@ -226,6 +228,24 @@ TEST(Cli, ValidateComparesPredictedAndSimulated) {
   EXPECT_NE(r.output.find("predicted"), std::string::npos);
   EXPECT_NE(r.output.find("simulated"), std::string::npos);
   EXPECT_NE(r.output.find("TOTAL"), std::string::npos);
+}
+
+TEST(Cli, ValidateReplicatesOnANonPowerOfTwoGrid) {
+  // On 36 procs the collectives are rings; simulate replays the ring
+  // the planner priced, so the replicated T2 step lands within 1%.
+  TempFile f("cli_val36.tce", ::tce::testing::kPaperProgram);
+  CliResult r = run_cli({"validate", f.path(), "--procs", "36",
+                         "--mem-limit", "2GB", "--replication"});
+  ASSERT_EQ(r.exit_code, 0) << r.error;
+  double pred = 0, sim = 0;
+  const std::size_t at = r.output.find("T2: ");
+  ASSERT_NE(at, std::string::npos) << r.output;
+  ASSERT_EQ(std::sscanf(r.output.c_str() + at,
+                        "T2: predicted %lf s, simulated %lf s", &pred,
+                        &sim),
+            2)
+      << r.output;
+  EXPECT_NEAR(sim, pred, 0.01 * pred) << r.output;
 }
 
 TEST(Cli, PlanHandlesMultiOutputPrograms) {

@@ -57,20 +57,7 @@ TEST_P(EndToEnd, PlanExecutesCorrectly) {
   EXPECT_TRUE(report.diagnostics.empty()) << report.str(tree);
 
   std::map<NodeId, ExecChoice> exec;
-  for (const PlanStep& s : plan.steps) {
-    ExecChoice e;
-    if (s.tmpl == StepTemplate::kReplicated) {
-      e.replicated = true;
-      e.repl.replicate_right = s.replicate_right;
-      e.repl.stationary_dist =
-          s.replicate_right ? s.left_dist : s.right_dist;
-      e.repl.result_dist = s.result_dist;
-      e.repl.reduce_dim = s.reduce_dim;
-    } else {
-      e.cannon = s.choice;
-    }
-    exec[s.node] = e;
-  }
+  for (const PlanStep& s : plan.steps) exec[s.node] = exec_choice_of(s);
 
   auto inputs = make_random_inputs(tree, rng);
   TreeRunResult run = run_tree(net, grid, tree, exec, inputs);

@@ -151,6 +151,22 @@ TEST(FuzzOracles, LivenessDominanceComparesEveryRolledUpTerm) {
   }
 }
 
+TEST(FuzzOracles, SimnetComparesTheModelWithTheSerializedReplay) {
+  // Latency-bound steps rotating two arrays: the additive model charges
+  // each array its own start-up, which a concurrent replay pays once,
+  // so it predicts about 2x the concurrent replay and only matches the
+  // serialized one.  All oracles: under "all" an even seed draws an
+  // exec-friendly instance, which 50154 needs.
+  for (std::uint64_t seed : {50025ull, 50055ull, 50154ull}) {
+    FuzzOptions opts;
+    opts.seed = seed;
+    opts.runs = 1;
+    const FuzzReport report = run_fuzz(opts);
+    EXPECT_TRUE(report.failures.empty()) << report.str();
+    EXPECT_EQ(report.executed.at("simnet"), 1) << report.str();
+  }
+}
+
 TEST(FuzzOracles, SkipTelemetryListsAlwaysSkippedOracles) {
   // An instance on the analytic model has no reference network, so a
   // one-run simnet-only fuzz is 100% skips — the report must still show
