@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   using namespace tce::bench;
   const unsigned threads = take_threads_arg(argc, argv);
   BenchOutput out("ccd", argc, argv);
+  reject_unknown_args(argc, argv);
 
   heading("CCD doubles residual (4 terms) — forest optimization");
 

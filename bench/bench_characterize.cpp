@@ -74,6 +74,7 @@ void show(std::uint32_t procs, tce::bench::BenchOutput& out) {
 
 int main(int argc, char** argv) {
   tce::bench::BenchOutput out("characterize", argc, argv);
+  tce::bench::reject_unknown_args(argc, argv);
   show(64, out);
   show(16, out);
   out.finish();

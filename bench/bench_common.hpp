@@ -1,8 +1,9 @@
 #pragma once
 /// \file bench_common.hpp
-/// Shared pieces for the benchmark harnesses: the paper's §4 workload and
-/// small formatting helpers.  Each bench binary regenerates one table or
-/// figure; see DESIGN.md's per-experiment index.
+/// Shared pieces for the benchmark harnesses: the paper's §4 workload,
+/// argument handling and the tce-bench/1 emitter.  bench_paper
+/// regenerates the paper's tables and sweeps, one scenario per run; see
+/// DESIGN.md's per-experiment index.
 
 #include <cstdint>
 #include <cstdio>
@@ -49,6 +50,28 @@ inline void heading(const std::string& title) {
   std::printf("\n=== %s ===\n\n", title.c_str());
 }
 
+/// Consumes the first `<flag> <value>` pair from argv and returns the
+/// value, or std::nullopt when the flag is absent.  A flag without a
+/// value prints a usage message and exits 2.  Every bench option goes
+/// through here, so reject_unknown_args() sees only what no driver
+/// consumed.
+inline std::optional<std::string> take_arg(int& argc, char** argv,
+                                           std::string_view flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) != flag) continue;
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "error: %.*s needs an argument\n",
+                   static_cast<int>(flag.size()), flag.data());
+      std::exit(2);
+    }
+    std::string value = argv[i + 1];
+    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
+    argc -= 2;
+    return value;
+  }
+  return std::nullopt;
+}
+
 /// Consumes a `--<flag> N` pair from argv; returns \p fallback when the
 /// flag is absent.  The value is parsed with the checked decimal parser
 /// (tce/common/parse.hpp) and must land in [0, \p max]: garbage,
@@ -60,28 +83,17 @@ inline std::uint64_t take_uint_arg(int& argc, char** argv,
                                    std::string_view flag,
                                    std::uint64_t fallback,
                                    std::uint64_t max = UINT64_MAX) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == flag) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %.*s needs a count argument\n",
-                     static_cast<int>(flag.size()), flag.data());
-        std::exit(2);
-      }
-      const std::optional<std::uint64_t> n =
-          parse_u64_in(argv[i + 1], 0, max);
-      if (!n.has_value()) {
-        std::fprintf(stderr,
-                     "error: %.*s needs an integer in [0, %llu], got '%s'\n",
-                     static_cast<int>(flag.size()), flag.data(),
-                     static_cast<unsigned long long>(max), argv[i + 1]);
-        std::exit(2);
-      }
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-      return *n;
-    }
+  const std::optional<std::string> text = take_arg(argc, argv, flag);
+  if (!text.has_value()) return fallback;
+  const std::optional<std::uint64_t> n = parse_u64_in(*text, 0, max);
+  if (!n.has_value()) {
+    std::fprintf(stderr,
+                 "error: %.*s needs an integer in [0, %llu], got '%s'\n",
+                 static_cast<int>(flag.size()), flag.data(),
+                 static_cast<unsigned long long>(max), text->c_str());
+    std::exit(2);
   }
-  return fallback;
+  return *n;
 }
 
 /// Consumes a `--threads N` pair from argv (same protocol as
@@ -116,8 +128,8 @@ class BenchOutput {
  public:
   BenchOutput(std::string bench, int& argc, char** argv)
       : bench_(std::move(bench)) {
-    path_ = take_file_arg("--json", argc, argv);
-    metrics_path_ = take_file_arg("--metrics", argc, argv);
+    path_ = take_arg(argc, argv, "--json").value_or("");
+    metrics_path_ = take_arg(argc, argv, "--metrics").value_or("");
     if (enabled() || !metrics_path_.empty()) {
       obs::metrics_reset();
       obs::metrics_enable(true);
@@ -175,28 +187,19 @@ class BenchOutput {
   }
 
  private:
-  static std::string take_file_arg(std::string_view flag, int& argc,
-                                   char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      if (std::string_view(argv[i]) == flag) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "error: %.*s needs a file argument\n",
-                       static_cast<int>(flag.size()), flag.data());
-          std::exit(2);
-        }
-        std::string path = argv[i + 1];
-        for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-        argc -= 2;
-        return path;
-      }
-    }
-    return std::string();
-  }
-
   std::string bench_;
   std::string path_;
   std::string metrics_path_;
   json::ArrayWriter rows_;
 };
+
+/// Exits 2 when argv still holds an argument once the driver has taken
+/// its options, so a misspelt or repeated flag (`--jsn out.json`) fails
+/// instead of running without the output it asked for.
+inline void reject_unknown_args(int argc, char** argv) {
+  if (argc <= 1) return;
+  std::fprintf(stderr, "error: unexpected argument '%s'\n", argv[1]);
+  std::exit(2);
+}
 
 }  // namespace tce::bench

@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
   g_threads = take_threads_arg(argc, argv);  // strips --threads
   BenchOutput out("micro", argc, argv);      // strips --json before gbench
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   run_kernel_sweep(out);
   CollectingReporter reporter(out);
   benchmark::RunSpecifiedBenchmarks(&reporter);

@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
   using namespace tce;
   using namespace tce::bench;
   BenchOutput out("opmin", argc, argv);
+  reject_unknown_args(argc, argv);
 
   heading("Operation minimization — §2 examples");
 

@@ -102,6 +102,7 @@ int main(int argc, char** argv) {
   const std::uint64_t capacity =
       take_uint_arg(argc, argv, "--cache-capacity", 256, 100000000);
   const unsigned threads = take_threads_arg(argc, argv);
+  reject_unknown_args(argc, argv);
   if (unique == 0 || queries < unique) {
     std::fprintf(stderr,
                  "error: need --unique >= 1 and --queries >= --unique "

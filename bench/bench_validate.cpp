@@ -132,6 +132,7 @@ void numeric_validation(BenchOutput& out) {
 int main(int argc, char** argv) {
   g_threads = tce::bench::take_threads_arg(argc, argv);
   BenchOutput out("validate", argc, argv);
+  tce::bench::reject_unknown_args(argc, argv);
   predicted_vs_simulated(
       out, "64 procs, unfused",
       "Predicted vs simulated — paper workload, 64 procs, unfused",

@@ -22,6 +22,10 @@ Checks (docs/FORMATS.md, docs/OBSERVABILITY.md):
   sum exactly to `count` (the registry's exact-merge guarantee), with
   min <= p50 <= p90 <= p99 <= max... within bucket rounding -- the
   quantiles are clamped into [min, max], so that range is exact.
+* tce-bench/1: a non-empty `bench` name and rows of non-empty objects;
+  rows that carry the search latency have 0 <= p50_ms <= p99_ms, and
+  then the metrics show a search ran (opt.candidates, opt.kept > 0).
+  The embedded metrics are checked as a tce-metrics/1 snapshot's.
 * tce-log/1: every line parses, has the schema marker, a known level,
   a positive integer ts_us, and non-empty component/event.
 
@@ -92,9 +96,24 @@ def check_metrics_json(path, doc):
 
 
 def check_bench_json(path, doc):
+    if not (isinstance(doc.get("bench"), str) and doc["bench"]):
+        fail(path, f"bad bench name {doc.get('bench')!r}")
     if not (isinstance(doc.get("rows"), list) and doc["rows"]):
         fail(path, "bench document has no rows")
+    planner = False
+    for i, row in enumerate(doc["rows"]):
+        if not (isinstance(row, dict) and row):
+            fail(path, f"row {i} is not a non-empty object")
+        if "p50_ms" in row or "p99_ms" in row:
+            planner = True
+            if not 0 <= row.get("p50_ms", -1) <= row.get("p99_ms", -1):
+                fail(path, f"row {i}: bad p50_ms/p99_ms {row.get('p50_ms')!r}"
+                           f"/{row.get('p99_ms')!r}")
     histograms = check_metrics_object(path, doc["metrics"])
+    if planner:
+        for name in ("opt.candidates", "opt.kept"):
+            if not doc["metrics"].get(name, 0) > 0:
+                fail(path, f"planner rows but {name} is not positive")
     print(f"{path}: tce-bench/1 metrics ok ({len(doc['rows'])} rows, "
           f"{len(doc['metrics'])} metrics, {histograms} histograms)")
 
