@@ -10,7 +10,6 @@
 #include "tce/obs/metrics.hpp"
 #include "tce/obs/trace.hpp"
 #include "tce/tensor/kernel.hpp"
-#include "tce/tensor/matmul.hpp"
 #include "tce/tensor/ttgt.hpp"
 
 namespace tce {
@@ -116,36 +115,6 @@ TtgtLowering lower_node(const ContractionNode& node,
                     result_block.extents());
 }
 
-/// c += s elementwise.  The four-wide body lets -O2 use packed adds;
-/// each element still takes exactly one addition.
-void add_into(std::span<double> c, std::span<const double> s) {
-  TCE_EXPECTS(c.size() == s.size());
-  double* __restrict cp = c.data();
-  const double* __restrict sp = s.data();
-  const std::size_t n = c.size();
-  std::size_t x = 0;
-  for (; x + 4 <= n; x += 4) {
-    cp[x] += sp[x];
-    cp[x + 1] += sp[x + 1];
-    cp[x + 2] += sp[x + 2];
-    cp[x + 3] += sp[x + 3];
-  }
-  for (; x < n; ++x) cp[x] += sp[x];
-}
-
-/// c += the GEMM product of packed a and b.  The product goes to the
-/// zeroed \p scratch first and is then added to \p c: the same
-/// per-element additions as the one-shot ttgt_contract_acc, which a
-/// GEMM straight into \p c would reorder whenever K spans several KC
-/// panels.
-void block_product_acc(const TtgtLowering& low, std::span<const double> a,
-                       std::span<const double> b, std::span<double> c,
-                       std::span<double> scratch) {
-  std::fill(scratch.begin(), scratch.end(), 0.0);
-  matmul_acc(a, b, scratch, low.m(), low.k(), low.n());
-  add_into(c, scratch);
-}
-
 /// Network::run_phases, plus a histogram sample per phase duration
 /// ("cannon.phase_s") when the registry is recording — per-phase
 /// spread is what the p50/p99 of an execution's rotation steps read.
@@ -236,22 +205,27 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
   const TtgtLowering low = lower_node(node, left_full, a_first, right_full,
                                       b_first, out.result, c_first);
 
-  // Per-logical-processor block state in packed GEMM layout, flattened
-  // w1 * e + w2: A as [m][k], B as [k][n] and the accumulated result as
-  // [m][n].  Each block is gathered once; rotations move whole buffers.
+  // Per-logical-processor block state, flattened w1 * e + w2: A and B
+  // in the layout of the kernel that multiplies them, the accumulated
+  // result as a row-major [m][n] block.  Each operand block is gathered
+  // and packed once; rotations move whole buffers.
+  PackedGemm gemm(low.m(), low.k(), low.n());
   const std::size_t np = static_cast<std::size_t>(e) * e;
   std::vector<std::vector<double>> a_blk(np), b_blk(np), c_blk(np);
   std::vector<Triple> coords(np);
+  std::vector<double> a_rows(low.a.size()), b_rows(low.b.size());
 
   for (std::uint32_t w1 = 0; w1 < e; ++w1) {
     for (std::uint32_t w2 = 0; w2 < e; ++w2) {
       const Triple t = triple_at(choice, e, w1, w2, 0);
       const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
       coords[p] = t;
-      a_blk[p].resize(low.a.size());
-      gather_packed(from_origin(left_full, a_range(t)), low.a, a_blk[p]);
-      b_blk[p].resize(low.b.size());
-      gather_packed(from_origin(right_full, b_range(t)), low.b, b_blk[p]);
+      gather_packed(from_origin(left_full, a_range(t)), low.a, a_rows);
+      a_blk[p].resize(gemm.a_size());
+      gemm.pack_a(a_rows, a_blk[p]);
+      gather_packed(from_origin(right_full, b_range(t)), low.b, b_rows);
+      b_blk[p].resize(gemm.b_size());
+      gemm.pack_b(b_rows, b_blk[p]);
       c_blk[p].assign(low.c.size(), 0.0);
     }
   }
@@ -269,6 +243,19 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
   const bool b_rot = choice.rotates_right();
   const bool c_rot = choice.rotates_result();
 
+  // Flows and the memory peak count the logical blocks, never the
+  // kernel's padded panels.  Every rank holds its three blocks plus a
+  // receive buffer for the largest rotating one.
+  const std::uint64_t a_bytes = checked_mul(low.a.size(), sizeof(double));
+  const std::uint64_t b_bytes = checked_mul(low.b.size(), sizeof(double));
+  const std::uint64_t c_bytes = checked_mul(low.c.size(), sizeof(double));
+  std::uint64_t largest_moving = 0;
+  if (a_rot) largest_moving = std::max(largest_moving, a_bytes);
+  if (b_rot) largest_moving = std::max(largest_moving, b_bytes);
+  if (c_rot) largest_moving = std::max(largest_moving, c_bytes);
+  out.peak_rank_bytes = checked_add(
+      checked_add(checked_add(a_bytes, b_bytes), c_bytes), largest_moving);
+
   auto shifted = [&](std::uint32_t w1, std::uint32_t w2,
                      int logical_dim) -> std::size_t {
     if (logical_dim == 1) w1 = (w1 + e - 1) % e;
@@ -278,8 +265,6 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
 
   std::vector<Phase> phases;
   phases.reserve(e);
-  std::uint64_t peak = 0;
-  std::vector<double> scratch(low.c.size());
 
   for (std::uint32_t s = 0; s < e; ++s) {
     Phase phase;
@@ -291,34 +276,23 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
     for (std::uint32_t w1 = 0; w1 < e; ++w1) {
       for (std::uint32_t w2 = 0; w2 < e; ++w2) {
         const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
-        block_product_acc(low, a_blk[p], b_blk[p], c_blk[p], scratch);
+        gemm.multiply_acc(a_blk[p], b_blk[p], c_blk[p]);
         phase.compute.push_back({phys(w1, w2), flops_per_block});
-
-        std::uint64_t resident = (a_blk[p].size() + b_blk[p].size() +
-                                  c_blk[p].size()) *
-                                 sizeof(double);
-        std::uint64_t largest_moving = 0;
-        if (a_rot) largest_moving = std::max(largest_moving, a_blk[p].size());
-        if (b_rot) largest_moving = std::max(largest_moving, b_blk[p].size());
-        if (c_rot) largest_moving = std::max(largest_moving, c_blk[p].size());
-        peak = std::max(peak, resident + largest_moving * sizeof(double));
 
         // Emit the shift flows for this step (every step shifts; the last
         // shift returns blocks to their aligned start — the √P-step
         // rotation accounting of §3.2).
-        auto emit = [&](const std::vector<double>& blk, int logical_dim) {
+        auto emit = [&](std::uint64_t bytes, int logical_dim) {
           const std::size_t q = shifted(w1, w2, logical_dim);
           const std::uint32_t src = phys(w1, w2);
           const std::uint32_t dst =
               phys(static_cast<std::uint32_t>(q / e),
                    static_cast<std::uint32_t>(q % e));
-          if (src != dst) {
-            phase.flows.push_back({src, dst, blk.size() * sizeof(double)});
-          }
+          if (src != dst) phase.flows.push_back({src, dst, bytes});
         };
-        if (a_rot) emit(a_blk[p], 2);
-        if (b_rot) emit(b_blk[p], 1);
-        if (c_rot) emit(c_blk[p], choice.rot == choice.i ? 1 : 2);
+        if (a_rot) emit(a_bytes, 2);
+        if (b_rot) emit(b_bytes, 1);
+        if (c_rot) emit(c_bytes, choice.rot == choice.i ? 1 : 2);
       }
     }
     phases.push_back(std::move(phase));
@@ -367,10 +341,8 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
                    sizeof(double));
   }
   out.timing = run_phases_observed(net, phases);
-  out.peak_rank_bytes = peak;
   return out;
 }
-
 
 CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
                                const IndexSpace& space,
@@ -453,10 +425,7 @@ CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
                        out.result, partial_first)
           : lower_node(node, left_full, repl_first, right_full, stat_first,
                        out.result, partial_first);
-  const PackedWalk& stat_walk = spec.replicate_right ? low.a : low.b;
-  const PackedWalk& repl_walk = spec.replicate_right ? low.b : low.a;
 
-  std::uint64_t peak = 0;
   std::uint64_t packed = 0;
   Phase compute_phase;
   if (obs::trace_enabled()) {
@@ -469,28 +438,27 @@ CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
       checked_mul(2, node.loop_indices().extent_product(space));
   for (int d = 0; d < split_dims; ++d) per_rank_flops /= e;
 
-  std::vector<double> stat_blk(stat_walk.size());
-  std::vector<double> repl_blk(repl_walk.size());
+  PackedGemm gemm(low.m(), low.k(), low.n());
+  std::vector<double> a_rows(low.a.size()), b_rows(low.b.size());
+  std::vector<double> a_pk(gemm.a_size()), b_pk(gemm.b_size());
   std::vector<double> partial(low.c.size());
-  std::vector<double> scratch(low.c.size());
   for (std::uint32_t z1 = 0; z1 < e; ++z1) {
     for (std::uint32_t z2 = 0; z2 < e; ++z2) {
-      gather_packed(from_origin(stat_full, stat_range(z1, z2)), stat_walk,
-                    stat_blk);
-      gather_packed(from_origin(repl_full, repl_range(z1, z2)), repl_walk,
-                    repl_blk);
+      const BlockRange stat_r = stat_range(z1, z2);
+      const BlockRange repl_r = repl_range(z1, z2);
+      gather_packed(
+          from_origin(left_full, spec.replicate_right ? stat_r : repl_r),
+          low.a, a_rows);
+      gemm.pack_a(a_rows, a_pk);
+      gather_packed(
+          from_origin(right_full, spec.replicate_right ? repl_r : stat_r),
+          low.b, b_rows);
+      gemm.pack_b(b_rows, b_pk);
       std::fill(partial.begin(), partial.end(), 0.0);
-      if (spec.replicate_right) {
-        block_product_acc(low, stat_blk, repl_blk, partial, scratch);
-      } else {
-        block_product_acc(low, repl_blk, stat_blk, partial, scratch);
-      }
+      gemm.multiply_acc(a_pk, b_pk, partial);
       compute_phase.compute.push_back({grid.rank(z1, z2),
                                        per_rank_flops});
-      peak = std::max(peak, (stat_blk.size() + repl_full.size() +
-                             partial.size()) *
-                                sizeof(double));
-      packed += stat_blk.size() + repl_blk.size();
+      packed += low.a.size() + low.b.size();
 
       // Accumulate into the full result; replicas (grid dims that split
       // nothing of the stationary operand and carry no reduction) only
@@ -528,7 +496,13 @@ CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
   }
 
   out.timing = run_phases_observed(net, phases);
-  out.peak_rank_bytes = peak;
+  // Every rank holds its stationary block, the whole replicated operand
+  // and its partial result.
+  const std::uint64_t stat_elems =
+      spec.replicate_right ? low.a.size() : low.b.size();
+  out.peak_rank_bytes = checked_mul(
+      checked_add(checked_add(stat_elems, repl_full.size()), low.c.size()),
+      sizeof(double));
   return out;
 }
 
@@ -545,7 +519,13 @@ TreeRunResult run_tree(const Network& net, const ProcGrid& grid,
                        const ContractionTree& tree,
                        const std::map<NodeId, ExecChoice>& choices,
                        const std::map<std::string, DenseTensor>& inputs) {
-  std::map<NodeId, DenseTensor> values;
+  // Live values by node: inputs are read in place, intermediates are
+  // owned here until their consumer has run.
+  std::map<NodeId, DenseTensor> owned;
+  std::map<NodeId, const DenseTensor*> values;
+  auto produce = [&](NodeId id, DenseTensor t) {
+    values[id] = &(owned[id] = std::move(t));
+  };
   TreeRunResult out;
 
   for (NodeId id : tree.post_order()) {
@@ -557,7 +537,7 @@ TreeRunResult run_tree(const Network& net, const ProcGrid& grid,
           fail_executor("run_tree: missing input '" + n.tensor.name +
                         "'");
         }
-        values.emplace(id, it->second);
+        values[id] = &it->second;
         break;
       }
       case ContractionNode::Kind::kContraction: {
@@ -580,31 +560,38 @@ TreeRunResult run_tree(const Network& net, const ProcGrid& grid,
                           "' admits no fully-assigned Cannon triplet");
           }
         }
+        const DenseTensor& left = *values.at(n.left);
+        const DenseTensor& right = *values.at(n.right);
         CannonRunResult r =
             choice.replicated
                 ? run_replicated(net, grid, tree.space(), n, choice.repl,
-                                 values.at(n.left), values.at(n.right))
-                : run_cannon(net, grid, tree.space(), n, choice.cannon,
-                             values.at(n.left), values.at(n.right));
+                                 left, right)
+                : run_cannon(net, grid, tree.space(), n, choice.cannon, left,
+                             right);
         out.timing.comm_s += r.timing.comm_s;
         out.timing.compute_s += r.timing.compute_s;
-        values.emplace(id, std::move(r.result));
+        produce(id, std::move(r.result));
         break;
       }
       case ContractionNode::Kind::kReduce: {
         // A pure reduction over locally complete data: modeled as local
         // compute (one add per input element per processor share).
-        values.emplace(id, einsum_reduce(values.at(n.left), n.tensor.dims));
+        produce(id, einsum_reduce(*values.at(n.left), n.tensor.dims));
         out.timing.compute_s +=
             static_cast<double>(tree.flops(id) / grid.procs) /
             net.spec().flops_per_proc;
         break;
       }
     }
-    if (n.left != kNoNode) values.erase(n.left);
-    if (n.right != kNoNode) values.erase(n.right);
+    for (NodeId child : {n.left, n.right}) {
+      if (child == kNoNode) continue;
+      values.erase(child);
+      owned.erase(child);
+    }
   }
-  out.result = std::move(values.at(tree.root()));
+  auto root = owned.find(tree.root());
+  out.result = root != owned.end() ? std::move(root->second)
+                                   : *values.at(tree.root());
   return out;
 }
 

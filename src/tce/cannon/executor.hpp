@@ -4,14 +4,16 @@
 /// simulated cluster.
 ///
 /// The executor is an SPMD simulation: every rank owns real double-
-/// precision blocks, local block products run through the dispatching
-/// GEMM, and each synchronized rotation step emits its point-to-point
-/// flows to the flow-level network simulator, which prices them under
-/// contention.  Each contraction is lowered once per run, and every
-/// rank keeps its blocks in packed GEMM layout from the first gather to
-/// the final scatter (docs/KERNELS.md).  The result is therefore both a *numerically correct*
-/// output tensor (validated against the reference einsum in tests) and a
-/// *simulated wall time* decomposed into communication and computation.
+/// precision blocks, local block products run through the packed-operand
+/// GEMM (PackedGemm), and each synchronized rotation step emits its
+/// point-to-point flows to the flow-level network simulator, which
+/// prices them under contention.  Each contraction is lowered once per
+/// run, and every rank packs its operand blocks once, into the layout of
+/// the kernel that multiplies them, and keeps them packed until the
+/// final scatter (docs/KERNELS.md).  The result is therefore both a
+/// *numerically correct* output tensor (validated against the reference
+/// einsum in tests) and a *simulated wall time* decomposed into
+/// communication and computation.
 ///
 /// Block schedule (canonical orientation; the transposed orientation
 /// swaps the grid dimensions): with e = √P, processor (z1, z2) at step s

@@ -230,6 +230,75 @@ void pack_b_panel(const double* b, std::size_t ldb, std::size_t pc,
   }
 }
 
+/// The macro-kernel shared by both tiled entry points: C (mc_eff×nc_eff
+/// at \p c, row stride \p ldc) += one packed MC×KC panel of A (\p ap)
+/// times one packed KC×NC panel of B (\p bp), MR×NR micro-tile by
+/// micro-tile.
+void macro_kernel(const double* ap, const double* bp, std::size_t mc_eff,
+                  std::size_t nc_eff, std::size_t kc_eff, double* c,
+                  std::size_t ldc) {
+  const MicroKernelFn micro = micro_dispatch().fn;
+  for (std::size_t jr = 0; jr < nc_eff; jr += kMicroN) {
+    const std::size_t nr = std::min(kMicroN, nc_eff - jr);
+    const double* bp_r = bp + jr * kc_eff;
+    for (std::size_t ir = 0; ir < mc_eff; ir += kMicroM) {
+      const std::size_t mr = std::min(kMicroM, mc_eff - ir);
+      const double* ap_r = ap + ir * kc_eff;
+      double* cp = c + ir * ldc + jr;
+      if (mr == kMicroM && nr == kMicroN) {
+        micro(kc_eff, ap_r, bp_r, cp, ldc);
+      } else {
+        // Edge tile: run the full microkernel into a bounce buffer,
+        // accumulate only the valid mr×nr corner.
+        double tmp[kMicroM * kMicroN] = {};
+        micro(kc_eff, ap_r, bp_r, tmp, kMicroN);
+        for (std::size_t i = 0; i < mr; ++i) {
+          for (std::size_t j = 0; j < nr; ++j) {
+            cp[i * ldc + j] += tmp[i * kMicroN + j];
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Runs fn(bi) for the \p m_blocks MC row-blocks of one panel pair on
+/// the shared pool.  Disjoint C rows per block and a sequential pc loop
+/// in the caller keep the accumulation order fixed, so the result is
+/// bitwise identical at every thread count.  One thread or one block
+/// runs inline, as the pool itself would, without building a
+/// std::function.
+template <typename Fn>
+void for_each_mc_block(std::size_t m_blocks, unsigned threads,
+                       const Fn& fn) {
+  if (threads <= 1 || m_blocks == 1) {
+    for (std::size_t bi = 0; bi < m_blocks; ++bi) fn(bi);
+    return;
+  }
+  ThreadPool::shared().parallel_for(m_blocks, threads, fn);
+}
+
+/// One tiled-GEMM call's metrics.  The clock is read only while the
+/// registry records, and not at all when \p tiled is false (the
+/// reference kernel is not instrumented).
+class TiledCallMetrics {
+ public:
+  explicit TiledCallMetrics(bool tiled = true) {
+    if (tiled && obs::metrics_enabled()) sw_.emplace();
+  }
+
+  /// Records kernel.gemm_s, kernel.tiled_calls and \p pack_bytes.
+  void record(std::uint64_t pack_bytes = 0) const {
+    if (!sw_.has_value()) return;
+    obs::observe("kernel.gemm_s", sw_->elapsed_s());
+    if (pack_bytes > 0) obs::count("kernel.pack_bytes", pack_bytes);
+    obs::count("kernel.tiled_calls");
+  }
+
+ private:
+  std::optional<Stopwatch> sw_;
+};
+
 }  // namespace
 
 const char* kernel_kind_name(KernelKind kind) noexcept {
@@ -312,13 +381,10 @@ void gemm_tiled(std::span<const double> a, std::span<const double> b,
   TCE_EXPECTS(c.size() == m * n);
   if (m == 0 || n == 0 || k == 0) return;  // C += 0: nothing to do
 
-  const bool recording = obs::metrics_enabled();
-  const Stopwatch sw;
-
+  const TiledCallMetrics metrics;
   const std::size_t mc = round_up(tiles.mc, kMicroM);
   const std::size_t kc = tiles.kc;
   const std::size_t nc = round_up(tiles.nc, kMicroN);
-  const MicroKernelFn micro = micro_dispatch().fn;
 
   const std::size_t m_blocks = (m + mc - 1) / mc;
   const unsigned use_threads = std::min<std::size_t>(
@@ -336,50 +402,137 @@ void gemm_tiled(std::span<const double> a, std::span<const double> b,
       pack_bytes += nc_pad * kc_eff * sizeof(double);
       pack_bytes += round_up(m, kMicroM) * kc_eff * sizeof(double);
 
-      // MC row-blocks in parallel: disjoint C rows per block and a
-      // sequential pc loop keep the accumulation order fixed, so the
-      // result is bitwise identical at every thread count.
-      ThreadPool::shared().parallel_for(
-          m_blocks, use_threads, [&](std::size_t bi) {
-            const std::size_t ic = bi * mc;
-            const std::size_t mc_eff = std::min(mc, m - ic);
-            const std::size_t mc_pad = round_up(mc_eff, kMicroM);
-            thread_local std::vector<double> apack;
-            apack.resize(mc_pad * kc_eff);
-            pack_a_panel(a.data(), k, ic, pc, mc_eff, kc_eff,
-                         apack.data());
-
-            for (std::size_t jr = 0; jr < nc_eff; jr += kMicroN) {
-              const std::size_t nr = std::min(kMicroN, nc_eff - jr);
-              const double* bp = bpack.data() + jr * kc_eff;
-              for (std::size_t ir = 0; ir < mc_eff; ir += kMicroM) {
-                const std::size_t mr = std::min(kMicroM, mc_eff - ir);
-                const double* ap = apack.data() + ir * kc_eff;
-                double* cp = c.data() + (ic + ir) * n + jc + jr;
-                if (mr == kMicroM && nr == kMicroN) {
-                  micro(kc_eff, ap, bp, cp, n);
-                } else {
-                  // Edge tile: run the full microkernel into a bounce
-                  // buffer, accumulate only the valid mr×nr corner.
-                  double tmp[kMicroM * kMicroN] = {};
-                  micro(kc_eff, ap, bp, tmp, kMicroN);
-                  for (std::size_t i = 0; i < mr; ++i) {
-                    for (std::size_t j = 0; j < nr; ++j) {
-                      cp[i * n + j] += tmp[i * kMicroN + j];
-                    }
-                  }
-                }
-              }
-            }
-          });
+      for_each_mc_block(m_blocks, use_threads, [&](std::size_t bi) {
+        const std::size_t ic = bi * mc;
+        const std::size_t mc_eff = std::min(mc, m - ic);
+        thread_local std::vector<double> apack;
+        apack.resize(round_up(mc_eff, kMicroM) * kc_eff);
+        pack_a_panel(a.data(), k, ic, pc, mc_eff, kc_eff, apack.data());
+        macro_kernel(apack.data(), bpack.data(), mc_eff, nc_eff, kc_eff,
+                     c.data() + ic * n + jc, n);
+      });
     }
   }
+  metrics.record(pack_bytes);
+}
 
-  if (recording) {
-    obs::observe("kernel.gemm_s", sw.elapsed_s());
-    obs::count("kernel.pack_bytes", pack_bytes);
-    obs::count("kernel.tiled_calls");
+PackedGemm::PackedGemm(std::size_t m, std::size_t k, std::size_t n,
+                       const KernelConfig& cfg)
+    : m_(m),
+      k_(k),
+      n_(n),
+      kind_(select_kernel(
+          cfg.kind,
+          checked_mul(checked_mul(static_cast<std::uint64_t>(m), k), n))),
+      tiles_(cfg.tiles) {
+  const std::size_t mc = round_up(tiles_.mc, kMicroM);
+  threads_ = static_cast<unsigned>(std::min<std::size_t>(
+      ThreadPool::resolve_threads(cfg.threads), (m + mc - 1) / mc));
+}
+
+std::size_t PackedGemm::a_size() const noexcept {
+  return kind_ == KernelKind::kTiled ? round_up(m_, kMicroM) * k_ : m_ * k_;
+}
+
+std::size_t PackedGemm::b_size() const noexcept {
+  return kind_ == KernelKind::kTiled ? k_ * round_up(n_, kMicroN) : k_ * n_;
+}
+
+void PackedGemm::pack_a(std::span<const double> a,
+                        std::span<double> out) const {
+  TCE_EXPECTS(a.size() == m_ * k_);
+  TCE_EXPECTS(out.size() == a_size());
+  if (kind_ != KernelKind::kTiled) {
+    std::copy(a.begin(), a.end(), out.begin());
+    return;
   }
+  // KC block pc holds round_up(m, MR)·kc_eff elements: the MR-row
+  // micro-panels of every MC block, which gemm_tiled packs one MC block
+  // at a time.
+  const std::size_t m_pad = round_up(m_, kMicroM);
+  for (std::size_t pc = 0; pc < k_; pc += tiles_.kc) {
+    const std::size_t kc_eff = std::min(tiles_.kc, k_ - pc);
+    pack_a_panel(a.data(), k_, 0, pc, m_, kc_eff, out.data() + m_pad * pc);
+  }
+  if (obs::metrics_enabled()) {
+    obs::count("kernel.pack_bytes", out.size() * sizeof(double));
+  }
+}
+
+void PackedGemm::pack_b(std::span<const double> b,
+                        std::span<double> out) const {
+  TCE_EXPECTS(b.size() == k_ * n_);
+  TCE_EXPECTS(out.size() == b_size());
+  if (kind_ != KernelKind::kTiled) {
+    std::copy(b.begin(), b.end(), out.begin());
+    return;
+  }
+  // NC block jc holds nc_pad·k elements, its KC blocks in order.
+  const std::size_t nc = round_up(tiles_.nc, kMicroN);
+  for (std::size_t jc = 0; jc < n_; jc += nc) {
+    const std::size_t nc_eff = std::min(nc, n_ - jc);
+    const std::size_t nc_pad = round_up(nc_eff, kMicroN);
+    for (std::size_t pc = 0; pc < k_; pc += tiles_.kc) {
+      const std::size_t kc_eff = std::min(tiles_.kc, k_ - pc);
+      pack_b_panel(b.data(), n_, pc, jc, kc_eff, nc_eff,
+                   out.data() + jc * k_ + nc_pad * pc);
+    }
+  }
+  if (obs::metrics_enabled()) {
+    obs::count("kernel.pack_bytes", out.size() * sizeof(double));
+  }
+}
+
+void PackedGemm::tiled_product(const double* ap, const double* bp,
+                               double* out) const {
+  const std::size_t mc = round_up(tiles_.mc, kMicroM);
+  const std::size_t kc = tiles_.kc;
+  const std::size_t nc = round_up(tiles_.nc, kMicroN);
+  const std::size_t m_pad = round_up(m_, kMicroM);
+  const std::size_t m_blocks = (m_ + mc - 1) / mc;
+  for (std::size_t jc = 0; jc < n_; jc += nc) {
+    const std::size_t nc_eff = std::min(nc, n_ - jc);
+    const std::size_t nc_pad = round_up(nc_eff, kMicroN);
+    for (std::size_t pc = 0; pc < k_; pc += kc) {
+      const std::size_t kc_eff = std::min(kc, k_ - pc);
+      const double* a_panel = ap + m_pad * pc;
+      const double* b_panel = bp + jc * k_ + nc_pad * pc;
+      for_each_mc_block(m_blocks, threads_, [&](std::size_t bi) {
+        const std::size_t ic = bi * mc;
+        macro_kernel(a_panel + ic * kc_eff, b_panel,
+                     std::min(mc, m_ - ic), nc_eff, kc_eff,
+                     out + ic * n_ + jc, n_);
+      });
+    }
+  }
+}
+
+void PackedGemm::multiply_acc(std::span<const double> a_packed,
+                              std::span<const double> b_packed,
+                              std::span<double> c) {
+  TCE_EXPECTS(a_packed.size() == a_size());
+  TCE_EXPECTS(b_packed.size() == b_size());
+  TCE_EXPECTS(c.size() == m_ * n_);
+  if (m_ == 0 || n_ == 0 || k_ == 0) return;  // C += 0: nothing to do
+
+  const bool tiled = kind_ == KernelKind::kTiled;
+  const TiledCallMetrics metrics(tiled);
+  if (tiled && k_ <= tiles_.kc) {
+    // One KC panel: each micro-tile adds its whole sum to c once, the
+    // same additions as a product into a zeroed block added to c.
+    tiled_product(a_packed.data(), b_packed.data(), c.data());
+  } else {
+    // Across KC panels, or under the reference kernel, the kernel adds
+    // partial sums one at a time, so the product needs its own block.
+    scratch_.assign(c.size(), 0.0);
+    if (tiled) {
+      tiled_product(a_packed.data(), b_packed.data(), scratch_.data());
+    } else {
+      gemm_ref(a_packed, b_packed, scratch_, m_, k_, n_, tiles_);
+    }
+    for (std::size_t x = 0; x < c.size(); ++x) c[x] += scratch_[x];
+  }
+  metrics.record();
 }
 
 double gemm_model_efficiency(std::uint64_t m, std::uint64_t n,

@@ -17,6 +17,10 @@
 ///    and the KC accumulation order is fixed, so results are bitwise
 ///    identical at every thread count.
 ///
+/// `PackedGemm` runs either kernel on operands packed once into that
+/// kernel's layout, for callers that multiply the same blocks many
+/// times (the Cannon executor).
+///
 /// Which kernel runs is decided at *execution* time by the process-wide
 /// KernelConfig (`TCE_KERNEL` / `--kernel`, auto by default with a size
 /// cutoff).  Planning never consults it: plans are byte-identical under
@@ -26,6 +30,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "tce/common/error.hpp"
 
@@ -127,6 +132,48 @@ void gemm_tiled(std::span<const double> a, std::span<const double> b,
                 std::span<double> c, std::size_t m, std::size_t k,
                 std::size_t n, const TileConfig& tiles,
                 unsigned threads = 0);
+
+/// An m×k · k×n GEMM whose operands are packed once, into the layout
+/// of the kernel that runs them, and then multiplied any number of
+/// times without further packing.  The kernel, tiles and threads are
+/// resolved once, at construction.  Under the tiled kernel a packed
+/// operand is gemm_tiled's MR/NR micro-panels concatenated over its
+/// KC/NC blocks; under the reference kernel it stays row-major.
+class PackedGemm {
+ public:
+  /// Resolves \p cfg (kAuto by size) for this shape.
+  PackedGemm(std::size_t m, std::size_t k, std::size_t n,
+             const KernelConfig& cfg = kernel_config());
+
+  /// Elements of a packed A (resp. B) buffer.
+  std::size_t a_size() const noexcept;
+  std::size_t b_size() const noexcept;
+
+  /// Packs row-major m×k \p a (resp. k×n \p b) into \p out, which holds
+  /// a_size() (resp. b_size()) elements.
+  void pack_a(std::span<const double> a, std::span<double> out) const;
+  void pack_b(std::span<const double> b, std::span<double> out) const;
+
+  /// c (m×n, row-major) += A·B from packed operands, added as one fresh
+  /// product: bit for bit what the kernel computes into a zeroed block,
+  /// then added to c.  When the tiled kernel's K fits one KC panel that
+  /// is the same additions as multiplying straight into c, which it
+  /// does; otherwise the product goes through a zeroed scratch block.
+  void multiply_acc(std::span<const double> a_packed,
+                    std::span<const double> b_packed, std::span<double> c);
+
+ private:
+  /// The tiled loop nest over packed panels: out += A·B.
+  void tiled_product(const double* ap, const double* bp, double* out) const;
+
+  std::size_t m_;
+  std::size_t k_;
+  std::size_t n_;
+  KernelKind kind_;
+  TileConfig tiles_;
+  unsigned threads_ = 1;
+  std::vector<double> scratch_;
+};
 
 /// The SIMD variant the microkernel dispatch picked at startup
 /// ("avx2" or "generic") — for bench/diagnostic output.

@@ -54,26 +54,36 @@ std::uint64_t last_offset(const PackedWalk& w) {
   return off;
 }
 
+/// for_each_run's walk over dimensions \p dim onward: \p from is the
+/// block offset of the position fixed in the dimensions before \p dim,
+/// and \p to the packed offset of the next run.
+template <typename Fn>
+void walk_runs(const PackedWalk& w, std::size_t dim, std::uint64_t from,
+               std::uint64_t& to, Fn& run) {
+  const std::size_t inner = w.extents.size() - 1;
+  if (dim == inner) {
+    run(from, to);
+    to += w.extents[inner];
+    return;
+  }
+  for (std::uint64_t x = 0; x < w.extents[dim]; ++x) {
+    walk_runs(w, dim + 1, from, to, run);
+    from += w.strides[dim];
+  }
+}
+
 /// Calls run(from, to) for every innermost run of \p w: the run starts
 /// at offset `from` of the block and at offset `to` of the packed
-/// buffer, and is w.extents.back() elements long (1 at rank 0).  Outer
-/// dimensions advance by odometer.
+/// buffer, and is w.extents.back() elements long (1 at rank 0).  The
+/// block offset is carried forward as the outer dimensions advance.
 template <typename Fn>
 void for_each_run(const PackedWalk& w, Fn&& run) {
   if (w.extents.empty()) {
     run(std::uint64_t{0}, std::uint64_t{0});
     return;
   }
-  const std::size_t outer = w.extents.size() - 1;
-  MultiIndex mi(std::span<const std::uint64_t>(w.extents.data(), outer));
   std::uint64_t to = 0;
-  do {
-    const auto idx = mi.values();
-    std::uint64_t from = 0;
-    for (std::size_t i = 0; i < outer; ++i) from += idx[i] * w.strides[i];
-    run(from, to);
-    to += w.extents[outer];
-  } while (mi.advance());
+  walk_runs(w, 0, 0, to, run);
 }
 
 /// Length and stride of the walk's innermost runs.

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <string>
 #include <type_traits>
 
 #include "tce/cannon/executor.hpp"
@@ -30,8 +31,20 @@ constexpr const char* kSmallPaper = R"(
   S[a,b,i,j]  = sum[c,k] T2[b,c,j,k] * A[a,c,i,k]
 )";
 
-constexpr KernelKind kBothKernels[] = {KernelKind::kReference,
-                                       KernelKind::kTiled};
+/// The bitwise batteries' kernel configs: both kernels at the default
+/// tiles, and the tiled kernel at 8/8/8 tiles, where K crosses KC panels
+/// and N crosses NC panels.
+const KernelConfig kExactConfigs[] = {
+    {KernelKind::kReference, TileConfig{}, 0},
+    {KernelKind::kTiled, TileConfig{}, 0},
+    {KernelKind::kTiled, TileConfig{8, 8, 8}, 0},
+};
+
+/// "ref kc=256" and the like, for failure messages.
+std::string config_name(const KernelConfig& cfg) {
+  return std::string(kernel_kind_name(cfg.kind)) +
+         " kc=" + std::to_string(cfg.tiles.kc);
+}
 
 bool bitwise_equal(const DenseTensor& x, const DenseTensor& y) {
   return x.dims() == y.dims() && x.extents() == y.extents() &&
@@ -129,18 +142,19 @@ std::uint64_t cannon_peak_bytes(const IndexSpace& space,
   return (na + nb + nc + moving) * sizeof(double);
 }
 
-/// Runs \p choice under both kernels and requires run_cannon to equal
-/// reference_cannon bit for bit and its peak to match the closed form.
+/// Runs \p choice under every kExactConfigs entry and requires
+/// run_cannon to equal reference_cannon bit for bit and its peak to
+/// match the closed form.
 void expect_cannon_exact(const Network& net, const ProcGrid& grid,
                          const IndexSpace& space, const ContractionNode& n,
                          const CannonChoice& choice, const DenseTensor& a,
                          const DenseTensor& b) {
-  for (const KernelKind kind : kBothKernels) {
-    const ScopedKernelConfig scoped(kind);
+  for (const KernelConfig& cfg : kExactConfigs) {
+    const ScopedKernelConfig scoped(cfg);
     const CannonRunResult r = run_cannon(net, grid, space, n, choice, a, b);
     EXPECT_TRUE(bitwise_equal(
         r.result, reference_cannon(space, grid, n, choice, a, b)))
-        << n.tensor.name << " kernel=" << kernel_kind_name(kind)
+        << n.tensor.name << " kernel=" << config_name(cfg)
         << " i=" << int(choice.i) << " j=" << int(choice.j)
         << " k=" << int(choice.k) << " rot=" << int(choice.rot)
         << " transposed=" << choice.transposed;
@@ -364,7 +378,7 @@ TEST(CannonReplicated, MatchesBlockReferenceBitwise) {
   a.fill_random(rng);
   b.fill_random(rng);
 
-  int runs = 0;
+  std::size_t runs = 0;
   for (const std::uint32_t procs : {4u, 16u}) {
     const ProcGrid grid = ProcGrid::make(procs, 2);
     const Network net(ClusterSpec::itanium2003(procs / 2));
@@ -393,8 +407,8 @@ TEST(CannonReplicated, MatchesBlockReferenceBitwise) {
                  block_elems(space, node.tensor.dims, s_r, kNoIndex,
                              grid.edge)) *
                 sizeof(double);
-            for (const KernelKind kind : kBothKernels) {
-              const ScopedKernelConfig scoped(kind);
+            for (const KernelConfig& cfg : kExactConfigs) {
+              const ScopedKernelConfig scoped(cfg);
               const CannonRunResult r =
                   run_replicated(net, grid, space, node, spec, a, b);
               EXPECT_TRUE(bitwise_equal(
@@ -402,7 +416,7 @@ TEST(CannonReplicated, MatchesBlockReferenceBitwise) {
                   reference_replicated(space, grid, node, spec, a, b)))
                   << "procs=" << procs << " repl_right=" << repl_right
                   << " s_r=" << int(s_r) << " s_k=" << int(s_k)
-                  << " tr=" << tr << " kernel=" << kernel_kind_name(kind);
+                  << " tr=" << tr << " kernel=" << config_name(cfg);
               EXPECT_EQ(r.peak_rank_bytes, want_peak);
               ++runs;
             }
@@ -411,7 +425,7 @@ TEST(CannonReplicated, MatchesBlockReferenceBitwise) {
       }
     }
   }
-  EXPECT_EQ(runs, 2 * 2 * (3 + 2) * 3 * 2);
+  EXPECT_EQ(runs, 2 * 2 * (3 + 2) * 3 * std::size(kExactConfigs));
 }
 
 // Parameterized sweep over random contraction shapes and grids: the

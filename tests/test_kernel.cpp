@@ -50,13 +50,54 @@ void gemm_naive(const std::vector<double>& a, const std::vector<double>& b,
   }
 }
 
+/// Bitwise equality of two result buffers.
+bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+/// c + the \p kind kernel's product computed into a zeroed block: what
+/// PackedGemm::multiply_acc must give bit for bit.
+std::vector<double> fresh_product(KernelKind kind,
+                                  const std::vector<double>& a,
+                                  const std::vector<double>& b,
+                                  std::vector<double> c, std::size_t m,
+                                  std::size_t k, std::size_t n,
+                                  const TileConfig& tiles) {
+  std::vector<double> product(m * n, 0.0);
+  if (kind == KernelKind::kTiled) {
+    gemm_tiled(a, b, product, m, k, n, tiles, /*threads=*/1);
+  } else {
+    gemm_ref(a, b, product, m, k, n, tiles);
+  }
+  for (std::size_t i = 0; i < c.size(); ++i) c[i] += product[i];
+  return c;
+}
+
+/// c after a PackedGemm packs a and b once and multiplies them.
+std::vector<double> packed_product(KernelKind kind,
+                                   const std::vector<double>& a,
+                                   const std::vector<double>& b,
+                                   std::vector<double> c, std::size_t m,
+                                   std::size_t k, std::size_t n,
+                                   const TileConfig& tiles,
+                                   unsigned threads) {
+  PackedGemm gemm(m, k, n, KernelConfig{kind, tiles, threads});
+  std::vector<double> ap(gemm.a_size()), bp(gemm.b_size());
+  gemm.pack_a(a, ap);
+  gemm.pack_b(b, bp);
+  gemm.multiply_acc(ap, bp, c);
+  return c;
+}
+
 void expect_gemms_agree(std::size_t m, std::size_t k, std::size_t n,
                         const TileConfig& tiles) {
   const std::vector<double> a = random_vec(m * k, 1);
   const std::vector<double> b = random_vec(k * n, 2);
-  std::vector<double> want = random_vec(m * n, 3);
-  std::vector<double> got_ref = want;
-  std::vector<double> got_tiled = want;
+  const std::vector<double> c0 = random_vec(m * n, 3);
+  std::vector<double> want = c0;
+  std::vector<double> got_ref = c0;
+  std::vector<double> got_tiled = c0;
   gemm_naive(a, b, want, m, k, n);
   gemm_ref(a, b, got_ref, m, k, n, tiles);
   gemm_tiled(a, b, got_tiled, m, k, n, tiles, /*threads=*/1);
@@ -67,6 +108,19 @@ void expect_gemms_agree(std::size_t m, std::size_t k, std::size_t n,
         << "ref " << m << "x" << k << "x" << n << " at " << i;
     ASSERT_NEAR(got_tiled[i], want[i], tol)
         << "tiled " << m << "x" << k << "x" << n << " at " << i;
+  }
+  for (const KernelKind kind : {KernelKind::kReference, KernelKind::kTiled}) {
+    const std::vector<double> got_packed =
+        packed_product(kind, a, b, c0, m, k, n, tiles, /*threads=*/1);
+    ASSERT_TRUE(
+        same_bits(got_packed, fresh_product(kind, a, b, c0, m, k, n, tiles)))
+        << "packed " << kernel_kind_name(kind) << " " << m << "x" << k << "x"
+        << n;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_NEAR(got_packed[i], want[i], tol)
+          << "packed " << kernel_kind_name(kind) << " " << m << "x" << k
+          << "x" << n << " at " << i;
+    }
   }
 }
 
@@ -103,6 +157,23 @@ TEST(Gemm, BitwiseDeterministicAcrossThreadCounts) {
     gemm_tiled(a, b, ct, m, k, n, tiles, threads);
     for (std::size_t i = 0; i < c1.size(); ++i) {
       ASSERT_EQ(c1[i], ct[i]) << "threads=" << threads << " at " << i;
+    }
+  }
+  // The packed-operand GEMM, with K in one KC panel and across three.
+  const std::vector<double> c0(m * n, 0.5);
+  TileConfig short_kc;
+  short_kc.kc = 64;
+  for (const TileConfig& t : {tiles, short_kc}) {
+    for (const KernelKind kind :
+         {KernelKind::kReference, KernelKind::kTiled}) {
+      const std::vector<double> want =
+          fresh_product(kind, a, b, c0, m, k, n, t);
+      for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
+        ASSERT_TRUE(same_bits(
+            packed_product(kind, a, b, c0, m, k, n, t, threads), want))
+            << kernel_kind_name(kind) << " kc=" << t.kc
+            << " threads=" << threads;
+      }
     }
   }
 }
@@ -445,6 +516,23 @@ TEST(Kernel, TiledGemmEmitsMetrics) {
   EXPECT_GE(snap.at("kernel.pack_bytes").total,
             n * n * 2 * sizeof(double));
   ASSERT_TRUE(snap.contains("kernel.tiled_calls"));
+
+  // The packed-operand GEMM counts its panel packs once and each
+  // multiply as one tiled call.
+  PackedGemm gemm(n, n, n, KernelConfig{KernelKind::kTiled, TileConfig{}, 1});
+  std::vector<double> ap(gemm.a_size()), bp(gemm.b_size());
+  gemm.pack_a(a, ap);
+  gemm.pack_b(b, bp);
+  gemm.multiply_acc(ap, bp, c);
+  gemm.multiply_acc(ap, bp, c);
+  const auto after = obs::metrics_snapshot();
+  EXPECT_EQ(after.at("kernel.gemm_s").count,
+            snap.at("kernel.gemm_s").count + 2);
+  EXPECT_EQ(after.at("kernel.tiled_calls").total,
+            snap.at("kernel.tiled_calls").total + 2);
+  EXPECT_EQ(after.at("kernel.pack_bytes").total,
+            snap.at("kernel.pack_bytes").total +
+                (ap.size() + bp.size()) * sizeof(double));
 }
 
 }  // namespace
