@@ -13,7 +13,7 @@
 #include "tce/opmin/opmin.hpp"
 #include "tce/simnet/maxmin.hpp"
 #include "tce/tensor/kernel.hpp"
-#include "tce/tensor/matmul.hpp"
+#include "tce/tensor/ttgt.hpp"
 
 #include "bench_common.hpp"
 
@@ -197,7 +197,7 @@ void BM_ContractBlocks(benchmark::State& state) {
   a.fill_random(rng);
   b.fill_random(rng);
   for (auto _ : state) {
-    contract_blocks_acc(a, b, IndexSet::single(1), c);
+    ttgt_contract_acc(a, b, IndexSet::single(1), c);
     benchmark::DoNotOptimize(c.data().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -1,6 +1,8 @@
 #include "tce/cannon/executor.hpp"
 
 #include <algorithm>
+#include <initializer_list>
+#include <type_traits>
 
 #include "tce/common/checked.hpp"
 #include "tce/common/error.hpp"
@@ -35,41 +37,18 @@ namespace {
   throw Error(what);
 }
 
-/// Per-dimension block coordinate assignment: index -> block coordinate,
-/// where the index's extent is split `edge` ways.
-struct SplitSpec {
-  IndexId index;
-  std::uint32_t block;  // in [0, edge)
-};
-
-/// Block range of \p ref where the dims named in \p splits take the given
-/// block, all other dims whole.
-BlockRange range_for(const TensorRef& ref, const IndexSpace& space,
-                     std::uint32_t edge,
-                     const std::vector<SplitSpec>& splits) {
-  BlockRange r;
-  for (IndexId d : ref.dims) {
-    const std::uint64_t n = space.extent(d);
-    const SplitSpec* split = nullptr;
-    for (const auto& s : splits) {
-      if (s.index == d) split = &s;
-    }
-    if (split == nullptr) {
-      r.lo.push_back(0);
-      r.hi.push_back(n);
-    } else {
-      if (n % edge != 0) {
-        fail_executor("run_cannon: extent of index '" + space.name(d) +
-                      "' (" + std::to_string(n) +
-                      ") must divide the grid edge " +
-                      std::to_string(edge));
-      }
-      const std::uint64_t chunk = n / edge;
-      r.lo.push_back(split->block * chunk);
-      r.hi.push_back((split->block + 1) * chunk);
-    }
+/// Fails unless the extent of every index in \p split (kNoIndex
+/// skipped) divides the grid edge: \p who splits them into equal
+/// blocks.  Whole-extent indices need not divide it.
+void check_split_extents(const char* who,
+                         std::initializer_list<IndexId> split,
+                         const IndexSpace& space, std::uint32_t edge) {
+  for (IndexId d : split) {
+    if (d == kNoIndex || space.extent(d) % edge == 0) continue;
+    fail_executor(std::string(who) + ": extent of index '" + space.name(d) +
+                  "' (" + std::to_string(space.extent(d)) +
+                  ") must divide the grid edge " + std::to_string(edge));
   }
-  return r;
 }
 
 /// The block triple (bi, bj, bk) processed by logical processor (w1, w2)
@@ -115,22 +94,6 @@ TtgtLowering lower_node(const ContractionNode& node,
                     result_block.extents());
 }
 
-/// Network::run_phases, plus a histogram sample per phase duration
-/// ("cannon.phase_s") when the registry is recording — per-phase
-/// spread is what the p50/p99 of an execution's rotation steps read.
-PhaseResult run_phases_observed(const Network& net,
-                                const std::vector<Phase>& phases) {
-  if (!obs::metrics_enabled()) return net.run_phases(phases);
-  PhaseResult total;
-  for (const Phase& p : phases) {
-    const PhaseResult r = net.run_phase(p);
-    obs::observe("cannon.phase_s", r.total_s());
-    total.comm_s += r.comm_s;
-    total.compute_s += r.compute_s;
-  }
-  return total;
-}
-
 }  // namespace
 
 CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
@@ -150,6 +113,8 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
         "run_cannon: the numeric executor requires a full (i,j,k) triplet");
   }
   TCE_EXPECTS(net.spec().procs() == grid.procs);
+  check_split_extents("run_cannon", {choice.i, choice.j, choice.k}, space,
+                      grid.edge);
 
   const std::uint32_t e = grid.edge;
   const obs::TraceSpan run_span(
@@ -168,11 +133,6 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
             .field("transposed", choice.transposed)
             .str());
   }
-  // Physical rank of logical processor (w1, w2): the transposed
-  // orientation swaps the grid dimensions.
-  auto phys = [&](std::uint32_t w1, std::uint32_t w2) {
-    return choice.transposed ? grid.rank(w2, w1) : grid.rank(w1, w2);
-  };
 
   // Reconstruct symbolic refs for the operands from their labeled dims.
   TensorRef a_ref{"left", left_full.dims()};
@@ -184,17 +144,21 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
   TCE_EXPECTS(node.right_indices.contains(choice.j));
   TCE_EXPECTS(node.sum_indices.contains(choice.k));
 
-  // Block ranges of the triple (bi, bj, bk).  Every split extent
-  // divides the grid edge, so all ranks' blocks share one shape and the
-  // contraction is lowered once, from rank (0, 0)'s step-0 triple.
+  // Block ranges of the triple (bi, bj, bk) under the triplet's
+  // distributions on the logical grid.  Every split extent divides the
+  // grid edge, so all ranks' blocks share one shape and the contraction
+  // is lowered once, from rank (0, 0)'s step-0 triple.
+  const Distribution a_dist(choice.i, choice.k);
+  const Distribution b_dist(choice.k, choice.j);
+  const Distribution c_dist(choice.i, choice.j);
   auto a_range = [&](const Triple& t) {
-    return range_for(a_ref, space, e, {{choice.i, t.bi}, {choice.k, t.bk}});
+    return block_range(a_ref, a_dist, space, grid, t.bi, t.bk);
   };
   auto b_range = [&](const Triple& t) {
-    return range_for(b_ref, space, e, {{choice.k, t.bk}, {choice.j, t.bj}});
+    return block_range(b_ref, b_dist, space, grid, t.bk, t.bj);
   };
   auto c_range = [&](const Triple& t) {
-    return range_for(c_ref, space, e, {{choice.i, t.bi}, {choice.j, t.bj}});
+    return block_range(c_ref, c_dist, space, grid, t.bi, t.bj);
   };
   CannonRunResult out;
   out.result = make_tensor(c_ref, space);
@@ -230,12 +194,6 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
     }
   }
 
-  // Per-step per-rank compute: one block triple of the full loop space.
-  const std::uint64_t loop_total =
-      node.loop_indices().extent_product(space);
-  const std::uint64_t flops_per_block =
-      checked_mul(2, loop_total / (static_cast<std::uint64_t>(e) * e * e));
-
   // Which arrays shift, and along which logical dimension (1 → w1−1,
   // 2 → w2−1).  Canonical: left shifts along dim 2, right along dim 1,
   // result along dim 1 (rot=i) or dim 2 (rot=j).
@@ -262,67 +220,28 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
     if (logical_dim == 2) w2 = (w2 + e - 1) % e;
     return static_cast<std::size_t>(w1) * e + w2;
   };
-
-  std::vector<Phase> phases;
-  phases.reserve(e);
-
-  for (std::uint32_t s = 0; s < e; ++s) {
-    Phase phase;
-    if (obs::trace_enabled()) {
-      phase.label = node.tensor.name + " rotate step " +
-                    std::to_string(s) + " (rot " +
-                    space.name(choice.rot) + ")";
-    }
+  // Moves \p blocks (or their coordinates) one logical step along
+  // \p logical_dim.
+  auto apply_shift = [&](auto& blocks, int logical_dim) {
+    std::remove_reference_t<decltype(blocks)> next(np);
     for (std::uint32_t w1 = 0; w1 < e; ++w1) {
       for (std::uint32_t w2 = 0; w2 < e; ++w2) {
         const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
-        gemm.multiply_acc(a_blk[p], b_blk[p], c_blk[p]);
-        phase.compute.push_back({phys(w1, w2), flops_per_block});
-
-        // Emit the shift flows for this step (every step shifts; the last
-        // shift returns blocks to their aligned start — the √P-step
-        // rotation accounting of §3.2).
-        auto emit = [&](std::uint64_t bytes, int logical_dim) {
-          const std::size_t q = shifted(w1, w2, logical_dim);
-          const std::uint32_t src = phys(w1, w2);
-          const std::uint32_t dst =
-              phys(static_cast<std::uint32_t>(q / e),
-                   static_cast<std::uint32_t>(q % e));
-          if (src != dst) phase.flows.push_back({src, dst, bytes});
-        };
-        if (a_rot) emit(a_bytes, 2);
-        if (b_rot) emit(b_bytes, 1);
-        if (c_rot) emit(c_bytes, choice.rot == choice.i ? 1 : 2);
+        next[shifted(w1, w2, logical_dim)] = std::move(blocks[p]);
       }
     }
-    phases.push_back(std::move(phase));
-
-    // Apply the shifts to the block state.
-    auto apply_shift = [&](std::vector<std::vector<double>>& blocks,
-                           int logical_dim) {
-      std::vector<std::vector<double>> next(np);
-      for (std::uint32_t w1 = 0; w1 < e; ++w1) {
-        for (std::uint32_t w2 = 0; w2 < e; ++w2) {
-          const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
-          next[shifted(w1, w2, logical_dim)] = std::move(blocks[p]);
-        }
-      }
-      blocks = std::move(next);
-    };
+    blocks = std::move(next);
+  };
+  const int c_dim = choice.rot == choice.i ? 1 : 2;
+  for (std::uint32_t s = 0; s < e; ++s) {
+    for (std::size_t p = 0; p < np; ++p) {
+      gemm.multiply_acc(a_blk[p], b_blk[p], c_blk[p]);
+    }
     if (a_rot) apply_shift(a_blk, 2);
     if (b_rot) apply_shift(b_blk, 1);
-    if (c_rot) apply_shift(c_blk, choice.rot == choice.i ? 1 : 2);
-    // Track the result blocks' coordinates through their shifts.
     if (c_rot) {
-      std::vector<Triple> next(np);
-      const int dim = choice.rot == choice.i ? 1 : 2;
-      for (std::uint32_t w1 = 0; w1 < e; ++w1) {
-        for (std::uint32_t w2 = 0; w2 < e; ++w2) {
-          const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
-          next[shifted(w1, w2, dim)] = coords[p];
-        }
-      }
-      coords = std::move(next);
+      apply_shift(c_blk, c_dim);
+      apply_shift(coords, c_dim);  // the result blocks' coordinates
     }
   }
 
@@ -340,7 +259,31 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
                np * (low.a.size() + low.b.size() + low.c.size()) *
                    sizeof(double));
   }
-  out.timing = run_phases_observed(net, phases);
+
+  // Timing: every step multiplies one block triple of the full loop
+  // space on each rank, then ring-shifts the rotating arrays' logical
+  // blocks (the last shift returns them to their aligned start — the
+  // √P-step rotation accounting of §3.2).  All e steps are alike, so
+  // one is simulated and run e times.  The builder shifts toward +1 and
+  // the blocks above move toward −1; full-duplex NICs of equal in and
+  // out capacity price both directions the same.
+  std::vector<RingShift> shifts;
+  if (a_rot) shifts.push_back({a_bytes, choice.left_rot_dim()});
+  if (b_rot) shifts.push_back({b_bytes, choice.right_rot_dim()});
+  if (c_rot) shifts.push_back({c_bytes, choice.result_rot_dim()});
+  Phase step = ring_shift_phase(grid, shifts, node.tensor.name);
+  const std::uint64_t flops_per_block = checked_mul(
+      2, node.loop_indices().extent_product(space) /
+             (static_cast<std::uint64_t>(e) * e * e));
+  for (std::uint32_t r = 0; r < grid.procs; ++r) {
+    step.compute.push_back({r, flops_per_block});
+  }
+  out.timing = net.run_phase(step, e);
+  if (obs::metrics_enabled()) {
+    for (std::uint32_t s = 0; s < e; ++s) {
+      obs::observe("cannon.phase_s", out.timing.total_s() / e);
+    }
+  }
   return out;
 }
 
@@ -356,6 +299,10 @@ CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
         "run_replicated: node is not a Cannon-representable contraction");
   }
   TCE_EXPECTS(net.spec().procs() == grid.procs);
+  check_split_extents(
+      "run_replicated",
+      {spec.stationary_dist.at(1), spec.stationary_dist.at(2)}, space,
+      grid.edge);
   const std::uint32_t e = grid.edge;
   const obs::TraceSpan run_span(
       obs::trace_enabled() ? "replicated.run " + node.tensor.name
@@ -495,7 +442,13 @@ CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
     }
   }
 
-  out.timing = run_phases_observed(net, phases);
+  // One "cannon.phase_s" sample per phase (a no-op unless recording).
+  for (const Phase& phase : phases) {
+    const PhaseResult r = net.run_phase(phase);
+    obs::observe("cannon.phase_s", r.total_s());
+    out.timing.comm_s += r.comm_s;
+    out.timing.compute_s += r.compute_s;
+  }
   // Every rank holds its stationary block, the whole replicated operand
   // and its partial result.
   const std::uint64_t stat_elems =

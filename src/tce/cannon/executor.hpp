@@ -4,13 +4,18 @@
 /// simulated cluster.
 ///
 /// The executor is an SPMD simulation: every rank owns real double-
-/// precision blocks, local block products run through the packed-operand
-/// GEMM (PackedGemm), and each synchronized rotation step emits its
-/// point-to-point flows to the flow-level network simulator, which
-/// prices them under contention.  Each contraction is lowered once per
-/// run, and every rank packs its operand blocks once, into the layout of
-/// the kernel that multiplies them, and keeps them packed until the
-/// final scatter (docs/KERNELS.md).  The result is therefore both a
+/// precision blocks and local block products run through the
+/// packed-operand GEMM (PackedGemm).  Its communication is the machine's
+/// shared collectives (costmodel/characterize.hpp), priced under
+/// contention by the flow-level network simulator: a Cannon rotation is
+/// one ring_shift_phase of the logical blocks plus one block product's
+/// flops on every rank, simulated once and run √P times, exactly as
+/// characterization measures a rotation and core/simulate replays one;
+/// the replicated template runs the allgather and reduce-scatter
+/// builders.  Each contraction is lowered once per run, and every rank
+/// packs its operand blocks once, into the layout of the kernel that
+/// multiplies them, and keeps them packed until the final scatter
+/// (docs/KERNELS.md).  The result is therefore both a
 /// *numerically correct* output tensor (validated against the reference
 /// einsum in tests) and a *simulated wall time* decomposed into
 /// communication and computation.
@@ -49,8 +54,9 @@ struct CannonRunResult {
 /// Executes one contraction node with the given Cannon choice.  The
 /// operand tensors are full arrays (the executor scatters them into the
 /// schedule's block placement; initial distribution is free per §3.3).
-/// Requires a full triplet (i, j, k all assigned) and extents divisible
-/// by the grid edge.
+/// Requires a full triplet (i, j, k all assigned) whose extents divide
+/// the grid edge; other indices are never split.  Every failure throws
+/// tce::Error and logs cannon/executor.fail.
 CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
                            const IndexSpace& space,
                            const ContractionNode& node,
@@ -72,7 +78,8 @@ struct ReplicatedSpec {
 
 /// Executes one contraction with the replicated template: allgather
 /// timing + per-rank block×full contraction + reduce-scatter timing,
-/// with real numerics throughout.
+/// with real numerics throughout.  The stationary distribution's
+/// indices must divide the grid edge.
 CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
                                const IndexSpace& space,
                                const ContractionNode& node,

@@ -335,9 +335,7 @@ CharacterizedModel load_or_measure(Args& args, std::uint32_t procs,
     }
     return CharacterizedModel(std::move(t));
   }
-  const ProcGrid grid = ProcGrid::make(procs, per_node);
-  Network net(ClusterSpec::itanium2003(grid.nodes()));
-  return CharacterizedModel(characterize(net, grid));
+  return CharacterizedModel(characterize_itanium(procs, per_node));
 }
 
 /// `--trace FILE`: starts the trace emitter for the command's scope and
@@ -679,7 +677,7 @@ std::string cmd_validate(Args args) {
   args.expect_empty();
 
   const ProcGrid grid = ProcGrid::make(procs, per_node);
-  Network net(ClusterSpec::itanium2003(grid.nodes()));
+  Network net(ClusterSpec::itanium2003(grid.nodes(), per_node));
   CharacterizedModel model(characterize(net, grid));
 
   ParsedProgram program = parse_program(read_file(path));

@@ -43,12 +43,14 @@ double simulate_replicated_step(const Network& net, const ProcGrid& grid,
         s.reduce_dim == 1 ? s.result_dist.at(2) : kNoIndex);
     const std::uint64_t partial_bytes =
         dist_bytes(n.tensor, partial, f_red, space, grid);
-    const double rs_s =
-        net.run_phases(reduce_scatter_phases(grid, s.reduce_dim,
-                                             partial_bytes, s.result_name))
-            .comm_s;
-    simulated_s += rs_s;
-    total += red_repeat * rs_s;
+    // Phase by phase, in run_replicated's order, so that an unfused
+    // step's replay equals the executor's comm_s bit for bit.
+    for (const Phase& phase : reduce_scatter_phases(
+             grid, s.reduce_dim, partial_bytes, s.result_name)) {
+      const double rs_s = net.run_phase(phase).comm_s;
+      simulated_s += rs_s;
+      total += red_repeat * rs_s;
+    }
   }
   if (tracing) {
     // One phase set was simulated; the fused-loop repeats beyond it are
@@ -67,8 +69,9 @@ double simulate_replicated_step(const Network& net, const ProcGrid& grid,
 
 }  // namespace
 
-/// A Cannon step is `repeat` iterations of `edge` ring-shift steps of
-/// its rotating arrays, one phase for all of them or one each (\p mode).
+/// A Cannon step is `repeat` iterations of one rotation: `edge`
+/// ring-shift steps of its rotating arrays, one phase for all of them or
+/// one each (\p mode).
 double simulate_step_comm(const Network& net, const ProcGrid& grid,
                           const ContractionTree& tree, const PlanStep& s,
                           ReplayMode mode) {
@@ -106,24 +109,26 @@ double simulate_step_comm(const Network& net, const ProcGrid& grid,
       phases.push_back(ring_shift_phase(grid, {r}, s.result_name));
     }
   }
-  const double per_phase = net.run_phases(phases).comm_s;
+  double rotation = 0;
+  for (const Phase& p : phases) {
+    rotation += net.run_phase(p, grid.edge).comm_s;
+  }
 
   double repeat = 1.0;
   for (IndexId j : eff) repeat *= static_cast<double>(space.extent(j));
-  const double total =
-      repeat * static_cast<double>(grid.edge) * per_phase;
+  const double total = repeat * rotation;
   if (tracing) {
-    // One rotation step was simulated; the remaining edge−1 steps ×
-    // fused repeats are identical by symmetry and accounted
-    // analytically — advance the clock and mark the whole step.
-    obs::sim_advance(total - per_phase);
+    // One rotation was replayed; the fused repeats are identical by
+    // symmetry and accounted analytically — advance the clock and mark
+    // the whole step.
+    obs::sim_advance(total - rotation);
     obs::trace_sim_complete(
         "step " + s.result_name, "plan", 3, base, total,
         json::ObjectWriter()
             .field("template", "cannon")
             .field("fused_iterations", repeat)
             .field("rotation_steps", grid.edge)
-            .field("per_phase_s", per_phase)
+            .field("rotation_s", rotation)
             .str());
   }
   return total;

@@ -8,9 +8,12 @@
 /// at each step, how many bytes, and how many times the fused loops
 /// repeat them.  The flows themselves are the collectives the table was
 /// measured from (costmodel/characterize.hpp): ring shifts for Cannon
-/// steps, allgathers and reduce-scatters for replicated steps.  One
-/// rotation step is simulated and the rest are accounted by symmetry.
-/// bench_validate reports agreement within ~1.5 %.
+/// steps, allgathers and reduce-scatters for replicated steps.  A Cannon
+/// rotation is timed as the executor and characterization time it, one
+/// ring-shift step simulated and run √P times, so an unfused step's
+/// replay equals run_cannon's comm_s bit for bit; fused-loop repeats
+/// are accounted by symmetry.  bench_validate reports agreement within
+/// ~1.5 %.
 
 #include "tce/core/plan.hpp"
 #include "tce/expr/contraction.hpp"

@@ -38,11 +38,12 @@ Phase ring_shift_phase(const ProcGrid& grid,
   label(phase, name, "rotate step", "one of", grid.edge);
   for (std::uint32_t z1 = 0; z1 < grid.edge; ++z1) {
     for (std::uint32_t z2 = 0; z2 < grid.edge; ++z2) {
+      const std::uint32_t src = grid.rank(z1, z2);
       for (const RingShift& r : shifts) {
         const std::uint32_t dst =
             r.dim == 1 ? grid.rank((z1 + 1) % grid.edge, z2)
                        : grid.rank(z1, (z2 + 1) % grid.edge);
-        phase.flows.push_back({grid.rank(z1, z2), dst, r.bytes});
+        if (dst != src) phase.flows.push_back({src, dst, r.bytes});
       }
     }
   }
@@ -131,19 +132,25 @@ std::vector<Phase> reduce_scatter_phases(const ProcGrid& grid, int dim,
 
 namespace {
 
+/// Simulated seconds of a collective: each of \p phases in order, run
+/// \p repeat times.  A collective that moves nothing (a one-rank grid
+/// or grid line) records 1 ns, since curve samples must be positive.
+double measure(const Network& net, const std::vector<Phase>& phases,
+               std::uint32_t repeat = 1) {
+  double seconds = 0;
+  bool moves = false;
+  for (const Phase& p : phases) {
+    moves = moves || !p.flows.empty();
+    seconds += net.run_phase(p, repeat).comm_s;
+  }
+  return moves ? seconds : 1e-9;
+}
+
 /// One full rotation along \p dim: edge synchronized ring-shift steps.
 double measure_rotation(const Network& net, const ProcGrid& grid, int dim,
                         std::uint64_t block_bytes) {
-  const Phase step = ring_shift_phase(grid, {{block_bytes, dim}});
-  return net.run_phases(std::vector<Phase>(grid.edge, step)).comm_s;
-}
-
-double measure_reduce_scatter(const Network& net, const ProcGrid& grid,
-                              int dim, std::uint64_t partial_bytes) {
-  const std::vector<Phase> phases =
-      reduce_scatter_phases(grid, dim, partial_bytes);
-  if (phases.empty()) return 1e-9;  // single-rank line: no communication
-  return net.run_phases(phases).comm_s;
+  return measure(net, {ring_shift_phase(grid, {{block_bytes, dim}})},
+                 grid.edge);
 }
 
 /// Local-compute curve: seconds for a square n×n×n GEMM as a function
@@ -179,19 +186,21 @@ CharacterizationTable characterize(const Network& net, const ProcGrid& grid,
     t.rotate_dim1.add_sample(s, measure_rotation(net, grid, 1, s));
     t.rotate_dim2.add_sample(s, measure_rotation(net, grid, 2, s));
     t.redistribute.add_sample(
-        s, net.run_phase(redistribute_phase(grid, s)).comm_s);
-    t.allgather.add_sample(
-        s, net.run_phases(allgather_phases(grid, s)).comm_s);
-    t.reduce_dim1.add_sample(s, measure_reduce_scatter(net, grid, 1, s));
-    t.reduce_dim2.add_sample(s, measure_reduce_scatter(net, grid, 2, s));
+        s, measure(net, {redistribute_phase(grid, s)}));
+    t.allgather.add_sample(s, measure(net, allgather_phases(grid, s)));
+    t.reduce_dim1.add_sample(
+        s, measure(net, reduce_scatter_phases(grid, 1, s)));
+    t.reduce_dim2.add_sample(
+        s, measure(net, reduce_scatter_phases(grid, 2, s)));
   }
   fill_compute_curve(t.compute, t.flops_per_proc);
   return t;
 }
 
-CharacterizationTable characterize_itanium(std::uint32_t procs) {
-  const ProcGrid grid = ProcGrid::make(procs, 2);
-  Network net(ClusterSpec::itanium2003(grid.nodes()));
+CharacterizationTable characterize_itanium(std::uint32_t procs,
+                                           std::uint32_t procs_per_node) {
+  const ProcGrid grid = ProcGrid::make(procs, procs_per_node);
+  Network net(ClusterSpec::itanium2003(grid.nodes(), procs_per_node));
   return characterize(net, grid);
 }
 

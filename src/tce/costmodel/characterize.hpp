@@ -4,18 +4,22 @@
 /// simulated cluster — the stand-in for the paper's empirical Itanium
 /// measurements.
 ///
-/// For each grid dimension, the kernel performs a full Cannon rotation
-/// (√P synchronized ring-shift steps in which *every* rank forwards its
-/// block to its ring neighbor) for a ladder of block sizes, and records
-/// the simulated wall time.  The redistribution kernel scatters each
-/// rank's block across its grid row.  Measurements therefore include all
-/// NIC/memory contention effects the simulated machine models, exactly as
-/// real measurements would include the real machine's.
+/// For each grid dimension, the kernel times a full Cannon rotation for
+/// a ladder of block sizes: one ring-shift step in which *every* rank
+/// forwards its block to its ring neighbor, simulated once and run √P
+/// times (Network::run_phase's repeat count).  The redistribution kernel
+/// scatters each rank's block across its grid row.  Measurements
+/// therefore include all NIC/memory contention effects the simulated
+/// machine models, exactly as real measurements would include the real
+/// machine's.  A collective that moves nothing, on a one-rank grid or
+/// grid line, records a 1 ns floor, since every curve sample must be
+/// positive.
 ///
 /// The flow builders below define the machine's collectives once:
-/// characterize() measures them, and core/simulate and the replicated
-/// executor replay them.  A non-empty \p name labels their phases on the
-/// trace timeline, e.g. "T2 allgather (ring of 36)".
+/// characterize() measures them, and core/simulate and both executor
+/// templates replay them.  No builder sends a rank's data to itself.  A
+/// non-empty \p name labels their phases on the trace timeline, e.g.
+/// "T2 allgather (ring of 36)".
 
 #include <string>
 #include <vector>
@@ -38,8 +42,10 @@ CharacterizationTable characterize(const Network& net, const ProcGrid& grid,
                                    const CharacterizeOptions& options = {});
 
 /// Convenience: simulated-Itanium characterization for a given processor
-/// count (paper settings: 64 or 16, 2 procs/node).
-CharacterizationTable characterize_itanium(std::uint32_t procs);
+/// count (paper settings: 64 or 16, 2 procs/node) on the bundled cluster
+/// of that grid, ClusterSpec::itanium2003.
+CharacterizationTable characterize_itanium(std::uint32_t procs,
+                                           std::uint32_t procs_per_node = 2);
 
 /// One array's part of a ring shift: every rank sends its \p bytes to
 /// its ring neighbor along grid dimension \p dim.
@@ -49,6 +55,7 @@ struct RingShift {
 };
 
 /// One synchronized ring-shift step moving all of \p shifts at once.
+/// On a one-rank ring it moves nothing.
 Phase ring_shift_phase(const ProcGrid& grid,
                        const std::vector<RingShift>& shifts,
                        const std::string& name = {});

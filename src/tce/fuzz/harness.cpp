@@ -46,10 +46,8 @@ struct Built {
 
 Built build(const FuzzInstance& inst, TableCache& tables) {
   Built b{build_tree(inst), nullptr, nullptr};
-  ClusterSpec spec =
-      ClusterSpec::itanium2003(inst.procs / inst.procs_per_node);
-  spec.procs_per_node = inst.procs_per_node;
-  b.net = std::make_unique<Network>(spec);
+  b.net = std::make_unique<Network>(ClusterSpec::itanium2003(
+      inst.procs / inst.procs_per_node, inst.procs_per_node));
   if (inst.characterized) {
     const auto key = std::make_pair(inst.procs, inst.procs_per_node);
     auto it = tables.find(key);

@@ -216,12 +216,8 @@ std::shared_ptr<const CharacterizedModel> Server::model_for(
   if (it != models_.end()) return it->second;
   std::shared_ptr<const CharacterizedModel> model;
   if (machine_text.empty()) {
-    const ProcGrid grid = ProcGrid::make(procs, per_node);
-    ClusterSpec spec = ClusterSpec::itanium2003(grid.nodes());
-    spec.procs_per_node = per_node;
-    Network net(spec);
     model = std::make_shared<const CharacterizedModel>(
-        characterize(net, grid));
+        characterize_itanium(procs, per_node));
   } else {
     CharacterizationTable table =
         CharacterizationTable::load_string(machine_text);

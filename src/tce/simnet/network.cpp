@@ -52,8 +52,8 @@ Network::RunResult Network::run_flows(const std::vector<Flow>& flows) const {
     capacities.push_back(spec_.bisection_bw);
   }
 
-  // Active flow bookkeeping.  Zero-byte and self-referential flows finish
-  // at latency; others enter the fluid simulation.
+  // Active flow bookkeeping.  Zero-byte flows finish at latency; others,
+  // self-flows included, enter the fluid simulation.
   struct Active {
     std::size_t id;  // index into `flows`
     double remaining;
@@ -201,12 +201,14 @@ Network::RunResult Network::run_flows(const std::vector<Flow>& flows) const {
   return result;
 }
 
-PhaseResult Network::run_phase(const Phase& phase) const {
-  PhaseResult r;
+PhaseResult Network::run_phase(const Phase& phase,
+                               std::uint32_t repeat) const {
+  TCE_EXPECTS(repeat >= 1);
+  PhaseResult once;
   for (const auto& c : phase.compute) {
     TCE_EXPECTS(c.rank < spec_.procs());
-    r.compute_s = std::max(
-        r.compute_s, static_cast<double>(c.flops) / spec_.flops_per_proc);
+    once.compute_s = std::max(
+        once.compute_s, static_cast<double>(c.flops) / spec_.flops_per_proc);
   }
   // Trace layout: ranks compute, then the flows are exchanged, so
   // compute occupies [base, base+compute) on the simulated clock and
@@ -214,25 +216,33 @@ PhaseResult Network::run_phase(const Phase& phase) const {
   const bool tracing = obs::trace_enabled();
   const double base = tracing ? obs::sim_now_s() : 0.0;
   if (tracing) {
-    if (r.compute_s > 0) {
+    if (once.compute_s > 0) {
       obs::trace_sim_complete("compute", "simnet", kComputeTid, base,
-                              r.compute_s);
+                              once.compute_s);
     }
-    obs::sim_advance(r.compute_s);
+    obs::sim_advance(once.compute_s);
   }
-  r.comm_s = run_flows(phase.flows).makespan_s;
+  once.comm_s = run_flows(phase.flows).makespan_s;
   if (tracing) {
-    obs::sim_advance(r.comm_s);
+    obs::sim_advance(once.comm_s);
     obs::trace_sim_complete(
         phase.label.empty() ? "phase" : phase.label, "simnet", kPhaseTid,
-        base, r.total_s(),
+        base, once.total_s(),
         json::ObjectWriter()
             .field("flows", phase.flows.size())
-            .field("comm_s", r.comm_s)
-            .field("compute_s", r.compute_s)
+            .field("comm_s", once.comm_s)
+            .field("compute_s", once.compute_s)
+            .field("repeat", repeat)
             .str());
   }
   obs::count("simnet.phases");
+
+  PhaseResult r;
+  for (std::uint32_t i = 0; i < repeat; ++i) {
+    r.comm_s += once.comm_s;
+    r.compute_s += once.compute_s;
+  }
+  if (tracing) obs::sim_advance(r.total_s() - once.total_s());
   return r;
 }
 

@@ -12,7 +12,10 @@
 /// A *phase* is one synchronized step of a parallel algorithm: every rank
 /// computes for some time, then the phase's flows are exchanged.  Phase
 /// cost = max compute time + communication makespan, matching the paper's
-/// additive accounting of computation and communication.
+/// additive accounting of computation and communication.  An algorithm
+/// that repeats one phase, such as the √P identical ring-shift steps of
+/// a Cannon rotation, runs it with a repeat count: simulated once and
+/// costed √P times.
 
 #include <cstdint>
 #include <string>
@@ -39,8 +42,8 @@ struct ComputeLoad {
 struct Phase {
   std::vector<Flow> flows;
   std::vector<ComputeLoad> compute;
-  /// Display name on the trace timeline (e.g. "T1 rotate step 3");
-  /// empty renders as "phase".  No effect on simulation results.
+  /// Display name on the trace timeline (e.g. "T1 rotate step (one of
+  /// 4)"); empty renders as "phase".  No effect on simulation results.
   std::string label;
 };
 
@@ -64,12 +67,18 @@ class Network {
     double makespan_s = 0.0;       ///< Max over flows (0 when empty).
   };
 
-  /// Simulates flows that all start at time 0.  Self-flows (src == dst)
-  /// complete at latency only.  Throws on out-of-range ranks.
+  /// Simulates flows that all start at time 0.  Zero-byte flows
+  /// complete at latency only; a self-flow (src == dst) is an intra-node
+  /// transfer through its node's memory engine, like any flow between
+  /// ranks of one node.  Throws on out-of-range ranks.
   RunResult run_flows(const std::vector<Flow>& flows) const;
 
-  /// Runs one synchronized phase (see file comment).
-  PhaseResult run_phase(const Phase& phase) const;
+  /// Runs one synchronized phase (see file comment) \p repeat times in a
+  /// row.  The phase is simulated once; its comm and compute are then
+  /// added \p repeat times in order, bit for bit what run_phases returns
+  /// for \p repeat copies, and the trace clock advances over the copies
+  /// that were not simulated.
+  PhaseResult run_phase(const Phase& phase, std::uint32_t repeat = 1) const;
 
   /// Runs a sequence of phases, summing their costs.
   PhaseResult run_phases(const std::vector<Phase>& phases) const;

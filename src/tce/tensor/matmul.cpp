@@ -3,7 +3,6 @@
 #include "tce/common/checked.hpp"
 #include "tce/common/error.hpp"
 #include "tce/tensor/kernel.hpp"
-#include "tce/tensor/ttgt.hpp"
 
 namespace tce {
 
@@ -22,14 +21,6 @@ void matmul_acc(std::span<const double> a, std::span<const double> b,
   } else {
     gemm_ref(a, b, c, m, k, n, cfg.tiles);
   }
-}
-
-void contract_blocks_acc(const DenseTensor& a, const DenseTensor& b,
-                         IndexSet sum_indices, DenseTensor& c) {
-  // The TTGT lowering classifies labels into (batch, M, N, K) from the
-  // result's dims, pre-reduces one-operand summed labels, and runs the
-  // per-batch GEMMs through the dispatching matmul_acc above.
-  ttgt_contract_acc(a, b, sum_indices, c);
 }
 
 }  // namespace tce

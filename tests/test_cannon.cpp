@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <map>
 #include <string>
@@ -13,9 +14,11 @@
 
 #include "tce/cannon/executor.hpp"
 #include "tce/common/error.hpp"
+#include "tce/core/simulate.hpp"
 #include "tce/expr/parser.hpp"
+#include "tce/obs/log.hpp"
 #include "tce/tensor/kernel.hpp"
-#include "tce/tensor/matmul.hpp"
+#include "tce/tensor/ttgt.hpp"
 
 namespace tce {
 namespace {
@@ -78,7 +81,7 @@ std::uint64_t block_elems(const IndexSpace& space,
 /// The schedule of executor.hpp's file comment, block by block with the
 /// public helpers: logical processor (w1, w2) multiplies the triple
 /// (bi, bj, bk) at step s, and each result block starts zeroed, takes
-/// one contract_blocks_acc per step in step order, and is placed last.
+/// one ttgt_contract_acc per step in step order, and is placed last.
 DenseTensor reference_cannon(const IndexSpace& space, const ProcGrid& grid,
                              const ContractionNode& node,
                              const CannonChoice& c, const DenseTensor& a,
@@ -113,7 +116,7 @@ DenseTensor reference_cannon(const IndexSpace& space, const ProcGrid& grid,
                       .try_emplace({bi, bj}, node.tensor.dims,
                                    c_range(bi, bj).extents())
                       .first;
-        contract_blocks_acc(ab, bb, node.sum_indices, it->second);
+        ttgt_contract_acc(ab, bb, node.sum_indices, it->second);
       }
     }
   }
@@ -310,6 +313,103 @@ TEST_F(CannonFixture, RejectsNonDividingExtents) {
   (void)n;
 }
 
+TEST_F(CannonFixture, TimingEqualsThePlanReplayBitwise) {
+  // run_cannon, characterization and core/simulate time a rotation one
+  // way: one ring-shift step run edge times.  So for every full triplet
+  // of every contraction, the executor's comm_s is bit for bit the
+  // replay of the matching unfused plan step, and its compute_s is one
+  // block product per rank added edge times.
+  const IndexSpace& space = tree_.space();
+  const std::uint32_t e = grid_.edge;
+  std::map<NodeId, DenseTensor> values;
+  std::size_t runs = 0;
+  for (NodeId id : tree_.post_order()) {
+    const ContractionNode& n = tree_.node(id);
+    if (n.kind == ContractionNode::Kind::kInput) {
+      values.emplace(id, inputs_.at(n.tensor.name));
+      continue;
+    }
+    const DenseTensor& a = values.at(n.left);
+    const DenseTensor& b = values.at(n.right);
+    const double block_s =
+        static_cast<double>(2 * (n.loop_indices().extent_product(space) /
+                                 (e * e * e))) /
+        net_.spec().flops_per_proc;
+    double want_compute = 0;
+    for (std::uint32_t s = 0; s < e; ++s) want_compute += block_s;
+    for (const CannonChoice& choice : full_triplets(n)) {
+      PlanStep step;
+      step.node = id;
+      step.result_name = n.tensor.name;
+      step.choice = choice;
+      step.left_dist = choice.left_dist();
+      step.right_dist = choice.right_dist();
+      step.result_dist = choice.result_dist();
+      const CannonRunResult r =
+          run_cannon(net_, grid_, space, n, choice, a, b);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.comm_s),
+                std::bit_cast<std::uint64_t>(
+                    simulate_step_comm(net_, grid_, tree_, step)))
+          << n.tensor.name << " rot=" << int(choice.rot)
+          << " transposed=" << choice.transposed;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.compute_s),
+                std::bit_cast<std::uint64_t>(want_compute))
+          << n.tensor.name;
+      ++runs;
+    }
+    values.emplace(id, einsum_pair(a, b, n.tensor.dims, n.sum_indices));
+  }
+  EXPECT_GT(runs, 0u);
+}
+
+TEST_F(CannonFixture, OnlySplitExtentsMustDivideTheGridEdge) {
+  // Split 4 ways, m (6) fails both templates through
+  // cannon/executor.fail; left whole, it runs.
+  FormulaSequence seq = parse_formula_sequence(
+      "index i, j, k = 8; index m = 6\n"
+      "C[i,m,j] = sum[k] A[i,m,k] * B[k,j]");
+  ContractionTree t = ContractionTree::from_sequence(seq);
+  Rng rng(5);
+  const auto ins = make_random_inputs(t, rng);
+  const DenseTensor& a = ins.at("A");
+  const DenseTensor& b = ins.at("B");
+  const ContractionNode& n = t.node(t.root());
+  const IndexSpace& space = t.space();
+  const IndexId i = space.id("i"), j = space.id("j"), k = space.id("k"),
+                m = space.id("m");
+  ReplicatedSpec spec;
+  spec.stationary_dist = Distribution(m, k);
+  spec.result_dist = Distribution(m, j);
+  spec.reduce_dim = 2;
+
+  obs::flight_recorder_clear();
+  obs::flight_recorder_enable(true);
+  EXPECT_THROW(run_cannon(net_, grid_, space, n,
+                          CannonChoice{m, j, k, false, k}, a, b),
+               Error);
+  EXPECT_THROW(run_replicated(net_, grid_, space, n, spec, a, b), Error);
+  const std::string dump = obs::flight_recorder_dump();
+  obs::flight_recorder_enable(false);
+  obs::flight_recorder_clear();
+  const std::string event = "\"event\":\"executor.fail\"";
+  const std::size_t first = dump.find(event);
+  ASSERT_NE(first, std::string::npos) << dump;
+  EXPECT_NE(dump.find(event, first + 1), std::string::npos) << dump;
+
+  const DenseTensor want = einsum_pair(a, b, n.tensor.dims, n.sum_indices);
+  EXPECT_LT(want.max_abs_diff(
+                run_cannon(net_, grid_, space, n,
+                           CannonChoice{i, j, k, false, k}, a, b)
+                    .result),
+            1e-10);
+  spec.stationary_dist = Distribution(i, k);
+  spec.result_dist = Distribution(i, j);
+  EXPECT_LT(
+      want.max_abs_diff(
+          run_replicated(net_, grid_, space, n, spec, a, b).result),
+      1e-10);
+}
+
 /// run_replicated's schedule with the public helpers: each rank
 /// contracts its stationary block against the matching slice of the
 /// replicated operand into a zeroed partial, and every rank that is not
@@ -345,9 +445,9 @@ DenseTensor reference_replicated(const IndexSpace& space,
           block_range(node.tensor, partial_dist, space, grid, z1, z2);
       DenseTensor partial(node.tensor.dims, pr.extents());
       if (spec.replicate_right) {
-        contract_blocks_acc(sb, rb, node.sum_indices, partial);
+        ttgt_contract_acc(sb, rb, node.sum_indices, partial);
       } else {
-        contract_blocks_acc(rb, sb, node.sum_indices, partial);
+        ttgt_contract_acc(rb, sb, node.sum_indices, partial);
       }
       const bool replica = (sd.at(1) == kNoIndex && z1 != 0) ||
                            (sd.at(2) == kNoIndex && z2 != 0);
@@ -439,19 +539,13 @@ struct SweepCase {
 };
 static_assert(std::has_unique_object_representations_v<SweepCase>);
 
-ClusterSpec one_proc_per_node(std::uint32_t procs) {
-  ClusterSpec spec = ClusterSpec::itanium2003(procs);
-  spec.procs_per_node = 1;
-  spec.nodes = procs;
-  return spec;
-}
-
 /// The sweep's random contraction: ranks-4 operands whose extents are
 /// multiples of the grid edge, filled from the case's seed.
 struct SweepProblem {
   explicit SweepProblem(const SweepCase& param)
       : grid(ProcGrid::make(static_cast<std::uint32_t>(param.procs), 1)),
-        net(one_proc_per_node(static_cast<std::uint32_t>(param.procs))),
+        net(ClusterSpec::itanium2003(static_cast<std::uint32_t>(param.procs),
+                                     1)),
         rng(param.seed) {
     const std::uint32_t e = grid.edge;
     auto ext = [&] {
@@ -488,6 +582,18 @@ struct SweepProblem {
   DenseTensor a;
   DenseTensor b;
 };
+
+TEST(CannonOneRank, MovesNothing) {
+  // On a 1×1 grid every block stays home: no flow, no communication
+  // time, and all the compute on the one rank.
+  SweepProblem pr(SweepCase{1, 1});
+  for (const CannonChoice& choice : full_triplets(pr.node)) {
+    const CannonRunResult r =
+        run_cannon(pr.net, pr.grid, pr.space, pr.node, choice, pr.a, pr.b);
+    EXPECT_EQ(r.timing.comm_s, 0.0);
+    EXPECT_GT(r.timing.compute_s, 0.0);
+  }
+}
 
 class CannonSweep : public ::testing::TestWithParam<SweepCase> {};
 

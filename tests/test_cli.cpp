@@ -9,6 +9,8 @@
 
 #include "tce/cli/cli.hpp"
 #include "tce/common/error.hpp"
+#include "tce/common/json.hpp"
+#include "tce/serve/server.hpp"
 
 #include "paper_workload.hpp"
 
@@ -246,6 +248,81 @@ TEST(Cli, ValidateReplicatesOnANonPowerOfTwoGrid) {
             2)
       << r.output;
   EXPECT_NEAR(sim, pred, 0.01 * pred) << r.output;
+}
+
+/// \p json with every wall-clock field ("search_wall_s", per-node
+/// "wall_s") set to 0, as the daemon renders plans.
+std::string zero_wall_times(const std::string& json) {
+  std::string out;
+  std::size_t from = 0;
+  for (std::size_t at = json.find("wall_s\":"); at != std::string::npos;
+       at = json.find("wall_s\":", from)) {
+    const std::size_t start = at + 8;
+    std::size_t end = start;
+    while (end < json.size() &&
+           std::string("0123456789.eE+-").find(json[end]) !=
+               std::string::npos) {
+      ++end;
+    }
+    out.append(json, from, start - from);
+    out += '0';
+    from = end;
+  }
+  out.append(json, from, std::string::npos);
+  return out;
+}
+
+TEST(Cli, ProcsPerNodeShapesTheBundledCluster) {
+  // Without --machine, plan, lint and validate characterize the bundled
+  // cluster with the requested processors per node, as the daemon does.
+  TempFile f("cli_ppn.tce", ::tce::testing::kPaperProgram);
+  for (const char* per_node : {"1", "4"}) {
+    for (const char* cmd : {"plan", "lint", "validate"}) {
+      std::vector<std::string> args{cmd, f.path(), "--procs", "16",
+                                    "--procs-per-node", per_node,
+                                    "--mem-limit", "4GB"};
+      if (std::string(cmd) == "plan") args.push_back("--verify");
+      const CliResult r = run_cli(args);
+      EXPECT_EQ(r.exit_code, 0) << cmd << " " << per_node << ": " << r.error;
+    }
+  }
+
+  const CliResult plan =
+      run_cli({"plan", f.path(), "--procs", "16", "--procs-per-node", "1",
+               "--mem-limit", "4GB", "--json"});
+  ASSERT_EQ(plan.exit_code, 0) << plan.error;
+  serve::ServeOptions options;
+  options.threads = 1;
+  serve::Server server(options);
+  const std::string reply = server.handle(
+      json::ObjectWriter()
+          .field("op", "plan")
+          .field("program", ::tce::testing::kPaperProgram)
+          .field("procs", 16)
+          .field("procs_per_node", 1)
+          .field("mem_limit_bytes", std::uint64_t{4'000'000'000})
+          .str());
+  // "plan" is the reply's last member: drop the envelope's closing brace.
+  const std::size_t at = reply.find("\"plan\":");
+  ASSERT_NE(at, std::string::npos) << reply;
+  EXPECT_EQ(zero_wall_times(plan.output),
+            reply.substr(at + 7, reply.size() - at - 8) + "\n");
+}
+
+TEST(Cli, OneRankGridPlansAndValidates) {
+  // On a 1×1 grid no collective moves anything: characterization
+  // records its floor, and planning and the replay still succeed.
+  TempFile f("cli_one.tce", ::tce::testing::kPaperProgram);
+  const CliResult c =
+      run_cli({"characterize", "--procs", "1", "--procs-per-node", "1"});
+  EXPECT_EQ(c.exit_code, 0) << c.error;
+  for (const char* cmd : {"plan", "validate"}) {
+    std::vector<std::string> args{cmd, f.path(), "--procs", "1",
+                                  "--procs-per-node", "1"};
+    if (std::string(cmd) == "plan") args.push_back("--verify");
+    const CliResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 0) << cmd << ": " << r.error;
+  }
 }
 
 TEST(Cli, PlanHandlesMultiOutputPrograms) {

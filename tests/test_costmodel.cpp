@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -128,6 +129,45 @@ TEST(Characterize, PaperScaleSpotChecks) {
   CharacterizedModel m(characterize_itanium(64));
   EXPECT_NEAR(m.rotate_cost(58'982'400, 2), 35.7, 7.0);
   EXPECT_NEAR(m.rotate_cost(251'658'240 / 64, 2), 2.8, 0.6);
+}
+
+TEST(Characterize, RotationSamplesEqualTheStepByStepMeasurement) {
+  // A rotation sample is one ring-shift step run edge times.  It must
+  // equal, bit for bit, simulating all edge steps one by one, as
+  // characterization measured rotations before.
+  for (const std::uint32_t procs : {16u, 64u}) {
+    const ProcGrid grid = ProcGrid::make(procs, 2);
+    const Network net(ClusterSpec::itanium2003(grid.nodes()));
+    const CharacterizationTable t = characterize(net, grid);
+    for (const int dim : {1, 2}) {
+      const CostCurve& curve = dim == 1 ? t.rotate_dim1 : t.rotate_dim2;
+      ASSERT_GT(curve.size(), 0u);
+      for (std::size_t i = 0; i < curve.size(); ++i) {
+        const Phase step =
+            ring_shift_phase(grid, {{curve.sample_bytes()[i], dim}});
+        const double want =
+            net.run_phases(std::vector<Phase>(grid.edge, step)).comm_s;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(curve.sample_seconds()[i]),
+                  std::bit_cast<std::uint64_t>(want))
+            << "procs=" << procs << " dim=" << dim
+            << " bytes=" << curve.sample_bytes()[i];
+      }
+    }
+  }
+}
+
+TEST(Characterize, OneRankGridRecordsTheFloor) {
+  // On a 1×1 grid no collective moves anything: every sample records
+  // the 1 ns floor, and the table round-trips.
+  const CharacterizationTable t = characterize_itanium(1, 1);
+  for (const CostCurve* curve : {&t.rotate_dim1, &t.rotate_dim2,
+                                 &t.redistribute, &t.allgather,
+                                 &t.reduce_dim1, &t.reduce_dim2}) {
+    ASSERT_GT(curve->size(), 0u);
+    for (const double s : curve->sample_seconds()) EXPECT_EQ(s, 1e-9);
+  }
+  EXPECT_EQ(CharacterizationTable::load_string(t.save_string()).grid.procs,
+            1u);
 }
 
 TEST(Characterize, RejectsMismatchedGrid) {

@@ -437,11 +437,11 @@ TEST(Matmul, ContractBlocksAgreesAcrossKernels) {
   DenseTensor c_ref({0, 2}, {n, n}), c_tiled({0, 2}, {n, n});
   {
     ScopedKernelConfig force(KernelKind::kReference);
-    contract_blocks_acc(a, b, IndexSet::single(1), c_ref);
+    ttgt_contract_acc(a, b, IndexSet::single(1), c_ref);
   }
   {
     ScopedKernelConfig force(KernelKind::kTiled);
-    contract_blocks_acc(a, b, IndexSet::single(1), c_tiled);
+    ttgt_contract_acc(a, b, IndexSet::single(1), c_tiled);
   }
   EXPECT_LE(c_tiled.max_abs_diff(c_ref), 1e-11);
 }

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "tce/cannon/executor.hpp"
 #include "tce/common/error.hpp"
 #include "tce/core/optimizer.hpp"
+#include "tce/core/simulate.hpp"
 #include "tce/costmodel/analytic.hpp"
 #include "tce/costmodel/characterize.hpp"
 #include "tce/expr/parser.hpp"
@@ -296,6 +299,78 @@ TEST(ReplicationExecutor, MatchesReferenceForAllSpecs) {
     }
   }
   EXPECT_GT(combos, 20);
+}
+
+TEST(ReplicationExecutor, TimingEqualsThePlanReplayBitwise) {
+  // run_replicated and core/simulate run the same collectives, so for
+  // every side, stationary split, reduction and orientation on 2×2, 4×4
+  // and 6×6 grids the executor's comm_s is bit for bit the replay of the
+  // matching unfused plan step, and its compute_s is one rank's share
+  // of the flops.
+  ContractionTree tree = ContractionTree::from_sequence(
+      parse_formula_sequence("index i0, i1, j0, k0, k1 = 12\n"
+                             "C[i0,i1,j0] = sum[k0,k1] A[i0,k0,i1,k1] * "
+                             "B[j0,k0,k1]"));
+  const IndexSpace& space = tree.space();
+  const NodeId root = tree.root();
+  const ContractionNode& node = tree.node(root);
+  const IndexId i0 = space.id("i0"), i1 = space.id("i1"),
+                j0 = space.id("j0"), k0 = space.id("k0"),
+                k1 = space.id("k1");
+  Rng rng(37);
+  const auto inputs = make_random_inputs(tree, rng);
+  const DenseTensor& a = inputs.at("A");
+  const DenseTensor& b = inputs.at("B");
+
+  std::size_t runs = 0;
+  for (const std::uint32_t procs : {4u, 16u, 36u}) {
+    const ProcGrid grid = ProcGrid::make(procs, 2);
+    const Network net(ClusterSpec::itanium2003(grid.nodes()));
+    for (const bool repl_right : {false, true}) {
+      const std::vector<IndexId> s_rs =
+          repl_right ? std::vector<IndexId>{i0, i1, kNoIndex}
+                     : std::vector<IndexId>{j0, kNoIndex};
+      for (const IndexId s_r : s_rs) {
+        for (const IndexId s_k : {k0, k1, kNoIndex}) {
+          for (const bool tr : {false, true}) {
+            PlanStep step;
+            step.node = root;
+            step.result_name = node.tensor.name;
+            step.tmpl = StepTemplate::kReplicated;
+            step.replicate_right = repl_right;
+            Distribution stationary(s_r, s_k);
+            if (tr) stationary = stationary.transposed();
+            (repl_right ? step.left_dist : step.right_dist) = stationary;
+            step.reduce_dim = stationary.dim_of(s_k);
+            Distribution alpha(s_r, step.reduce_dim != 0
+                                        ? (repl_right ? j0 : i0)
+                                        : kNoIndex);
+            step.result_dist = tr ? alpha.transposed() : alpha;
+
+            const CannonRunResult r =
+                run_replicated(net, grid, space, node,
+                               exec_choice_of(step).repl, a, b);
+            const std::uint32_t splits = (s_r != kNoIndex ? 1u : 0u) +
+                                         (s_k != kNoIndex ? 1u : 0u);
+            std::uint64_t flops = tree.flops(root);
+            for (std::uint32_t d = 0; d < splits; ++d) flops /= grid.edge;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.comm_s),
+                      std::bit_cast<std::uint64_t>(
+                          simulate_step_comm(net, grid, tree, step)))
+                << "procs=" << procs << " repl_right=" << repl_right
+                << " s_r=" << int(s_r) << " s_k=" << int(s_k)
+                << " tr=" << tr;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.compute_s),
+                      std::bit_cast<std::uint64_t>(
+                          static_cast<double>(flops) /
+                          net.spec().flops_per_proc));
+            ++runs;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 3u * (3 + 2) * 3 * 2);
 }
 
 TEST(ReplicationExecutor, WholeTreeWithMixedTemplates) {

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 #include <random>
 
+#include "tce/obs/metrics.hpp"
 #include "tce/simnet/maxmin.hpp"
 #include "tce/simnet/network.hpp"
 
@@ -195,6 +197,49 @@ TEST(Network, PhasesAccumulate) {
   PhaseResult r = net.run_phases({p, p, p});
   EXPECT_NEAR(r.comm_s, 3 * 1.5, 1e-9);
   EXPECT_NEAR(r.compute_s, 3 * 1.0, 1e-9);
+}
+
+TEST(Network, SelfFlowCrossesTheMemoryEngine) {
+  // A self-flow is an intra-node transfer like any other: latency plus
+  // its bytes at the node's memory bandwidth.
+  Network net(tiny_spec());
+  EXPECT_NEAR(net.run_flows({{3, 3, 200}}).makespan_s, 0.5 + 200.0 / 1000.0,
+              1e-9);
+}
+
+TEST(Network, RepeatedPhaseEqualsRunPhasesOverCopies) {
+  // A phase run n times must cost bit for bit what n copies cost, comm
+  // and compute, at values whose running sums round.
+  Network net(ClusterSpec::itanium2003(8));
+  Phase p;
+  for (std::uint32_t r = 0; r < 16; ++r) {
+    p.flows.push_back({r, (r + 5) % 16, 1'234'567 + 1'000 * r});
+    p.compute.push_back({r, 987'654'321 + 7 * r});
+  }
+  for (std::uint32_t n : {1u, 2u, 3u, 4u, 7u, 16u}) {
+    const PhaseResult repeated = net.run_phase(p, n);
+    const PhaseResult copies = net.run_phases(std::vector<Phase>(n, p));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(repeated.comm_s),
+              std::bit_cast<std::uint64_t>(copies.comm_s))
+        << n;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(repeated.compute_s),
+              std::bit_cast<std::uint64_t>(copies.compute_s))
+        << n;
+  }
+}
+
+TEST(Network, RepeatedPhaseIsSimulatedOnce) {
+  // simnet.* counts simulated phases and flows, not their repeats.
+  obs::metrics_reset();
+  obs::metrics_enable(true);
+  Network net(tiny_spec());
+  Phase p;
+  p.flows = {{0, 1, 100}, {2, 3, 100}};
+  net.run_phase(p, 5);
+  EXPECT_EQ(obs::counter_value("simnet.phases"), 1u);
+  EXPECT_EQ(obs::counter_value("simnet.flows"), 2u);
+  obs::metrics_enable(false);
+  obs::metrics_reset();
 }
 
 // Ring-shift sanity: all ranks shifting simultaneously along a ring see

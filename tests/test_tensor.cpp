@@ -7,7 +7,7 @@
 #include "tce/expr/parser.hpp"
 #include "tce/tensor/block.hpp"
 #include "tce/tensor/einsum.hpp"
-#include "tce/tensor/matmul.hpp"
+#include "tce/tensor/ttgt.hpp"
 
 namespace tce {
 namespace {
@@ -171,7 +171,7 @@ TEST(Matmul, AgreesWithEinsumOnRandomShapes) {
     b.fill_random(rng);
     DenseTensor want = einsum_pair(a, b, {0, 2}, IndexSet::single(1));
     DenseTensor got({0, 2}, {m, n});
-    contract_blocks_acc(a, b, IndexSet::single(1), got);
+    ttgt_contract_acc(a, b, IndexSet::single(1), got);
     EXPECT_LT(want.max_abs_diff(got), 1e-12);
   }
 }
@@ -187,7 +187,7 @@ TEST(Matmul, MultiDimGroupsAgreeWithEinsum) {
   IndexSet sum = IndexSet::of({4, 5});
   DenseTensor want = einsum_pair(a, b, {0, 1, 2, 3}, sum);
   DenseTensor got({0, 1, 2, 3}, {2, 4, 3, 2});
-  contract_blocks_acc(a, b, sum, got);
+  ttgt_contract_acc(a, b, sum, got);
   EXPECT_LT(want.max_abs_diff(got), 1e-12);
 }
 
@@ -198,7 +198,7 @@ TEST(Matmul, AccumulatesIntoExistingResult) {
   b.fill_random(rng);
   DenseTensor c({0, 2}, {3, 3});
   c.fill(1.0);
-  contract_blocks_acc(a, b, IndexSet::single(1), c);
+  ttgt_contract_acc(a, b, IndexSet::single(1), c);
   DenseTensor want = einsum_pair(a, b, {0, 2}, IndexSet::single(1));
   for (std::size_t i = 0; i < want.data().size(); ++i) {
     EXPECT_NEAR(c.data()[i], want.data()[i] + 1.0, 1e-12);
@@ -213,7 +213,7 @@ TEST(Matmul, BatchLabelsContractPerSlice) {
   a.fill_random(rng);
   b.fill_random(rng);
   DenseTensor c({0}, {2});
-  contract_blocks_acc(a, b, IndexSet::single(1), c);
+  ttgt_contract_acc(a, b, IndexSet::single(1), c);
   for (std::uint64_t i = 0; i < 2; ++i) {
     double want = 0;
     for (std::uint64_t j = 0; j < 3; ++j) {

@@ -8,6 +8,8 @@ Each file's format is detected from its content:
 * a JSON document with schema "tce-metrics/1" -> metrics snapshot
 * a JSON document with schema "tce-bench/1"   -> bench doc (its embedded
   "metrics" object is validated the same way as a snapshot's)
+* a JSON document with "traceEvents"          -> Chrome trace-event file
+  (`tcemin ... --trace`, TCE_TRACE)
 * one JSON object per line, schema "tce-log/1" -> structured event log
 * anything else -> Prometheus text exposition
 
@@ -28,10 +30,13 @@ Checks (docs/FORMATS.md, docs/OBSERVABILITY.md):
   The embedded metrics are checked as a tce-metrics/1 snapshot's.
 * tce-log/1: every line parses, has the schema marker, a known level,
   a positive integer ts_us, and non-empty component/event.
+* trace: the "ms" display unit, integer pid/tid on every event, no
+  negative ts or dur, and B/E spans balanced on every (pid, tid) lane
+  (no E before its B, no B left open).
 
 Exit 0 when every file validates; 1 with a message on the first
 failure.  Used by CI's bench-json job; handy locally after
-`tcemin plan --metrics out.prom ...`.
+`tcemin plan --metrics out.prom ...` or `--trace out.json`.
 """
 
 import json
@@ -143,6 +148,36 @@ def check_log_lines(path, lines):
     print(f"{path}: tce-log/1 ok ({n} events)")
 
 
+def check_trace(path, doc):
+    if doc.get("displayTimeUnit") != "ms":
+        fail(path, f"displayTimeUnit {doc.get('displayTimeUnit')!r}, "
+                   f"want 'ms'")
+    events = doc["traceEvents"]
+    if not (isinstance(events, list) and events):
+        fail(path, "no trace events")
+    open_spans = {}  # (pid, tid) -> B events not yet ended
+    for i, event in enumerate(events):
+        for key in ("pid", "tid"):
+            if not isinstance(event.get(key), int):
+                fail(path, f"event {i} has no integer {key}: {event}")
+        for key in ("ts", "dur"):
+            value = event.get(key, 0)
+            if not (isinstance(value, (int, float)) and value >= 0):
+                fail(path, f"event {i} has bad {key} {value!r}: {event}")
+        lane = (event["pid"], event["tid"])
+        if event.get("ph") == "B":
+            open_spans[lane] = open_spans.get(lane, 0) + 1
+        elif event.get("ph") == "E":
+            if open_spans.get(lane, 0) == 0:
+                fail(path, f"event {i} ends no open span on pid {lane[0]} "
+                           f"tid {lane[1]}")
+            open_spans[lane] -= 1
+    unended = {lane: n for lane, n in open_spans.items() if n}
+    if unended:
+        fail(path, f"unbalanced spans, B events never ended: {unended}")
+    print(f"{path}: trace ok ({len(events)} events)")
+
+
 SAMPLE_RE = re.compile(
     r'^(?P<family>[A-Za-z_:][A-Za-z0-9_:]*?)'
     r'(?P<suffix>_total|_bucket|_sum|_count)?'
@@ -231,6 +266,8 @@ def validate(path):
     except ValueError:
         doc = None
     if isinstance(doc, dict):
+        if "traceEvents" in doc:
+            return check_trace(path, doc)
         schema = doc.get("schema")
         if schema == "tce-metrics/1":
             return check_metrics_json(path, doc)
