@@ -56,7 +56,8 @@ void predicted_vs_simulated(BenchOutput& out, const char* scenario,
   double pred_total = 0, sim_total = 0;
   for (const PlanStep& s : plan.steps) {
     const double pred = s.rot_left_s + s.rot_right_s + s.rot_result_s;
-    const double sim = simulate_step_comm(net, grid, tree, s);
+    const double sim =
+        simulate_step(net, grid, tree.space(), tree.node(s.node), s).comm_s;
     pred_total += pred;
     sim_total += sim;
     const double err =
@@ -97,12 +98,9 @@ void numeric_validation(BenchOutput& out) {
   OptimizedPlan plan = optimize(tree, model, ncfg);  // unfused at this scale
   const double opt_wall_ms = sw.elapsed_s() * 1000;
 
-  std::map<NodeId, CannonChoice> choices;
-  for (const PlanStep& s : plan.steps) choices[s.node] = s.choice;
-
   Rng rng(2026);
   auto inputs = make_random_inputs(tree, rng);
-  TreeRunResult run = run_tree(net, grid, tree, choices, inputs);
+  TreeRunResult run = run_plan(net, grid, tree, plan, inputs);
   DenseTensor want = evaluate_tree(tree, inputs);
   const double diff = want.max_abs_diff(run.result);
 

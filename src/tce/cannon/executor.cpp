@@ -7,7 +7,7 @@
 #include "tce/common/checked.hpp"
 #include "tce/common/error.hpp"
 #include "tce/common/json.hpp"
-#include "tce/costmodel/characterize.hpp"
+#include "tce/core/simulate.hpp"
 #include "tce/obs/log.hpp"
 #include "tce/obs/metrics.hpp"
 #include "tce/obs/trace.hpp"
@@ -73,9 +73,9 @@ auto from_origin(Tensor& full, const BlockRange& r) {
   return full.data().subspan(full.offset(r.lo));
 }
 
-/// Lowers one executor contraction.  run_cannon and run_replicated
-/// reject batch labels, and a ContractionTree sums only indices found
-/// in both operands, so the lowering is a plain M/N/K split.
+/// Lowers one executor contraction.  run_step rejects batch labels, and
+/// a ContractionTree sums only indices found in both operands, so the
+/// lowering is a plain M/N/K split.
 /// \p left_block etc. are the block shapes every rank shares.
 TtgtLowering lower_node(const ContractionNode& node,
                         const DenseTensor& left_full,
@@ -94,33 +94,25 @@ TtgtLowering lower_node(const ContractionNode& node,
                     result_block.extents());
 }
 
-}  // namespace
-
-CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
-                           const IndexSpace& space,
-                           const ContractionNode& node,
-                           const CannonChoice& choice,
-                           const DenseTensor& left_full,
-                           const DenseTensor& right_full) {
-  if (node.kind != ContractionNode::Kind::kContraction ||
-      !node.batch_indices.empty()) {
-    fail_executor(
-        "run_cannon: node is not a Cannon-representable contraction");
-  }
+/// The Cannon template's numerics: every rank multiplies its block
+/// triple, e steps in all, while the rotating arrays ring-shift.  Requires
+/// a full triplet (i, j, k all assigned) whose extents divide the grid
+/// edge; other indices are never split.
+CannonRunResult cannon_numerics(const ProcGrid& grid,
+                                const IndexSpace& space,
+                                const ContractionNode& node,
+                                const CannonChoice& choice,
+                                const DenseTensor& left_full,
+                                const DenseTensor& right_full) {
   if (choice.i == kNoIndex || choice.j == kNoIndex ||
       choice.k == kNoIndex) {
     fail_executor(
-        "run_cannon: the numeric executor requires a full (i,j,k) triplet");
+        "run_step: the numeric executor requires a full (i,j,k) triplet");
   }
-  TCE_EXPECTS(net.spec().procs() == grid.procs);
-  check_split_extents("run_cannon", {choice.i, choice.j, choice.k}, space,
+  check_split_extents("run_step", {choice.i, choice.j, choice.k}, space,
                       grid.edge);
 
   const std::uint32_t e = grid.edge;
-  const obs::TraceSpan run_span(
-      obs::trace_enabled() ? "cannon.run " + node.tensor.name
-                           : std::string(),
-      "cannon");
   obs::count("cannon.runs");
   obs::count("cannon.steps", e);
   if (obs::trace_enabled()) {
@@ -201,9 +193,9 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
   const bool b_rot = choice.rotates_right();
   const bool c_rot = choice.rotates_result();
 
-  // Flows and the memory peak count the logical blocks, never the
-  // kernel's padded panels.  Every rank holds its three blocks plus a
-  // receive buffer for the largest rotating one.
+  // The memory peak counts the logical blocks, never the kernel's
+  // padded panels.  Every rank holds its three blocks plus a receive
+  // buffer for the largest rotating one.
   const std::uint64_t a_bytes = checked_mul(low.a.size(), sizeof(double));
   const std::uint64_t b_bytes = checked_mul(low.b.size(), sizeof(double));
   const std::uint64_t c_bytes = checked_mul(low.c.size(), sizeof(double));
@@ -259,65 +251,34 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
                np * (low.a.size() + low.b.size() + low.c.size()) *
                    sizeof(double));
   }
-
-  // Timing: every step multiplies one block triple of the full loop
-  // space on each rank, then ring-shifts the rotating arrays' logical
-  // blocks (the last shift returns them to their aligned start — the
-  // √P-step rotation accounting of §3.2).  All e steps are alike, so
-  // one is simulated and run e times.  The builder shifts toward +1 and
-  // the blocks above move toward −1; full-duplex NICs of equal in and
-  // out capacity price both directions the same.
-  std::vector<RingShift> shifts;
-  if (a_rot) shifts.push_back({a_bytes, choice.left_rot_dim()});
-  if (b_rot) shifts.push_back({b_bytes, choice.right_rot_dim()});
-  if (c_rot) shifts.push_back({c_bytes, choice.result_rot_dim()});
-  Phase step = ring_shift_phase(grid, shifts, node.tensor.name);
-  const std::uint64_t flops_per_block = checked_mul(
-      2, node.loop_indices().extent_product(space) /
-             (static_cast<std::uint64_t>(e) * e * e));
-  for (std::uint32_t r = 0; r < grid.procs; ++r) {
-    step.compute.push_back({r, flops_per_block});
-  }
-  out.timing = net.run_phase(step, e);
-  if (obs::metrics_enabled()) {
-    for (std::uint32_t s = 0; s < e; ++s) {
-      obs::observe("cannon.phase_s", out.timing.total_s() / e);
-    }
-  }
   return out;
 }
 
-CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
-                               const IndexSpace& space,
-                               const ContractionNode& node,
-                               const ReplicatedSpec& spec,
-                               const DenseTensor& left_full,
-                               const DenseTensor& right_full) {
-  if (node.kind != ContractionNode::Kind::kContraction ||
-      !node.batch_indices.empty()) {
-    fail_executor(
-        "run_replicated: node is not a Cannon-representable contraction");
-  }
-  TCE_EXPECTS(net.spec().procs() == grid.procs);
-  check_split_extents(
-      "run_replicated",
-      {spec.stationary_dist.at(1), spec.stationary_dist.at(2)}, space,
-      grid.edge);
+/// The replicated template's numerics: every rank contracts its
+/// stationary block against the whole replicated operand, and the
+/// partial results are summed into the result.  The stationary
+/// distribution's indices must divide the grid edge.
+CannonRunResult replicated_numerics(const ProcGrid& grid,
+                                    const IndexSpace& space,
+                                    const ContractionNode& node,
+                                    const PlanStep& step,
+                                    const DenseTensor& left_full,
+                                    const DenseTensor& right_full) {
+  const bool replicate_right = step.replicate_right;
+  const Distribution& stationary_dist =
+      replicate_right ? step.left_dist : step.right_dist;
+  check_split_extents("run_step",
+                      {stationary_dist.at(1), stationary_dist.at(2)}, space,
+                      grid.edge);
   const std::uint32_t e = grid.edge;
-  const obs::TraceSpan run_span(
-      obs::trace_enabled() ? "replicated.run " + node.tensor.name
-                           : std::string(),
-      "cannon");
   obs::count("cannon.replicated_runs");
 
-  const DenseTensor& stat_full =
-      spec.replicate_right ? left_full : right_full;
-  const DenseTensor& repl_full =
-      spec.replicate_right ? right_full : left_full;
+  const DenseTensor& stat_full = replicate_right ? left_full : right_full;
+  const DenseTensor& repl_full = replicate_right ? right_full : left_full;
   TensorRef stat_ref{"stationary", stat_full.dims()};
-  TCE_EXPECTS_MSG(distribution_valid_for(spec.stationary_dist, stat_ref),
+  TCE_EXPECTS_MSG(distribution_valid_for(stationary_dist, stat_ref),
                   "stationary distribution names a missing dimension");
-  TCE_EXPECTS_MSG(distribution_valid_for(spec.result_dist, node.tensor),
+  TCE_EXPECTS_MSG(distribution_valid_for(step.result_dist, node.tensor),
                   "result distribution names a missing dimension");
 
   // The partial result before the reduction is split only by the
@@ -325,35 +286,29 @@ CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
   // result and stationary distributions agree); the scatter position is
   // a zero-cost relabel applied at gather time.
   auto partial_pos = [&](int d) {
-    const IndexId r = spec.result_dist.at(d);
-    return (r != kNoIndex && spec.stationary_dist.at(d) == r) ? r
-                                                              : kNoIndex;
+    const IndexId r = step.result_dist.at(d);
+    return (r != kNoIndex && stationary_dist.at(d) == r) ? r : kNoIndex;
   };
   const Distribution partial_dist(partial_pos(1), partial_pos(2));
 
-  // Allgather of the replicated operand (timing; numerically every rank
-  // simply reads repl_full).
-  std::vector<Phase> phases = allgather_phases(
-      grid, checked_mul(repl_full.size(), sizeof(double)), node.tensor.name);
-
-  // Local compute: each rank contracts its stationary block against the
-  // replicated operand (every rank holds it whole; the contraction reads
-  // the k-slice matching the stationary block's summation range).
+  // Each rank contracts its stationary block against the replicated
+  // operand (every rank holds it whole; the contraction reads the
+  // k-slice matching the stationary block's summation range).
   TensorRef repl_ref{"replicated", repl_full.dims()};
   const IndexSet repl_dims = repl_ref.index_set();
   const Distribution repl_slice_dist(
-      repl_dims.contains(spec.stationary_dist.at(1))
-          ? spec.stationary_dist.at(1)
+      repl_dims.contains(stationary_dist.at(1))
+          ? stationary_dist.at(1)
           : kNoIndex,
-      repl_dims.contains(spec.stationary_dist.at(2))
-          ? spec.stationary_dist.at(2)
+      repl_dims.contains(stationary_dist.at(2))
+          ? stationary_dist.at(2)
           : kNoIndex);
 
   // Every rank's stationary block, replicated slice and partial result
   // share one shape, so the contraction is lowered once, from rank
   // (0, 0)'s blocks.
   auto stat_range = [&](std::uint32_t z1, std::uint32_t z2) {
-    return block_range(stat_ref, spec.stationary_dist, space, grid, z1, z2);
+    return block_range(stat_ref, stationary_dist, space, grid, z1, z2);
   };
   auto repl_range = [&](std::uint32_t z1, std::uint32_t z2) {
     return block_range(repl_ref, repl_slice_dist, space, grid, z1, z2);
@@ -367,24 +322,13 @@ CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
   const BlockRange repl_first = repl_range(0, 0);
   const BlockRange partial_first = partial_range(0, 0);
   const TtgtLowering low =
-      spec.replicate_right
+      replicate_right
           ? lower_node(node, left_full, stat_first, right_full, repl_first,
                        out.result, partial_first)
           : lower_node(node, left_full, repl_first, right_full, stat_first,
                        out.result, partial_first);
 
   std::uint64_t packed = 0;
-  Phase compute_phase;
-  if (obs::trace_enabled()) {
-    compute_phase.label = node.tensor.name + " compute";
-  }
-  const int split_dims =
-      (spec.stationary_dist.at(1) != kNoIndex ? 1 : 0) +
-      (spec.stationary_dist.at(2) != kNoIndex ? 1 : 0);
-  std::uint64_t per_rank_flops =
-      checked_mul(2, node.loop_indices().extent_product(space));
-  for (int d = 0; d < split_dims; ++d) per_rank_flops /= e;
-
   PackedGemm gemm(low.m(), low.k(), low.n());
   std::vector<double> a_rows(low.a.size()), b_rows(low.b.size());
   std::vector<double> a_pk(gemm.a_size()), b_pk(gemm.b_size());
@@ -394,27 +338,25 @@ CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
       const BlockRange stat_r = stat_range(z1, z2);
       const BlockRange repl_r = repl_range(z1, z2);
       gather_packed(
-          from_origin(left_full, spec.replicate_right ? stat_r : repl_r),
+          from_origin(left_full, replicate_right ? stat_r : repl_r),
           low.a, a_rows);
       gemm.pack_a(a_rows, a_pk);
       gather_packed(
-          from_origin(right_full, spec.replicate_right ? repl_r : stat_r),
+          from_origin(right_full, replicate_right ? repl_r : stat_r),
           low.b, b_rows);
       gemm.pack_b(b_rows, b_pk);
       std::fill(partial.begin(), partial.end(), 0.0);
       gemm.multiply_acc(a_pk, b_pk, partial);
-      compute_phase.compute.push_back({grid.rank(z1, z2),
-                                       per_rank_flops});
       packed += low.a.size() + low.b.size();
 
       // Accumulate into the full result; replicas (grid dims that split
       // nothing of the stationary operand and carry no reduction) only
       // contribute once.
       bool contribute = true;
-      if (spec.stationary_dist.at(1) == kNoIndex && z1 != 0) {
+      if (stationary_dist.at(1) == kNoIndex && z1 != 0) {
         contribute = false;
       }
-      if (spec.stationary_dist.at(2) == kNoIndex && z2 != 0) {
+      if (stationary_dist.at(2) == kNoIndex && z2 != 0) {
         contribute = false;
       }
       if (contribute) {
@@ -429,49 +371,62 @@ CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
     // contributing ranks' result scatters.
     obs::count("kernel.pack_bytes", packed * sizeof(double));
   }
-  phases.push_back(std::move(compute_phase));
-
-  // Reduce-scatter of the partials (timing; the numeric sum happened in
-  // the accumulation above).
-  if (spec.reduce_dim != 0) {
-    for (Phase& phase : reduce_scatter_phases(
-             grid, spec.reduce_dim,
-             dist_bytes(node.tensor, partial_dist, IndexSet(), space, grid),
-             node.tensor.name)) {
-      phases.push_back(std::move(phase));
-    }
-  }
-
-  // One "cannon.phase_s" sample per phase (a no-op unless recording).
-  for (const Phase& phase : phases) {
-    const PhaseResult r = net.run_phase(phase);
-    obs::observe("cannon.phase_s", r.total_s());
-    out.timing.comm_s += r.comm_s;
-    out.timing.compute_s += r.compute_s;
-  }
   // Every rank holds its stationary block, the whole replicated operand
   // and its partial result.
   const std::uint64_t stat_elems =
-      spec.replicate_right ? low.a.size() : low.b.size();
+      replicate_right ? low.a.size() : low.b.size();
   out.peak_rank_bytes = checked_mul(
       checked_add(checked_add(stat_elems, repl_full.size()), low.c.size()),
       sizeof(double));
   return out;
 }
 
-ExecChoice exec_choice_of(const PlanStep& s) {
-  if (s.tmpl == StepTemplate::kCannon) return {false, s.choice, {}};
-  const Distribution& stationary =
-      s.replicate_right ? s.left_dist : s.right_dist;
-  return {true,
-          {},
-          {s.replicate_right, stationary, s.result_dist, s.reduce_dim}};
+}  // namespace
+
+CannonRunResult run_step(const Network& net, const ProcGrid& grid,
+                         const IndexSpace& space,
+                         const ContractionNode& node, const PlanStep& step,
+                         const DenseTensor& left_full,
+                         const DenseTensor& right_full) {
+  if (node.kind != ContractionNode::Kind::kContraction ||
+      !node.batch_indices.empty()) {
+    fail_executor(
+        "run_step: node is not a Cannon-representable contraction");
+  }
+  TCE_EXPECTS(net.spec().procs() == grid.procs);
+  const bool cannon = step.tmpl == StepTemplate::kCannon;
+  const obs::TraceSpan run_span(
+      obs::trace_enabled()
+          ? (cannon ? "cannon.run " : "replicated.run ") + node.tensor.name
+          : std::string(),
+      "cannon");
+  CannonRunResult out =
+      cannon ? cannon_numerics(grid, space, node, step.choice, left_full,
+                               right_full)
+             : replicated_numerics(grid, space, node, step, left_full,
+                                   right_full);
+
+  // The whole arrays ran, so the step is timed unfused.
+  PlanStep unfused = step;
+  unfused.fusion = IndexSet();
+  unfused.effective_fused = IndexSet();
+  out.timing = simulate_step(net, grid, space, node, unfused);
+  if (obs::metrics_enabled()) {
+    // One sample per ring-shift step of a Cannon rotation, all alike;
+    // one for a replicated step.
+    const std::uint32_t phases = cannon ? grid.edge : 1;
+    for (std::uint32_t p = 0; p < phases; ++p) {
+      obs::observe("cannon.phase_s", out.timing.total_s() / phases);
+    }
+  }
+  return out;
 }
 
-TreeRunResult run_tree(const Network& net, const ProcGrid& grid,
-                       const ContractionTree& tree,
-                       const std::map<NodeId, ExecChoice>& choices,
+TreeRunResult run_plan(const Network& net, const ProcGrid& grid,
+                       const ContractionTree& tree, const OptimizedPlan& plan,
                        const std::map<std::string, DenseTensor>& inputs) {
+  std::map<NodeId, const PlanStep*> steps;
+  for (const PlanStep& s : plan.steps) steps[s.node] = &s;
   // Live values by node: inputs are read in place, intermediates are
   // owned here until their consumer has run.
   std::map<NodeId, DenseTensor> owned;
@@ -487,40 +442,20 @@ TreeRunResult run_tree(const Network& net, const ProcGrid& grid,
       case ContractionNode::Kind::kInput: {
         auto it = inputs.find(n.tensor.name);
         if (it == inputs.end()) {
-          fail_executor("run_tree: missing input '" + n.tensor.name +
-                        "'");
+          fail_executor("run_plan: missing input '" + n.tensor.name + "'");
         }
         values[id] = &it->second;
         break;
       }
       case ContractionNode::Kind::kContraction: {
-        ExecChoice choice;
-        auto it = choices.find(id);
-        if (it != choices.end()) {
-          choice = it->second;
-        } else {
-          // Default: the first fully-assigned Cannon triplet.
-          bool found = false;
-          for (const auto& c : enumerate_cannon_choices(n)) {
-            if (c.i != kNoIndex && c.j != kNoIndex && c.k != kNoIndex) {
-              choice.cannon = c;
-              found = true;
-              break;
-            }
-          }
-          if (!found) {
-            fail_executor("run_tree: node '" + n.tensor.name +
-                          "' admits no fully-assigned Cannon triplet");
-          }
+        auto it = steps.find(id);
+        if (it == steps.end()) {
+          fail_executor("run_plan: no plan step computes '" +
+                        n.tensor.name + "'");
         }
-        const DenseTensor& left = *values.at(n.left);
-        const DenseTensor& right = *values.at(n.right);
         CannonRunResult r =
-            choice.replicated
-                ? run_replicated(net, grid, tree.space(), n, choice.repl,
-                                 left, right)
-                : run_cannon(net, grid, tree.space(), n, choice.cannon, left,
-                             right);
+            run_step(net, grid, tree.space(), n, *it->second,
+                     *values.at(n.left), *values.at(n.right));
         out.timing.comm_s += r.timing.comm_s;
         out.timing.compute_s += r.timing.compute_s;
         produce(id, std::move(r.result));
@@ -552,13 +487,33 @@ TreeRunResult run_tree(const Network& net, const ProcGrid& grid,
                        const ContractionTree& tree,
                        const std::map<NodeId, CannonChoice>& choices,
                        const std::map<std::string, DenseTensor>& inputs) {
-  std::map<NodeId, ExecChoice> exec;
-  for (const auto& [id, c] : choices) {
-    ExecChoice e;
-    e.cannon = c;
-    exec.emplace(id, e);
+  OptimizedPlan plan;
+  for (NodeId id : tree.post_order()) {
+    const ContractionNode& n = tree.node(id);
+    if (n.kind != ContractionNode::Kind::kContraction) continue;
+    PlanStep s;
+    s.node = id;
+    s.result_name = n.tensor.name;
+    if (auto it = choices.find(id); it != choices.end()) {
+      s.choice = it->second;
+    } else {
+      // Default: the first fully-assigned Cannon triplet.
+      const std::vector<CannonChoice> all = enumerate_cannon_choices(n);
+      auto full = std::find_if(all.begin(), all.end(), [](const auto& c) {
+        return c.i != kNoIndex && c.j != kNoIndex && c.k != kNoIndex;
+      });
+      if (full == all.end()) {
+        fail_executor("run_tree: node '" + n.tensor.name +
+                      "' admits no fully-assigned Cannon triplet");
+      }
+      s.choice = *full;
+    }
+    s.left_dist = s.choice.left_dist();
+    s.right_dist = s.choice.right_dist();
+    s.result_dist = s.choice.result_dist();
+    plan.steps.push_back(std::move(s));
   }
-  return run_tree(net, grid, tree, exec, inputs);
+  return run_plan(net, grid, tree, plan, inputs);
 }
 
 }  // namespace tce

@@ -1,21 +1,17 @@
 #pragma once
 /// \file executor.hpp
-/// Distributed execution of generalized Cannon contractions on the
-/// simulated cluster.
+/// Distributed execution of planned contraction steps on the simulated
+/// cluster.
 ///
 /// The executor is an SPMD simulation: every rank owns real double-
 /// precision blocks and local block products run through the
-/// packed-operand GEMM (PackedGemm).  Its communication is the machine's
-/// shared collectives (costmodel/characterize.hpp), priced under
-/// contention by the flow-level network simulator: a Cannon rotation is
-/// one ring_shift_phase of the logical blocks plus one block product's
-/// flops on every rank, simulated once and run √P times, exactly as
-/// characterization measures a rotation and core/simulate replays one;
-/// the replicated template runs the allgather and reduce-scatter
-/// builders.  Each contraction is lowered once per run, and every rank
-/// packs its operand blocks once, into the layout of the kernel that
-/// multiplies them, and keeps them packed until the final scatter
-/// (docs/KERNELS.md).  The result is therefore both a
+/// packed-operand GEMM (PackedGemm).  It runs a PlanStep's numerics on
+/// whole arrays, so a fused step runs unfused, and takes its simulated
+/// time from core/simulate's replay of that unfused step: it builds no
+/// communication of its own.  Each contraction is lowered once per run,
+/// and every rank packs its operand blocks once, into the layout of the
+/// kernel that multiplies them, and keeps them packed until the final
+/// scatter (docs/KERNELS.md).  The result is therefore both a
 /// *numerically correct* output tensor (validated against the reference
 /// einsum in tests) and a *simulated wall time* decomposed into
 /// communication and computation.
@@ -51,70 +47,39 @@ struct CannonRunResult {
   std::uint64_t peak_rank_bytes = 0;  ///< Max bytes resident on any rank.
 };
 
-/// Executes one contraction node with the given Cannon choice.  The
+/// Executes plan step \p step, which computes contraction \p node.  The
 /// operand tensors are full arrays (the executor scatters them into the
 /// schedule's block placement; initial distribution is free per §3.3).
-/// Requires a full triplet (i, j, k all assigned) whose extents divide
-/// the grid edge; other indices are never split.  Every failure throws
-/// tce::Error and logs cannon/executor.fail.
-CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
-                           const IndexSpace& space,
-                           const ContractionNode& node,
-                           const CannonChoice& choice,
-                           const DenseTensor& left_full,
-                           const DenseTensor& right_full);
+/// A Cannon step needs a full triplet (i, j, k all assigned); the
+/// indices either template splits must have extents that divide the grid
+/// edge, and other indices are never split.  The timing is
+/// simulate_step of the step with its fusion cleared.  Every failure
+/// throws tce::Error and logs cannon/executor.fail.
+CannonRunResult run_step(const Network& net, const ProcGrid& grid,
+                         const IndexSpace& space,
+                         const ContractionNode& node, const PlanStep& step,
+                         const DenseTensor& left_full,
+                         const DenseTensor& right_full);
 
-/// Execution parameters of a replicate–compute–reduce contraction: one
-/// operand is gathered whole onto every rank, the other stays blocked by
-/// \p stationary_dist, each rank contracts its block against the full
-/// copy, and the partial results are combined along \p reduce_dim
-/// (0 = no reduction needed) into \p result_dist.
-struct ReplicatedSpec {
-  bool replicate_right = true;
-  Distribution stationary_dist;
-  Distribution result_dist;
-  int reduce_dim = 0;
-};
-
-/// Executes one contraction with the replicated template: allgather
-/// timing + per-rank block×full contraction + reduce-scatter timing,
-/// with real numerics throughout.  The stationary distribution's
-/// indices must divide the grid edge.
-CannonRunResult run_replicated(const Network& net, const ProcGrid& grid,
-                               const IndexSpace& space,
-                               const ContractionNode& node,
-                               const ReplicatedSpec& spec,
-                               const DenseTensor& left_full,
-                               const DenseTensor& right_full);
-
-/// How one tree node executes in run_tree.
-struct ExecChoice {
-  bool replicated = false;
-  CannonChoice cannon{};    ///< Used when !replicated.
-  ReplicatedSpec repl{};    ///< Used when replicated.
-};
-
-/// How plan step \p s executes: its replicated spec, or its Cannon
-/// choice.
-ExecChoice exec_choice_of(const PlanStep& s);
-
-/// Per-tree execution: runs every contraction node of \p tree through
-/// run_cannon / run_replicated with the given per-node choices (keyed by
-/// NodeId), chaining results; kReduce nodes are evaluated with the
-/// reference reducer (their cost is a local sum when the reduced
-/// dimensions are unsplit under the chosen distributions, which the
-/// full-triplet requirement guarantees for the chained value).  Returns
-/// the final tensor and the summed contraction timings.
+/// Result of running a whole tree: the final tensor and the summed
+/// step timings.
 struct TreeRunResult {
   DenseTensor result;
   PhaseResult timing;
 };
-TreeRunResult run_tree(const Network& net, const ProcGrid& grid,
-                       const ContractionTree& tree,
-                       const std::map<NodeId, ExecChoice>& choices,
+
+/// Runs every contraction node of \p tree through run_step with its
+/// step of \p plan, chaining results; kReduce nodes are evaluated with
+/// the reference reducer (their cost is a local sum when the reduced
+/// dimensions are unsplit under the chosen distributions, which the
+/// full-triplet requirement guarantees for the chained value).
+TreeRunResult run_plan(const Network& net, const ProcGrid& grid,
+                       const ContractionTree& tree, const OptimizedPlan& plan,
                        const std::map<std::string, DenseTensor>& inputs);
 
-/// Convenience overload: Cannon choices only.
+/// run_plan over unfused Cannon steps with the given per-node choices
+/// (keyed by NodeId); a node without one takes its first fully-assigned
+/// triplet.
 TreeRunResult run_tree(const Network& net, const ProcGrid& grid,
                        const ContractionTree& tree,
                        const std::map<NodeId, CannonChoice>& choices,

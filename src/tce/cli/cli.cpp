@@ -120,10 +120,11 @@ usage:
   tcemin validate <program-file> [options]
       Optimize (single-tree programs) and compare the predicted
       communication cost against a brute-force flow simulation of the
-      plan on the simulated cluster.  Accepts the same options as plan
-      (except --machine: validation needs the simulator itself);
-      --trace FILE records the simulated flows as a timeline, and
-      --kernel NAME selects the local GEMM kernel as in plan.
+      plan on the simulated cluster, which it measures itself (no
+      --machine).  Takes plan's --procs, --procs-per-node, --mem-limit,
+      --threads, --no-fusion, --no-redistribution, --replication,
+      --liveness, --opmin and --kernel, and
+        --trace FILE         record the simulated flows as a timeline
 
   tcemin characterize [options]
       Measure a simulated cluster and print a characterization file.
@@ -322,20 +323,55 @@ double parse_double_option(const std::string& name,
   }
 }
 
-CharacterizedModel load_or_measure(Args& args, std::uint32_t procs,
-                                   std::uint32_t per_node) {
+/// Takes --procs and --procs-per-node; values that form no grid are a
+/// usage error.
+ProcGrid take_grid(Args& args) {
+  const auto procs =
+      static_cast<std::uint32_t>(args.take_uint("--procs", "16"));
+  const auto per_node =
+      static_cast<std::uint32_t>(args.take_uint("--procs-per-node", "2"));
+  const std::string why = ProcGrid::shape_error(procs, per_node);
+  if (!why.empty()) throw UsageError("--procs/--procs-per-node: " + why);
+  return ProcGrid::make(procs, per_node);
+}
+
+/// The planner options plan and validate share (see the usage text),
+/// with --kernel applied on the way.
+struct PlannerOptions {
+  ProcGrid grid;
+  OptimizerConfig cfg;
+  bool opmin = false;
+};
+
+PlannerOptions take_planner_options(Args& args) {
+  PlannerOptions o;
+  o.grid = take_grid(args);
+  o.cfg.mem_limit_node_bytes = args.take_size("--mem-limit", "");
+  o.cfg.threads = static_cast<unsigned>(args.take_uint("--threads", "0"));
+  o.cfg.enable_fusion = !args.take_flag("--no-fusion");
+  o.cfg.enable_redistribution = !args.take_flag("--no-redistribution");
+  o.cfg.enable_replication_template = args.take_flag("--replication");
+  o.cfg.liveness_aware = args.take_flag("--liveness");
+  o.opmin = args.take_flag("--opmin");
+  apply_kernel_flag(args.take_option("--kernel", ""));
+  return o;
+}
+
+CharacterizedModel load_or_measure(Args& args, const ProcGrid& grid) {
   const std::string machine = args.take_option("--machine", "");
   if (!machine.empty()) {
     std::ifstream in(machine);
     if (!in) throw IoError("cannot open machine file '" + machine + "'");
     CharacterizationTable t = CharacterizationTable::load(in);
-    if (t.grid.procs != procs) {
+    if (t.grid.procs != grid.procs) {
       throw Error("machine file is for " + std::to_string(t.grid.procs) +
-                  " processors, but --procs is " + std::to_string(procs));
+                  " processors, but --procs is " +
+                  std::to_string(grid.procs));
     }
     return CharacterizedModel(std::move(t));
   }
-  return CharacterizedModel(characterize_itanium(procs, per_node));
+  return CharacterizedModel(
+      characterize_itanium(grid.procs, grid.procs_per_node));
 }
 
 /// `--trace FILE`: starts the trace emitter for the command's scope and
@@ -484,17 +520,14 @@ std::string lint_report_json(const lint::LintReport& report) {
 }
 
 std::string cmd_lint(Args args) {
-  const auto procs =
-      static_cast<std::uint32_t>(args.take_uint("--procs", "16"));
-  const auto per_node =
-      static_cast<std::uint32_t>(args.take_uint("--procs-per-node", "2"));
+  const ProcGrid grid = take_grid(args);
   const std::uint64_t mem_limit = args.take_size("--mem-limit", "");
   const bool no_fusion = args.take_flag("--no-fusion");
   const bool liveness = args.take_flag("--liveness");
   const bool comm_bounds = args.take_flag("--comm-bounds");
   const bool replication = args.take_flag("--replication");
   const bool json_out = args.take_flag("--json");
-  CharacterizedModel model = load_or_measure(args, procs, per_node);
+  CharacterizedModel model = load_or_measure(args, grid);
   // Positionals are taken only after every option is consumed, so an
   // option value ("--metrics out.prom file.tce") is never mistaken for
   // the program file.
@@ -508,8 +541,8 @@ std::string cmd_lint(Args args) {
   cfg.liveness_aware = liveness;
   cfg.comm_bounds = comm_bounds;
   cfg.enable_replication = replication;
-  const lint::LintReport report = lint::lint_program(
-      program, ProcGrid::make(procs, per_node), &model.table(), cfg);
+  const lint::LintReport report =
+      lint::lint_program(program, grid, &model.table(), cfg);
   const std::string rendered =
       json_out ? lint_report_json(report) : report.str();
   if (!report.ok()) throw LintFindingsError(rendered);
@@ -517,43 +550,24 @@ std::string cmd_lint(Args args) {
 }
 
 std::string cmd_plan(Args args) {
-  const auto procs =
-      static_cast<std::uint32_t>(args.take_uint("--procs", "16"));
-  const auto per_node =
-      static_cast<std::uint32_t>(args.take_uint("--procs-per-node", "2"));
-  const std::uint64_t mem_limit = args.take_size("--mem-limit", "");
-  const auto threads =
-      static_cast<unsigned>(args.take_uint("--threads", "0"));
-  const bool no_fusion = args.take_flag("--no-fusion");
-  const bool no_redist = args.take_flag("--no-redistribution");
-  const bool replication = args.take_flag("--replication");
-  const bool liveness = args.take_flag("--liveness");
+  const PlannerOptions opts = take_planner_options(args);
+  const OptimizerConfig& cfg = opts.cfg;
   const bool pseudocode = args.take_flag("--pseudocode");
   const bool json = args.take_flag("--json");
   const bool verify = args.take_flag("--verify");
-  const bool opmin = args.take_flag("--opmin");
   const bool stats = args.take_flag("--stats");
-  apply_kernel_flag(args.take_option("--kernel", ""));
   const TraceGuard trace(args.take_option("--trace", ""));
   const MetricsGuard metrics(args.take_option("--metrics", ""));
   if (stats && !obs::metrics_enabled()) {
     obs::metrics_reset();
     obs::metrics_enable(true);
   }
-  CharacterizedModel model = load_or_measure(args, procs, per_node);
+  CharacterizedModel model = load_or_measure(args, opts.grid);
   const std::string path = args.take_positional("program file");
   args.expect_empty();
 
   const std::string text = read_file(path);
   ParsedProgram program = parse_program(text);
-
-  OptimizerConfig cfg;
-  cfg.mem_limit_node_bytes = mem_limit;
-  cfg.enable_fusion = !no_fusion;
-  cfg.enable_redistribution = !no_redist;
-  cfg.enable_replication_template = replication;
-  cfg.liveness_aware = liveness;
-  cfg.threads = threads;
 
   // A multi-output program is planned jointly as a forest.  On a
   // validation failure, re-diagnose with the batched linter so every
@@ -561,8 +575,8 @@ std::string cmd_plan(Args args) {
   ContractionForest forest;
   try {
     FormulaSequence seq =
-        opmin ? binarize_program(program)
-              : to_formula_sequence(program, /*allow_forest=*/true);
+        opts.opmin ? binarize_program(program)
+                   : to_formula_sequence(program, /*allow_forest=*/true);
     forest = ContractionForest::from_sequence(seq);
   } catch (const Error&) {
     rethrow_batched(program);
@@ -661,43 +675,29 @@ std::string cmd_opmin(Args args) {
 }
 
 std::string cmd_validate(Args args) {
-  const auto procs =
-      static_cast<std::uint32_t>(args.take_uint("--procs", "16"));
-  const auto per_node =
-      static_cast<std::uint32_t>(args.take_uint("--procs-per-node", "2"));
-  const std::uint64_t mem_limit = args.take_size("--mem-limit", "");
-  const auto threads =
-      static_cast<unsigned>(args.take_uint("--threads", "0"));
-  const bool replication = args.take_flag("--replication");
-  const bool liveness = args.take_flag("--liveness");
-  const bool opmin = args.take_flag("--opmin");
-  apply_kernel_flag(args.take_option("--kernel", ""));
+  const PlannerOptions opts = take_planner_options(args);
   const TraceGuard trace(args.take_option("--trace", ""));
   const std::string path = args.take_positional("program file");
   args.expect_empty();
 
-  const ProcGrid grid = ProcGrid::make(procs, per_node);
-  Network net(ClusterSpec::itanium2003(grid.nodes(), per_node));
+  const ProcGrid& grid = opts.grid;
+  Network net(ClusterSpec::itanium2003(grid.nodes(), grid.procs_per_node));
   CharacterizedModel model(characterize(net, grid));
 
   ParsedProgram program = parse_program(read_file(path));
-  FormulaSequence seq = opmin ? binarize_program(program)
-                              : to_formula_sequence(program);
+  FormulaSequence seq = opts.opmin ? binarize_program(program)
+                                   : to_formula_sequence(program);
   ContractionTree tree = ContractionTree::from_sequence(seq);
-
-  OptimizerConfig cfg;
-  cfg.mem_limit_node_bytes = mem_limit;
-  cfg.enable_replication_template = replication;
-  cfg.liveness_aware = liveness;
-  cfg.threads = threads;
-  OptimizedPlan plan = optimize(tree, model, cfg);
+  OptimizedPlan plan = optimize(tree, model, opts.cfg);
 
   std::string out;
   double pred_total = 0, sim_total = 0;
   for (const PlanStep& step : plan.steps) {
     const double pred =
         step.rot_left_s + step.rot_right_s + step.rot_result_s;
-    const double sim = simulate_step_comm(net, grid, tree, step);
+    const double sim =
+        simulate_step(net, grid, tree.space(), tree.node(step.node), step)
+            .comm_s;
     pred_total += pred;
     sim_total += sim;
     out += step.result_name + ": predicted " + fixed(pred, 2) +
@@ -711,19 +711,15 @@ std::string cmd_validate(Args args) {
 }
 
 std::string cmd_characterize(Args args) {
-  const auto procs =
-      static_cast<std::uint32_t>(args.take_uint("--procs", "16"));
-  const auto per_node =
-      static_cast<std::uint32_t>(args.take_uint("--procs-per-node", "2"));
+  const ProcGrid grid = take_grid(args);
   const std::uint64_t nic = args.take_size("--nic-bw", "27MB");
   const std::string latency = args.take_option("--latency", "0.06");
   const std::string flops = args.take_option("--flops", "615000000");
   args.expect_empty();
 
-  const ProcGrid grid = ProcGrid::make(procs, per_node);
   ClusterSpec spec;
   spec.nodes = grid.nodes();
-  spec.procs_per_node = per_node;
+  spec.procs_per_node = grid.procs_per_node;
   spec.nic_bw = static_cast<double>(nic);
   spec.mem_bw = spec.nic_bw * 15.0;
   spec.latency_s = parse_double_option("--latency", latency);

@@ -51,9 +51,8 @@ inline std::uint64_t saturating_add(std::uint64_t a,
   return a + b;
 }
 
-/// Exact integer square root of a perfect square; throws otherwise.
-/// Used to derive the √P×√P logical grid edge from the processor count.
-inline std::uint32_t exact_isqrt(std::uint64_t n) {
+/// Integer square root, rounded down.
+inline std::uint64_t isqrt(std::uint64_t n) {
   std::uint64_t r = 0;
   std::uint64_t bit = std::uint64_t{1} << 62;
   while (bit > n) bit >>= 2;
@@ -67,6 +66,13 @@ inline std::uint32_t exact_isqrt(std::uint64_t n) {
     }
     bit >>= 2;
   }
+  return r;
+}
+
+/// Exact integer square root of a perfect square; throws otherwise.
+/// Used to derive the √P×√P logical grid edge from the processor count.
+inline std::uint32_t exact_isqrt(std::uint64_t n) {
+  const std::uint64_t r = isqrt(n);
   TCE_EXPECTS_MSG(r * r == n, "processor count must be a perfect square");
   return static_cast<std::uint32_t>(r);
 }

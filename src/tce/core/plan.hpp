@@ -107,9 +107,6 @@ struct OptimizerStats {
   std::string str() const;
 };
 
-/// Historical name; the struct predates the observability layer.
-using SearchStats = OptimizerStats;
-
 /// A complete optimized plan.
 struct OptimizedPlan {
   double total_comm_s = 0;

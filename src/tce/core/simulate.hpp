@@ -8,12 +8,13 @@
 /// at each step, how many bytes, and how many times the fused loops
 /// repeat them.  The flows themselves are the collectives the table was
 /// measured from (costmodel/characterize.hpp): ring shifts for Cannon
-/// steps, allgathers and reduce-scatters for replicated steps.  A Cannon
-/// rotation is timed as the executor and characterization time it, one
-/// ring-shift step simulated and run √P times, so an unfused step's
-/// replay equals run_cannon's comm_s bit for bit; fused-loop repeats
-/// are accounted by symmetry.  bench_validate reports agreement within
-/// ~1.5 %.
+/// steps, allgathers and reduce-scatters for replicated steps, plus each
+/// rank's block-product flops.  A Cannon rotation is timed as
+/// characterization times it, one ring-shift step simulated and run √P
+/// times; fused-loop repeats are accounted by symmetry.  This is the one
+/// place a PlanStep becomes simulated phases: the numeric executor
+/// (cannon/executor.hpp) takes its timing from simulate_step of the
+/// unfused step.  bench_validate reports agreement within ~1.5 %.
 
 #include "tce/core/plan.hpp"
 #include "tce/expr/contraction.hpp"
@@ -27,12 +28,15 @@ namespace tce {
 /// RotateCost prices them (DESIGN §7).
 enum class ReplayMode { kConcurrent, kSerialized };
 
-/// Simulated communication time of one plan step on \p net.
-double simulate_step_comm(const Network& net, const ProcGrid& grid,
-                          const ContractionTree& tree, const PlanStep& step,
+/// Simulated time of plan step \p step, which computes \p node: the
+/// communication of its collectives over every fused-loop repeat, and
+/// the per-rank compute of its block products.
+PhaseResult simulate_step(const Network& net, const ProcGrid& grid,
+                          const IndexSpace& space,
+                          const ContractionNode& node, const PlanStep& step,
                           ReplayMode mode = ReplayMode::kConcurrent);
 
-/// Sum over all steps of a plan.
+/// Sum over all steps of a plan of their simulated communication.
 double simulate_plan_comm(const Network& net, const ProcGrid& grid,
                           const ContractionTree& tree,
                           const OptimizedPlan& plan,

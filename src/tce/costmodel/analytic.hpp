@@ -16,9 +16,6 @@ struct AnalyticParams {
   double step_latency_s = 0.060;  ///< Per ring-shift step start-up.
   double proc_bw = 13.5e6;        ///< Effective per-processor bytes/s.
   double flops_per_proc = 615e6;  ///< FLOP/s per processor.
-  /// Redistribution moves each block once across the machine; modeled as
-  /// bytes / proc_bw plus √P start-ups (pairwise exchanges in a row).
-  double redist_bw_factor = 1.0;
 };
 
 /// MachineModel with closed-form costs (grid-dimension symmetric).
@@ -39,10 +36,11 @@ class AnalyticModel final : public MachineModel {
     return static_cast<double>(grid_.edge) * per_step;
   }
 
+  /// Redistribution moves each block once across the machine: √P
+  /// start-ups (pairwise exchanges in a row) plus bytes / proc_bw.
   double redistribute_cost(std::uint64_t local_bytes) const override {
     return static_cast<double>(grid_.edge) * p_.step_latency_s +
-           p_.redist_bw_factor * static_cast<double>(local_bytes) /
-               p_.proc_bw;
+           static_cast<double>(local_bytes) / p_.proc_bw;
   }
 
   double allgather_cost(std::uint64_t total_bytes) const override {

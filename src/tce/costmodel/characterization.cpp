@@ -64,19 +64,27 @@ void save_curve(std::ostream& os, const std::string& name,
   }
 }
 
+/// Reads section \p want.  A file is outside input, so every sample
+/// add_sample would reject throws tce::Error here instead.
 CostCurve load_curve(std::istream& is, const std::string& want) {
+  const std::string where = "characterization file: section '" + want + "'";
   std::string name;
   std::size_t count = 0;
   if (!(is >> name >> count) || name != want) {
     throw Error("characterization file: expected section '" + want + "'");
   }
+  if (count == 0) throw Error(where + " is empty");
   CostCurve curve;
   for (std::size_t i = 0; i < count; ++i) {
     std::uint64_t bytes = 0;
     double seconds = 0;
-    if (!(is >> bytes >> seconds)) {
-      throw Error("characterization file: truncated section '" + want +
-                  "'");
+    if (!(is >> bytes >> seconds)) throw Error(where + " is truncated");
+    if (!(seconds > 0) || !std::isfinite(seconds)) {
+      throw Error(where + ": sample " + std::to_string(i) +
+                  " has non-positive or non-finite seconds");
+    }
+    if (!curve.empty() && bytes <= curve.sample_bytes().back()) {
+      throw Error(where + ": sample sizes must strictly increase");
     }
     curve.add_sample(bytes, seconds);
   }
@@ -118,6 +126,10 @@ CharacterizationTable CharacterizationTable::load(std::istream& is) {
   std::uint32_t procs = 0, per_node = 0;
   if (!(is >> key >> procs >> per_node) || key != "grid") {
     throw Error("characterization file: missing grid line");
+  }
+  if (const std::string why = ProcGrid::shape_error(procs, per_node);
+      !why.empty()) {
+    throw Error("characterization file: bad grid line: " + why);
   }
   t.grid = ProcGrid::make(procs, per_node);
   if (!(is >> key >> t.flops_per_proc) || key != "flops_per_proc" ||

@@ -20,13 +20,29 @@ struct ProcGrid {
   std::uint32_t edge = 1;            ///< √P.
   std::uint32_t procs_per_node = 1;  ///< For per-node memory accounting.
 
+  /// Why \p p processors at \p per_node per node form no grid, or an
+  /// empty string when they do.  Input boundaries (CLI flags, daemon
+  /// requests, machine files) check it and report their own error;
+  /// make() treats a bad shape as a programming error.
+  static std::string shape_error(std::uint32_t p, std::uint32_t per_node) {
+    if (p == 0 || isqrt(p) * isqrt(p) != p) {
+      return "processor count " + std::to_string(p) +
+             " is not a positive perfect square";
+    }
+    if (per_node == 0 || p % per_node != 0) {
+      return "processor count " + std::to_string(p) +
+             " is not a multiple of " + std::to_string(per_node) +
+             " processors per node";
+    }
+    return {};
+  }
+
   /// Builds a grid, validating that \p p is a perfect square and divisible
   /// into nodes.
   static ProcGrid make(std::uint32_t p, std::uint32_t per_node = 2) {
-    TCE_EXPECTS(p >= 1);
-    TCE_EXPECTS(per_node >= 1);
-    TCE_EXPECTS_MSG(p % per_node == 0,
-                    "processor count must be a multiple of procs per node");
+    TCE_EXPECTS_MSG(shape_error(p, per_node).empty(),
+                    "processor count must be a positive perfect square "
+                    "and a multiple of procs per node");
     ProcGrid g;
     g.procs = p;
     g.edge = exact_isqrt(p);

@@ -234,14 +234,12 @@ OracleOutcome oracle_exec(const OracleInput& in) {
       return skip("extents not divisible by the grid edge");
     }
   }
-  std::map<NodeId, ExecChoice> choices;
   for (const PlanStep& s : plan->steps) {
     if (s.tmpl == StepTemplate::kCannon &&
         (s.choice.i == kNoIndex || s.choice.j == kNoIndex ||
          s.choice.k == kNoIndex)) {
       return skip("plan has a partial Cannon triplet");
     }
-    choices[s.node] = exec_choice_of(s);
   }
 
   Rng rng(in.inst->seed ^ 0xE45C0DEDULL);
@@ -261,8 +259,7 @@ OracleOutcome oracle_exec(const OracleInput& in) {
   for (const KernelKind kind :
        {KernelKind::kReference, KernelKind::kTiled}) {
     ScopedKernelConfig force(kind);
-    const TreeRunResult got =
-        run_tree(*in.net, grid, *in.tree, choices, inputs);
+    const TreeRunResult got = run_plan(*in.net, grid, *in.tree, *plan, inputs);
     const double diff = got.result.max_abs_diff(want);
     if (diff > 1e-9 * scale) {
       return fail(std::string("distributed execution (kernel=") +

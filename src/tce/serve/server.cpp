@@ -389,6 +389,11 @@ std::string Server::handle(const std::string& request_json) {
       req.program = prog->string;
       req.procs = get_u32(doc, "procs", req.procs);
       req.per_node = get_u32(doc, "procs_per_node", req.per_node);
+      const std::string why = ProcGrid::shape_error(req.procs, req.per_node);
+      if (!why.empty()) {
+        throw RequestError(
+            "request fields 'procs' and 'procs_per_node': " + why);
+      }
       req.mem_limit_bytes =
           get_u64(doc, "mem_limit_bytes", req.mem_limit_bytes);
       req.fusion = get_bool(doc, "fusion", req.fusion);

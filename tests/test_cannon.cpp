@@ -9,12 +9,15 @@
 #include <bit>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <type_traits>
 
 #include "tce/cannon/executor.hpp"
 #include "tce/common/error.hpp"
+#include "tce/core/optimizer.hpp"
 #include "tce/core/simulate.hpp"
+#include "tce/costmodel/characterize.hpp"
 #include "tce/expr/parser.hpp"
 #include "tce/obs/log.hpp"
 #include "tce/tensor/kernel.hpp"
@@ -63,6 +66,33 @@ std::vector<CannonChoice> full_triplets(const ContractionNode& node) {
     }
   }
   return out;
+}
+
+/// The unfused Cannon plan step of \p choice for \p node.
+PlanStep cannon_step(const ContractionNode& node, const CannonChoice& choice) {
+  PlanStep step;
+  step.result_name = node.tensor.name;
+  step.choice = choice;
+  step.left_dist = choice.left_dist();
+  step.right_dist = choice.right_dist();
+  step.result_dist = choice.result_dist();
+  return step;
+}
+
+/// The unfused replicated plan step for \p node that gathers the right
+/// operand when \p repl_right (else the left) and keeps the other on
+/// \p stationary.
+PlanStep replicated_step(const ContractionNode& node, bool repl_right,
+                         Distribution stationary, Distribution result_dist,
+                         int reduce_dim) {
+  PlanStep step;
+  step.result_name = node.tensor.name;
+  step.tmpl = StepTemplate::kReplicated;
+  step.replicate_right = repl_right;
+  (repl_right ? step.left_dist : step.right_dist) = stationary;
+  step.result_dist = result_dist;
+  step.reduce_dim = reduce_dim;
+  return step;
 }
 
 /// Elements of \p dims' block when \p split1 and \p split2 are cut
@@ -127,8 +157,9 @@ DenseTensor reference_cannon(const IndexSpace& space, const ProcGrid& grid,
   return out;
 }
 
-/// run_cannon's peak_rank_bytes from the block extents alone: the three
-/// resident blocks plus a receive buffer for the largest rotating one.
+/// A Cannon run_step's peak_rank_bytes from the block extents alone: the
+/// three resident blocks plus a receive buffer for the largest rotating
+/// one.
 std::uint64_t cannon_peak_bytes(const IndexSpace& space,
                                 const ProcGrid& grid,
                                 const ContractionNode& node,
@@ -146,15 +177,16 @@ std::uint64_t cannon_peak_bytes(const IndexSpace& space,
 }
 
 /// Runs \p choice under every kExactConfigs entry and requires
-/// run_cannon to equal reference_cannon bit for bit and its peak to
-/// match the closed form.
+/// run_step to equal reference_cannon bit for bit and its peak to match
+/// the closed form.
 void expect_cannon_exact(const Network& net, const ProcGrid& grid,
                          const IndexSpace& space, const ContractionNode& n,
                          const CannonChoice& choice, const DenseTensor& a,
                          const DenseTensor& b) {
   for (const KernelConfig& cfg : kExactConfigs) {
     const ScopedKernelConfig scoped(cfg);
-    const CannonRunResult r = run_cannon(net, grid, space, n, choice, a, b);
+    const CannonRunResult r =
+        run_step(net, grid, space, n, cannon_step(n, choice), a, b);
     EXPECT_TRUE(bitwise_equal(
         r.result, reference_cannon(space, grid, n, choice, a, b)))
         << n.tensor.name << " kernel=" << config_name(cfg)
@@ -208,8 +240,8 @@ TEST_F(CannonFixture, MatchesReferenceForEveryChoice) {
         choice.k == kNoIndex) {
       continue;  // the numeric executor requires a full triplet
     }
-    CannonRunResult r = run_cannon(net_, grid_, tree_.space(), n, choice,
-                                   b, d);
+    CannonRunResult r = run_step(net_, grid_, tree_.space(), n,
+                                 cannon_step(n, choice), b, d);
     EXPECT_LT(want.max_abs_diff(r.result), 1e-10)
         << "choice i=" << int(choice.i) << " j=" << int(choice.j)
         << " k=" << int(choice.k) << " rot=" << int(choice.rot)
@@ -257,8 +289,9 @@ TEST_F(CannonFixture, TimingScalesWithRotatedVolume) {
         choice.k == kNoIndex) {
       continue;
     }
-    CannonRunResult r = run_cannon(net_, grid_, tree_.space(), n, choice,
-                                   inputs_.at("B"), inputs_.at("D"));
+    CannonRunResult r =
+        run_step(net_, grid_, tree_.space(), n, cannon_step(n, choice),
+                 inputs_.at("B"), inputs_.at("D"));
     if (choice.rotates_result()) {
       best_rotating_t1 = std::min(best_rotating_t1, r.timing.comm_s);
     } else {
@@ -271,8 +304,9 @@ TEST_F(CannonFixture, TimingScalesWithRotatedVolume) {
 TEST_F(CannonFixture, ComputeTimeMatchesFlopModel) {
   const ContractionNode& n = first_contraction();
   const CannonChoice choice = enumerate_cannon_choices(n).front();
-  CannonRunResult r = run_cannon(net_, grid_, tree_.space(), n, choice,
-                                 inputs_.at("B"), inputs_.at("D"));
+  CannonRunResult r =
+      run_step(net_, grid_, tree_.space(), n, cannon_step(n, choice),
+               inputs_.at("B"), inputs_.at("D"));
   // Total flops split evenly across P ranks, perfectly parallel.
   const double want = static_cast<double>(tree_.flops(
                           [&] {
@@ -294,8 +328,9 @@ TEST_F(CannonFixture, RejectsPartialTriplet) {
   auto choices = enumerate_cannon_choices(n);
   Rng rng(5);
   auto ins = make_random_inputs(t, rng);
-  EXPECT_THROW(run_cannon(net_, grid_, t.space(), n, choices.front(),
-                          ins.at("M"), ins.at("x")),
+  EXPECT_THROW(run_step(net_, grid_, t.space(), n,
+                        cannon_step(n, choices.front()), ins.at("M"),
+                        ins.at("x")),
                Error);
 }
 
@@ -314,11 +349,12 @@ TEST_F(CannonFixture, RejectsNonDividingExtents) {
 }
 
 TEST_F(CannonFixture, TimingEqualsThePlanReplayBitwise) {
-  // run_cannon, characterization and core/simulate time a rotation one
-  // way: one ring-shift step run edge times.  So for every full triplet
-  // of every contraction, the executor's comm_s is bit for bit the
-  // replay of the matching unfused plan step, and its compute_s is one
-  // block product per rank added edge times.
+  // run_step takes its timing from core/simulate's replay, which times a
+  // rotation as characterization does: one ring-shift step run edge
+  // times.  So for every full triplet of every contraction, the
+  // executor's timing is bit for bit the replay of its unfused plan
+  // step, and its compute_s is one block product per rank added edge
+  // times.
   const IndexSpace& space = tree_.space();
   const std::uint32_t e = grid_.edge;
   std::map<NodeId, DenseTensor> values;
@@ -338,20 +374,18 @@ TEST_F(CannonFixture, TimingEqualsThePlanReplayBitwise) {
     double want_compute = 0;
     for (std::uint32_t s = 0; s < e; ++s) want_compute += block_s;
     for (const CannonChoice& choice : full_triplets(n)) {
-      PlanStep step;
+      PlanStep step = cannon_step(n, choice);
       step.node = id;
-      step.result_name = n.tensor.name;
-      step.choice = choice;
-      step.left_dist = choice.left_dist();
-      step.right_dist = choice.right_dist();
-      step.result_dist = choice.result_dist();
-      const CannonRunResult r =
-          run_cannon(net_, grid_, space, n, choice, a, b);
+      const CannonRunResult r = run_step(net_, grid_, space, n, step, a, b);
+      const PhaseResult replay =
+          simulate_step(net_, grid_, space, n, step);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.comm_s),
-                std::bit_cast<std::uint64_t>(
-                    simulate_step_comm(net_, grid_, tree_, step)))
+                std::bit_cast<std::uint64_t>(replay.comm_s))
           << n.tensor.name << " rot=" << int(choice.rot)
           << " transposed=" << choice.transposed;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.compute_s),
+                std::bit_cast<std::uint64_t>(replay.compute_s))
+          << n.tensor.name;
       EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.compute_s),
                 std::bit_cast<std::uint64_t>(want_compute))
           << n.tensor.name;
@@ -360,6 +394,83 @@ TEST_F(CannonFixture, TimingEqualsThePlanReplayBitwise) {
     values.emplace(id, einsum_pair(a, b, n.tensor.dims, n.sum_indices));
   }
   EXPECT_GT(runs, 0u);
+}
+
+TEST_F(CannonFixture, FusedStepRunsAsItsUnfusedCopy) {
+  // The executor runs whole arrays, so a fused step runs and is timed
+  // exactly as its copy with the fusion cleared.  These limits fuse T2
+  // and S: Cannon steps at 8 KB per node, replicated ones at 30 KB.
+  const CharacterizedModel model(characterize(net_, grid_));
+  const IndexSpace& space = tree_.space();
+  std::set<StepTemplate> fused_templates;
+  for (const auto& [limit, replication] :
+       {std::pair{std::uint64_t{8'000}, false},
+        std::pair{std::uint64_t{30'000}, true}}) {
+    OptimizerConfig cfg;
+    cfg.mem_limit_node_bytes = limit;
+    cfg.enable_replication_template = replication;
+    const OptimizedPlan plan = optimize(tree_, model, cfg);
+    std::map<NodeId, const PlanStep*> steps;
+    for (const PlanStep& s : plan.steps) steps[s.node] = &s;
+    std::map<NodeId, DenseTensor> values;
+    for (NodeId id : tree_.post_order()) {
+      const ContractionNode& n = tree_.node(id);
+      if (n.kind == ContractionNode::Kind::kInput) {
+        values.emplace(id, inputs_.at(n.tensor.name));
+        continue;
+      }
+      const PlanStep& step = *steps.at(id);
+      const DenseTensor& a = values.at(n.left);
+      const DenseTensor& b = values.at(n.right);
+      if (!step.effective_fused.empty()) {
+        fused_templates.insert(step.tmpl);
+        PlanStep unfused = step;
+        unfused.fusion = IndexSet();
+        unfused.effective_fused = IndexSet();
+        const CannonRunResult got = run_step(net_, grid_, space, n, step, a, b);
+        const CannonRunResult want =
+            run_step(net_, grid_, space, n, unfused, a, b);
+        EXPECT_TRUE(bitwise_equal(got.result, want.result)) << n.tensor.name;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.timing.comm_s),
+                  std::bit_cast<std::uint64_t>(want.timing.comm_s))
+            << n.tensor.name;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.timing.compute_s),
+                  std::bit_cast<std::uint64_t>(want.timing.compute_s))
+            << n.tensor.name;
+        EXPECT_EQ(got.peak_rank_bytes, want.peak_rank_bytes) << n.tensor.name;
+      }
+      values.emplace(id, einsum_pair(a, b, n.tensor.dims, n.sum_indices));
+    }
+  }
+  EXPECT_EQ(fused_templates,
+            (std::set{StepTemplate::kCannon, StepTemplate::kReplicated}));
+}
+
+TEST_F(CannonFixture, RunTreeEqualsRunPlanBitwise) {
+  // run_tree is run_plan over the unfused Cannon steps of its choices,
+  // so a Cannon-only plan's choices run bit for bit as the plan does,
+  // fused (8 KB per node) or not.
+  const CharacterizedModel model(characterize(net_, grid_));
+  for (const std::uint64_t limit : {std::uint64_t{0}, std::uint64_t{8'000}}) {
+    OptimizerConfig cfg;
+    cfg.mem_limit_node_bytes = limit;
+    const OptimizedPlan plan = optimize(tree_, model, cfg);
+    std::map<NodeId, CannonChoice> choices;
+    for (const PlanStep& s : plan.steps) {
+      ASSERT_EQ(s.tmpl, StepTemplate::kCannon);
+      choices[s.node] = s.choice;
+    }
+    const TreeRunResult tree_run =
+        run_tree(net_, grid_, tree_, choices, inputs_);
+    const TreeRunResult plan_run = run_plan(net_, grid_, tree_, plan, inputs_);
+    EXPECT_TRUE(bitwise_equal(tree_run.result, plan_run.result)) << limit;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tree_run.timing.comm_s),
+              std::bit_cast<std::uint64_t>(plan_run.timing.comm_s))
+        << limit;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tree_run.timing.compute_s),
+              std::bit_cast<std::uint64_t>(plan_run.timing.compute_s))
+        << limit;
+  }
 }
 
 TEST_F(CannonFixture, OnlySplitExtentsMustDivideTheGridEdge) {
@@ -377,17 +488,17 @@ TEST_F(CannonFixture, OnlySplitExtentsMustDivideTheGridEdge) {
   const IndexSpace& space = t.space();
   const IndexId i = space.id("i"), j = space.id("j"), k = space.id("k"),
                 m = space.id("m");
-  ReplicatedSpec spec;
-  spec.stationary_dist = Distribution(m, k);
-  spec.result_dist = Distribution(m, j);
-  spec.reduce_dim = 2;
-
   obs::flight_recorder_clear();
   obs::flight_recorder_enable(true);
-  EXPECT_THROW(run_cannon(net_, grid_, space, n,
-                          CannonChoice{m, j, k, false, k}, a, b),
+  EXPECT_THROW(run_step(net_, grid_, space, n,
+                        cannon_step(n, CannonChoice{m, j, k, false, k}), a,
+                        b),
                Error);
-  EXPECT_THROW(run_replicated(net_, grid_, space, n, spec, a, b), Error);
+  EXPECT_THROW(run_step(net_, grid_, space, n,
+                        replicated_step(n, true, Distribution(m, k),
+                                        Distribution(m, j), 2),
+                        a, b),
+               Error);
   const std::string dump = obs::flight_recorder_dump();
   obs::flight_recorder_enable(false);
   obs::flight_recorder_clear();
@@ -398,34 +509,37 @@ TEST_F(CannonFixture, OnlySplitExtentsMustDivideTheGridEdge) {
 
   const DenseTensor want = einsum_pair(a, b, n.tensor.dims, n.sum_indices);
   EXPECT_LT(want.max_abs_diff(
-                run_cannon(net_, grid_, space, n,
-                           CannonChoice{i, j, k, false, k}, a, b)
+                run_step(net_, grid_, space, n,
+                         cannon_step(n, CannonChoice{i, j, k, false, k}), a,
+                         b)
                     .result),
             1e-10);
-  spec.stationary_dist = Distribution(i, k);
-  spec.result_dist = Distribution(i, j);
-  EXPECT_LT(
-      want.max_abs_diff(
-          run_replicated(net_, grid_, space, n, spec, a, b).result),
-      1e-10);
+  EXPECT_LT(want.max_abs_diff(
+                run_step(net_, grid_, space, n,
+                         replicated_step(n, true, Distribution(i, k),
+                                         Distribution(i, j), 2),
+                         a, b)
+                    .result),
+            1e-10);
 }
 
-/// run_replicated's schedule with the public helpers: each rank
+/// A replicated run_step's schedule with the public helpers: each rank
 /// contracts its stationary block against the matching slice of the
 /// replicated operand into a zeroed partial, and every rank that is not
 /// a replica accumulates its partial into the result in rank order.
 DenseTensor reference_replicated(const IndexSpace& space,
                                  const ProcGrid& grid,
                                  const ContractionNode& node,
-                                 const ReplicatedSpec& spec,
+                                 const PlanStep& step,
                                  const DenseTensor& a, const DenseTensor& b) {
-  const DenseTensor& stat = spec.replicate_right ? a : b;
-  const DenseTensor& repl = spec.replicate_right ? b : a;
+  const DenseTensor& stat = step.replicate_right ? a : b;
+  const DenseTensor& repl = step.replicate_right ? b : a;
   const TensorRef stat_ref{"S", stat.dims()};
   const TensorRef repl_ref{"R", repl.dims()};
-  const Distribution& sd = spec.stationary_dist;
+  const Distribution& sd =
+      step.replicate_right ? step.left_dist : step.right_dist;
   auto partial_pos = [&](int d) {
-    const IndexId r = spec.result_dist.at(d);
+    const IndexId r = step.result_dist.at(d);
     return (r != kNoIndex && sd.at(d) == r) ? r : kNoIndex;
   };
   auto slice_pos = [&](int d) {
@@ -444,7 +558,7 @@ DenseTensor reference_replicated(const IndexSpace& space,
       const BlockRange pr =
           block_range(node.tensor, partial_dist, space, grid, z1, z2);
       DenseTensor partial(node.tensor.dims, pr.extents());
-      if (spec.replicate_right) {
+      if (step.replicate_right) {
         ttgt_contract_acc(sb, rb, node.sum_indices, partial);
       } else {
         ttgt_contract_acc(rb, sb, node.sum_indices, partial);
@@ -490,15 +604,14 @@ TEST(CannonReplicated, MatchesBlockReferenceBitwise) {
       for (const IndexId s_r : s_rs) {
         for (const IndexId s_k : {k0, k1, kNoIndex}) {
           for (const bool tr : {false, true}) {
-            ReplicatedSpec spec;
-            spec.replicate_right = repl_right;
-            spec.stationary_dist = Distribution(s_r, s_k);
-            if (tr) spec.stationary_dist = spec.stationary_dist.transposed();
-            spec.reduce_dim = spec.stationary_dist.dim_of(s_k);
-            Distribution alpha(s_r, spec.reduce_dim != 0
-                                        ? (repl_right ? j0 : i0)
-                                        : kNoIndex);
-            spec.result_dist = tr ? alpha.transposed() : alpha;
+            Distribution stationary(s_r, s_k);
+            if (tr) stationary = stationary.transposed();
+            const int reduce_dim = stationary.dim_of(s_k);
+            Distribution alpha(s_r, reduce_dim != 0 ? (repl_right ? j0 : i0)
+                                                    : kNoIndex);
+            const PlanStep step =
+                replicated_step(node, repl_right, stationary,
+                                tr ? alpha.transposed() : alpha, reduce_dim);
 
             const std::uint64_t stat_elems =
                 block_elems(space, stat.dims(), s_r, s_k, grid.edge);
@@ -510,10 +623,10 @@ TEST(CannonReplicated, MatchesBlockReferenceBitwise) {
             for (const KernelConfig& cfg : kExactConfigs) {
               const ScopedKernelConfig scoped(cfg);
               const CannonRunResult r =
-                  run_replicated(net, grid, space, node, spec, a, b);
+                  run_step(net, grid, space, node, step, a, b);
               EXPECT_TRUE(bitwise_equal(
                   r.result,
-                  reference_replicated(space, grid, node, spec, a, b)))
+                  reference_replicated(space, grid, node, step, a, b)))
                   << "procs=" << procs << " repl_right=" << repl_right
                   << " s_r=" << int(s_r) << " s_k=" << int(s_k)
                   << " tr=" << tr << " kernel=" << config_name(cfg);
@@ -588,8 +701,9 @@ TEST(CannonOneRank, MovesNothing) {
   // time, and all the compute on the one rank.
   SweepProblem pr(SweepCase{1, 1});
   for (const CannonChoice& choice : full_triplets(pr.node)) {
-    const CannonRunResult r =
-        run_cannon(pr.net, pr.grid, pr.space, pr.node, choice, pr.a, pr.b);
+    const CannonRunResult r = run_step(pr.net, pr.grid, pr.space, pr.node,
+                                       cannon_step(pr.node, choice), pr.a,
+                                       pr.b);
     EXPECT_EQ(r.timing.comm_s, 0.0);
     EXPECT_GT(r.timing.compute_s, 0.0);
   }
@@ -607,8 +721,8 @@ TEST_P(CannonSweep, RandomShapesMatchReference) {
   for (int t = 0; t < 4; ++t) {
     const auto& choice = choices[static_cast<std::size_t>(pr.rng.uniform_int(
         0, static_cast<std::int64_t>(choices.size()) - 1))];
-    CannonRunResult r =
-        run_cannon(pr.net, pr.grid, pr.space, pr.node, choice, pr.a, pr.b);
+    CannonRunResult r = run_step(pr.net, pr.grid, pr.space, pr.node,
+                                 cannon_step(pr.node, choice), pr.a, pr.b);
     EXPECT_LT(want.max_abs_diff(r.result), 1e-10);
   }
 }

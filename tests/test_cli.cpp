@@ -309,6 +309,48 @@ TEST(Cli, ProcsPerNodeShapesTheBundledCluster) {
             reply.substr(at + 7, reply.size() - at - 8) + "\n");
 }
 
+TEST(Cli, GridOptionsThatFormNoGridAreUsageErrors) {
+  // A --procs that is not a positive perfect square, or a
+  // --procs-per-node that does not divide it, is a malformed option
+  // value for every subcommand that builds a grid.
+  TempFile f("cli_grid.tce", kSmallProgram);
+  const std::vector<std::vector<std::string>> grids = {
+      {"--procs", "8"},
+      {"--procs", "0"},
+      {"--procs", "15"},
+      {"--procs", "16", "--procs-per-node", "3"}};
+  for (const std::string cmd : {"plan", "lint", "validate", "characterize"}) {
+    for (const std::vector<std::string>& grid : grids) {
+      std::vector<std::string> args{cmd};
+      if (cmd != "characterize") args.push_back(f.path());
+      args.insert(args.end(), grid.begin(), grid.end());
+      const CliResult r = run_cli(args);
+      EXPECT_EQ(r.exit_code, kExitUsage)
+          << cmd << " " << grid.back() << ": " << r.error;
+    }
+  }
+}
+
+TEST(Cli, ValidateTakesThePlannerFlags) {
+  // Unfused, no plan of the paper program fits 4 GB on 16 procs (T1
+  // must be fused).  On 64 procs the plan is unfused and redistributes
+  // nothing, so either flag leaves the output as it is.
+  TempFile f("cli_valflags.tce", ::tce::testing::kPaperProgram);
+  EXPECT_EQ(run_cli({"validate", f.path(), "--procs", "16", "--mem-limit",
+                     "4GB", "--no-fusion"})
+                .exit_code,
+            kExitInfeasible);
+  const CliResult base =
+      run_cli({"validate", f.path(), "--procs", "64", "--mem-limit", "4GB"});
+  ASSERT_EQ(base.exit_code, 0) << base.error;
+  for (const char* flag : {"--no-fusion", "--no-redistribution"}) {
+    const CliResult r = run_cli(
+        {"validate", f.path(), "--procs", "64", "--mem-limit", "4GB", flag});
+    ASSERT_EQ(r.exit_code, 0) << flag << ": " << r.error;
+    EXPECT_EQ(r.output, base.output) << flag;
+  }
+}
+
 TEST(Cli, OneRankGridPlansAndValidates) {
   // On a 1×1 grid no collective moves anything: characterization
   // records its floor, and planning and the replay still succeed.

@@ -195,7 +195,7 @@ TEST(Simulate, StatsAreAccountedConsistently) {
   OptimizerConfig cfg;
   cfg.mem_limit_node_bytes = kNodeLimit4GB;
   OptimizedPlan plan = optimize(tree, model, cfg);
-  const SearchStats& st = plan.stats;
+  const OptimizerStats& st = plan.stats;
   EXPECT_GT(st.candidates, 1000u);
   EXPECT_EQ(st.candidates, st.infeasible + st.dominated + st.kept);
   EXPECT_LE(st.max_per_node, st.kept);

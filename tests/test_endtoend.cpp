@@ -56,11 +56,8 @@ TEST_P(EndToEnd, PlanExecutesCorrectly) {
   EXPECT_TRUE(report.ok()) << report.str(tree);
   EXPECT_TRUE(report.diagnostics.empty()) << report.str(tree);
 
-  std::map<NodeId, ExecChoice> exec;
-  for (const PlanStep& s : plan.steps) exec[s.node] = exec_choice_of(s);
-
   auto inputs = make_random_inputs(tree, rng);
-  TreeRunResult run = run_tree(net, grid, tree, exec, inputs);
+  TreeRunResult run = run_plan(net, grid, tree, plan, inputs);
   DenseTensor want = evaluate_tree(tree, inputs);
   EXPECT_LT(want.max_abs_diff(run.result), 1e-9);
 

@@ -102,15 +102,29 @@ SmallMatmul small_matmul() {
   return m;
 }
 
+/// The unfused replicated plan step for \p node that gathers the right
+/// operand when \p repl_right (else the left) and keeps the other on
+/// \p stationary.
+PlanStep replicated_step(const ContractionNode& node, bool repl_right,
+                         Distribution stationary, Distribution result_dist,
+                         int reduce_dim) {
+  PlanStep step;
+  step.result_name = node.tensor.name;
+  step.tmpl = StepTemplate::kReplicated;
+  step.replicate_right = repl_right;
+  (repl_right ? step.left_dist : step.right_dist) = stationary;
+  step.result_dist = result_dist;
+  step.reduce_dim = reduce_dim;
+  return step;
+}
+
 /// Replicates B; A stays blocked ⟨a,k⟩ and the partials reduce along
 /// grid dimension 2 into ⟨a,b⟩, or A stays ⟨a,·⟩ with no reduction.
-ReplicatedSpec replicate_b(const SmallMatmul& m, bool reduce) {
-  ReplicatedSpec spec;
-  spec.replicate_right = true;
-  spec.stationary_dist = Distribution(m.a, reduce ? m.k : kNoIndex);
-  spec.result_dist = Distribution(m.a, reduce ? m.b : kNoIndex);
-  spec.reduce_dim = reduce ? 2 : 0;
-  return spec;
+PlanStep replicate_b(const SmallMatmul& m, bool reduce) {
+  return replicated_step(m.node, true,
+                         Distribution(m.a, reduce ? m.k : kNoIndex),
+                         Distribution(m.a, reduce ? m.b : kNoIndex),
+                         reduce ? 2 : 0);
 }
 
 TEST(Collectives, ReplicatedRunsOnASixBySixGrid) {
@@ -127,8 +141,9 @@ TEST(Collectives, ReplicatedRunsOnASixBySixGrid) {
   opts.sizes = {partial_bytes, m.right.size() * sizeof(double)};
   const CharacterizationTable t = characterize(net, grid, opts);
   for (bool reduce : {false, true}) {
-    const CannonRunResult r = run_replicated(
-        net, grid, m.space, m.node, replicate_b(m, reduce), m.left, m.right);
+    const CannonRunResult r = run_step(net, grid, m.space, m.node,
+                                       replicate_b(m, reduce), m.left,
+                                       m.right);
     EXPECT_LT(want.max_abs_diff(r.result), 1e-11) << reduce;
     const double priced =
         t.allgather.eval(m.right.size() * sizeof(double)) +
@@ -149,8 +164,9 @@ TEST(Collectives, ExecutorAllgatherIsTheCharacterizedOne) {
     CharacterizeOptions opts;
     opts.sizes = {bytes};
     const CharacterizationTable t = characterize(net, grid, opts);
-    const CannonRunResult r = run_replicated(
-        net, grid, m.space, m.node, replicate_b(m, false), m.left, m.right);
+    const CannonRunResult r = run_step(net, grid, m.space, m.node,
+                                       replicate_b(m, false), m.left,
+                                       m.right);
     EXPECT_DOUBLE_EQ(r.timing.comm_s, t.allgather.eval(bytes)) << procs;
   }
 }
@@ -273,22 +289,19 @@ TEST(ReplicationExecutor, MatchesReferenceForAllSpecs) {
     for (IndexId s_r : side) {
       for (IndexId s_k : {k0, k1, kNoIndex}) {
         for (bool tr : {false, true}) {
-          ReplicatedSpec spec;
-          spec.replicate_right = repl_right;
           Distribution delta(s_r, s_k);
           if (tr) delta = delta.transposed();
-          spec.stationary_dist = delta;
-          spec.reduce_dim = delta.dim_of(s_k);
+          const int reduce_dim = delta.dim_of(s_k);
           // Scatter position: pick the first replicated-side result
           // index, or none.
           const IndexId j_pick = repl_right ? j0 : i0;
-          Distribution alpha(s_r, spec.reduce_dim != 0 ? j_pick
-                                                       : kNoIndex);
+          Distribution alpha(s_r, reduce_dim != 0 ? j_pick : kNoIndex);
           if (tr) alpha = alpha.transposed();
-          spec.result_dist = alpha;
 
-          CannonRunResult r =
-              run_replicated(net, grid, space, node, spec, a, b);
+          CannonRunResult r = run_step(
+              net, grid, space, node,
+              replicated_step(node, repl_right, delta, alpha, reduce_dim), a,
+              b);
           EXPECT_LT(want.max_abs_diff(r.result), 1e-11)
               << "repl_right=" << repl_right << " s_r=" << int(s_r)
               << " s_k=" << int(s_k) << " tr=" << tr;
@@ -302,11 +315,11 @@ TEST(ReplicationExecutor, MatchesReferenceForAllSpecs) {
 }
 
 TEST(ReplicationExecutor, TimingEqualsThePlanReplayBitwise) {
-  // run_replicated and core/simulate run the same collectives, so for
-  // every side, stationary split, reduction and orientation on 2×2, 4×4
-  // and 6×6 grids the executor's comm_s is bit for bit the replay of the
-  // matching unfused plan step, and its compute_s is one rank's share
-  // of the flops.
+  // run_step takes its timing from core/simulate's replay, so for every
+  // side, stationary split, reduction and orientation on 2×2, 4×4 and
+  // 6×6 grids the executor's timing is bit for bit the replay of its
+  // unfused plan step, and its compute_s is one rank's share of the
+  // flops.
   ContractionTree tree = ContractionTree::from_sequence(
       parse_formula_sequence("index i0, i1, j0, k0, k1 = 12\n"
                              "C[i0,i1,j0] = sum[k0,k1] A[i0,k0,i1,k1] * "
@@ -333,33 +346,31 @@ TEST(ReplicationExecutor, TimingEqualsThePlanReplayBitwise) {
       for (const IndexId s_r : s_rs) {
         for (const IndexId s_k : {k0, k1, kNoIndex}) {
           for (const bool tr : {false, true}) {
-            PlanStep step;
-            step.node = root;
-            step.result_name = node.tensor.name;
-            step.tmpl = StepTemplate::kReplicated;
-            step.replicate_right = repl_right;
             Distribution stationary(s_r, s_k);
             if (tr) stationary = stationary.transposed();
-            (repl_right ? step.left_dist : step.right_dist) = stationary;
-            step.reduce_dim = stationary.dim_of(s_k);
-            Distribution alpha(s_r, step.reduce_dim != 0
-                                        ? (repl_right ? j0 : i0)
-                                        : kNoIndex);
-            step.result_dist = tr ? alpha.transposed() : alpha;
+            const int reduce_dim = stationary.dim_of(s_k);
+            Distribution alpha(s_r, reduce_dim != 0 ? (repl_right ? j0 : i0)
+                                                    : kNoIndex);
+            PlanStep step = replicated_step(node, repl_right, stationary,
+                                            tr ? alpha.transposed() : alpha,
+                                            reduce_dim);
+            step.node = root;
 
             const CannonRunResult r =
-                run_replicated(net, grid, space, node,
-                               exec_choice_of(step).repl, a, b);
+                run_step(net, grid, space, node, step, a, b);
+            const PhaseResult replay =
+                simulate_step(net, grid, space, node, step);
             const std::uint32_t splits = (s_r != kNoIndex ? 1u : 0u) +
                                          (s_k != kNoIndex ? 1u : 0u);
             std::uint64_t flops = tree.flops(root);
             for (std::uint32_t d = 0; d < splits; ++d) flops /= grid.edge;
             EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.comm_s),
-                      std::bit_cast<std::uint64_t>(
-                          simulate_step_comm(net, grid, tree, step)))
+                      std::bit_cast<std::uint64_t>(replay.comm_s))
                 << "procs=" << procs << " repl_right=" << repl_right
                 << " s_r=" << int(s_r) << " s_k=" << int(s_k)
                 << " tr=" << tr;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.compute_s),
+                      std::bit_cast<std::uint64_t>(replay.compute_s));
             EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.compute_s),
                       std::bit_cast<std::uint64_t>(
                           static_cast<double>(flops) /
@@ -393,12 +404,9 @@ TEST(ReplicationExecutor, WholeTreeWithMixedTemplates) {
   cfg.enable_replication_template = true;
   OptimizedPlan plan = optimize(tree, model, cfg);
 
-  std::map<NodeId, ExecChoice> exec;
-  for (const PlanStep& s : plan.steps) exec[s.node] = exec_choice_of(s);
-
   Rng rng(31);
   auto inputs = make_random_inputs(tree, rng);
-  TreeRunResult run = run_tree(net, grid, tree, exec, inputs);
+  TreeRunResult run = run_plan(net, grid, tree, plan, inputs);
   DenseTensor want = evaluate_tree(tree, inputs);
   EXPECT_LT(want.max_abs_diff(run.result), 1e-9);
   // This workload's optimum at this scale may or may not replicate;

@@ -72,9 +72,10 @@ TEST_P(MachineFileFuzz, CorruptedFilesNeverCrash) {
     // A file that still loads must still produce sane positive costs.
     EXPECT_GT(m.rotate_cost(1 << 20, 1), 0.0);
   } catch (const Error&) {
-    SUCCEED();
+    SUCCEED();  // typed rejection is the expected outcome
   } catch (const ContractViolation&) {
-    SUCCEED();  // corrupt numerics may trip value contracts; fine
+    FAIL() << "corrupted machine file must raise tce::Error, not a "
+              "contract violation";
   }
 }
 

@@ -331,6 +331,24 @@ TEST(ServeServer, ErrorCodesAreStable) {
             "usage");
 }
 
+TEST(ServeServer, GridFieldsThatFormNoGridAreUsageErrors) {
+  // A "procs" that is not a positive perfect square, or a
+  // "procs_per_node" that does not divide it, is a malformed request.
+  Server server(small_options());
+  for (const auto& [procs, per_node] :
+       {std::pair{15, 1}, std::pair{0, 1}, std::pair{16, 3}}) {
+    const json::Value reply =
+        handle(server, json::ObjectWriter()
+                           .field("op", "plan")
+                           .field("program", kChain)
+                           .field("procs", procs)
+                           .field("procs_per_node", per_node)
+                           .str());
+    EXPECT_EQ(reply.at("error").at("code").string, "usage")
+        << procs << " " << per_node;
+  }
+}
+
 TEST(ServeServer, ErrorsFromTheCanonicalTreeUseRequestNames) {
   Server server(small_options());
   // Parses and canonicalizes fine, but T is consumed twice, so the

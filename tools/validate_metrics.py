@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Validate metrics/observability output files.
 
-Usage: validate_metrics.py FILE [FILE...]
+Usage: validate_metrics.py [--threads N] FILE [FILE...]
 
 Each file's format is detected from its content:
 
 * a JSON document with schema "tce-metrics/1" -> metrics snapshot
 * a JSON document with schema "tce-bench/1"   -> bench doc (its embedded
   "metrics" object is validated the same way as a snapshot's)
+* a JSON document with schema "tce-lint/1"    -> `tcemin lint --json`
 * a JSON document with "traceEvents"          -> Chrome trace-event file
   (`tcemin ... --trace`, TCE_TRACE)
 * one JSON object per line, schema "tce-log/1" -> structured event log
@@ -28,6 +29,15 @@ Checks (docs/FORMATS.md, docs/OBSERVABILITY.md):
   rows that carry the search latency have 0 <= p50_ms <= p99_ms, and
   then the metrics show a search ran (opt.candidates, opt.kept > 0).
   The embedded metrics are checked as a tce-metrics/1 snapshot's.
+  With --threads N (the planner thread record), every row must carry
+  threads == N and a non-negative opt_wall_ms; the summed planner time
+  is printed.
+* tce-lint/1: a boolean `ok` that is false exactly when an
+  error-severity diagnostic exists, a positive rules_checked,
+  diagnostics with a known severity, a string node and message and a
+  "family.rule" id, a mem_certificate only with rule "mem.infeasible"
+  and a matching diagnostic, and comm certificates with rule
+  "comm.lb-certificate" and non-negative integer comm_lb_words.
 * tce-log/1: every line parses, has the schema marker, a known level,
   a positive integer ts_us, and non-empty component/event.
 * trace: the "ms" display unit, integer pid/tid on every event, no
@@ -45,6 +55,8 @@ import re
 import sys
 
 LEVELS = ("debug", "info", "warn", "error")
+SEVERITIES = ("error", "warning", "info")
+RULE_RE = re.compile(r"^[a-z]+\.[a-z-]+$")
 
 
 def fail(path, msg):
@@ -100,7 +112,7 @@ def check_metrics_json(path, doc):
           f"{histograms} histograms)")
 
 
-def check_bench_json(path, doc):
+def check_bench_json(path, doc, threads=None):
     if not (isinstance(doc.get("bench"), str) and doc["bench"]):
         fail(path, f"bad bench name {doc.get('bench')!r}")
     if not (isinstance(doc.get("rows"), list) and doc["rows"]):
@@ -121,6 +133,61 @@ def check_bench_json(path, doc):
                 fail(path, f"planner rows but {name} is not positive")
     print(f"{path}: tce-bench/1 metrics ok ({len(doc['rows'])} rows, "
           f"{len(doc['metrics'])} metrics, {histograms} histograms)")
+    if threads is not None:
+        check_thread_record(path, doc["rows"], threads)
+
+
+def check_thread_record(path, rows, threads):
+    for i, row in enumerate(rows):
+        if row.get("threads") != threads:
+            fail(path, f"row {i}: threads {row.get('threads')!r}, "
+                       f"want {threads}")
+        wall = row.get("opt_wall_ms")
+        if not (isinstance(wall, (int, float)) and wall >= 0):
+            fail(path, f"row {i}: bad opt_wall_ms {wall!r}")
+    total = sum(row["opt_wall_ms"] for row in rows)
+    print(f"{path}: --threads {threads}: {total:.1f} ms planner time")
+
+
+def check_lint_json(path, doc):
+    if not isinstance(doc.get("ok"), bool):
+        fail(path, f"ok is not a boolean: {doc.get('ok')!r}")
+    checked = doc.get("rules_checked")
+    if not (isinstance(checked, int) and checked > 0):
+        fail(path, f"bad rules_checked {checked!r}")
+    diags = doc.get("diagnostics")
+    if not isinstance(diags, list):
+        fail(path, "diagnostics is not a list")
+    for i, d in enumerate(diags):
+        if d.get("severity") not in SEVERITIES:
+            fail(path, f"diagnostic {i}: severity {d.get('severity')!r}")
+        if not RULE_RE.match(str(d.get("rule"))):
+            fail(path, f"diagnostic {i}: rule id {d.get('rule')!r}")
+        for key in ("node", "message"):
+            if not isinstance(d.get(key), str):
+                fail(path, f"diagnostic {i}: {key} {d.get(key)!r}")
+    errors = any(d["severity"] == "error" for d in diags)
+    if doc["ok"] == errors:
+        fail(path, f"ok is {doc['ok']} with"
+                   f"{'' if errors else ' no'} error diagnostics")
+    rules = {d["rule"] for d in diags}
+    if "mem_certificate" in doc:
+        cert = doc["mem_certificate"]
+        if cert.get("rule") != "mem.infeasible":
+            fail(path, f"mem_certificate rule {cert.get('rule')!r}")
+        if "mem.infeasible" not in rules:
+            fail(path, "mem_certificate without a mem.infeasible "
+                       "diagnostic")
+    bounds = []
+    for i, cert in enumerate(doc.get("comm_certificates", [])):
+        if cert.get("rule") != "comm.lb-certificate":
+            fail(path, f"comm certificate {i}: rule {cert.get('rule')!r}")
+        words = cert.get("comm_lb_words")
+        if not (isinstance(words, int) and words >= 0):
+            fail(path, f"comm certificate {i}: comm_lb_words {words!r}")
+        bounds.append(words)
+    print(f"{path}: tce-lint/1 ok (ok={str(doc['ok']).lower()}, "
+          f"{len(diags)} diagnostics, comm_lb_words {bounds})")
 
 
 def check_log_lines(path, lines):
@@ -258,7 +325,7 @@ def check_prometheus(path, text):
           f"{len(buckets)} histograms)")
 
 
-def validate(path):
+def validate(path, threads=None):
     with open(path) as f:
         text = f.read()
     try:
@@ -272,7 +339,9 @@ def validate(path):
         if schema == "tce-metrics/1":
             return check_metrics_json(path, doc)
         if schema == "tce-bench/1":
-            return check_bench_json(path, doc)
+            return check_bench_json(path, doc, threads)
+        if schema == "tce-lint/1":
+            return check_lint_json(path, doc)
         if schema == "tce-log/1":  # a one-event log file
             return check_log_lines(path, text.splitlines())
         fail(path, f"unrecognized JSON schema {schema!r}")
@@ -283,10 +352,18 @@ def validate(path):
 
 
 def main(argv):
-    if len(argv) < 2:
+    args = argv[1:]
+    threads = None
+    if args[:1] == ["--threads"] and len(args) > 1:
+        try:
+            threads = int(args[1])
+        except ValueError:
+            sys.exit(f"--threads needs a number, got {args[1]!r}")
+        args = args[2:]
+    if not args:
         sys.exit(__doc__.strip().split("\n")[2])
-    for path in argv[1:]:
-        validate(path)
+    for path in args:
+        validate(path, threads)
 
 
 if __name__ == "__main__":
