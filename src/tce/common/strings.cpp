@@ -24,14 +24,6 @@ std::vector<std::string> split(std::string_view s, char sep) {
   return out;
 }
 
-std::vector<std::string> split_nonempty(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  for (auto& piece : split(s, sep)) {
-    if (!piece.empty()) out.push_back(std::move(piece));
-  }
-  return out;
-}
-
 bool is_identifier(std::string_view s) {
   if (s.empty()) return false;
   auto head = static_cast<unsigned char>(s[0]);

@@ -16,9 +16,6 @@ std::string_view trim(std::string_view s);
 /// positional formats stay positional.
 std::vector<std::string> split(std::string_view s, char sep);
 
-/// Splits on \p sep and drops pieces that are empty after trimming.
-std::vector<std::string> split_nonempty(std::string_view s, char sep);
-
 /// True when \p s consists only of [A-Za-z_][A-Za-z0-9_]* — the lexical
 /// shape of index and tensor names in the DSL.
 bool is_identifier(std::string_view s);

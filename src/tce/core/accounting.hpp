@@ -64,9 +64,10 @@ struct Footprint {
                               ///< parent executes (own array plus fused
                               ///< children's working sets).
   std::uint64_t input_bytes = 0;  ///< Σ input blocks (always resident).
-  /// Canonical communication volume in words per processor, with
-  /// lint::plan_comm_words' accounting.  Saturates instead of throwing:
-  /// a candidate the search discards must not abort it.
+  /// Canonical communication volume in words per processor, the
+  /// accounting the comm lower bound (tce/lint) is stated in; the plan
+  /// verifier recounts it.  Saturates instead of throwing: a candidate
+  /// the search discards must not abort it.
   std::uint64_t comm_words = 0;
 };
 

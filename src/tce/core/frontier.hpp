@@ -40,7 +40,7 @@ namespace tce {
 ///
 /// Concurrency: not thread-safe, deliberately — instances are
 /// thread-confined by construction.  The parallel search builds one
-/// frontier per work chunk inside its worker, then merge_from()s the
+/// frontier per work chunk inside its worker, then merge()s the
 /// chunks in ascending order on the coordinating thread after the
 /// parallel_for barrier (optimizer.cpp), so no two threads ever touch
 /// the same instance and no lock is needed.  Shared mutable state

@@ -892,8 +892,8 @@ std::uint64_t prove_or_throw(const ContractionTree& tree,
 
 /// Stamps the communication-optimality accounting (tce/lint comm
 /// prover): the certified lower bound and its ratio to the plan's
-/// canonical achieved words (priced by the search; the `commlb` fuzz
-/// oracle recomputes them with lint::plan_comm_words).
+/// canonical achieved words (priced by the search; the plan verifier
+/// recounts them under rule cost.total).
 void stamp_comm_gap(std::uint64_t comm_lb, OptimizedPlan& plan) {
   plan.stats.comm_lb_words = comm_lb;
   if (comm_lb != 0) {

@@ -94,7 +94,8 @@ struct OptimizerStats {
   std::uint64_t comm_lb_words = 0;
   /// This plan's canonical achieved communication volume, in words per
   /// processor, priced by the search (core/accounting.hpp) and
-  /// recomputable by lint::plan_comm_words; always ≥ comm_lb_words.
+  /// recounted by the plan verifier (rule cost.total); always ≥
+  /// comm_lb_words.
   std::uint64_t achieved_comm_words = 0;
   /// achieved_comm_words / comm_lb_words — the optimality gap (1.0 =
   /// provably communication-optimal).  When the bound is 0: 1.0 for a

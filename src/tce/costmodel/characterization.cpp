@@ -115,10 +115,14 @@ std::string CharacterizationTable::save_string() const {
 
 CharacterizationTable CharacterizationTable::load(std::istream& is) {
   std::string magic;
-  int version = 0;
-  if (!(is >> magic >> version) || magic != "tce-characterization" ||
-      version < 1 || version > 3) {
-    throw Error("not a tce characterization file (v1/v2/v3)");
+  std::string version;
+  if (!(is >> magic >> version) || magic != "tce-characterization") {
+    throw Error("not a tce characterization file");
+  }
+  if (version != "3") {
+    throw Error("characterization file version " + version +
+                " is not supported (only version 3 is); regenerate it "
+                "with `tcemin characterize`");
   }
 
   CharacterizationTable t;
@@ -139,14 +143,10 @@ CharacterizationTable CharacterizationTable::load(std::istream& is) {
   t.rotate_dim1 = load_curve(is, "rotate_dim1");
   t.rotate_dim2 = load_curve(is, "rotate_dim2");
   t.redistribute = load_curve(is, "redistribute");
-  if (version >= 2) {
-    t.allgather = load_curve(is, "allgather");
-    t.reduce_dim1 = load_curve(is, "reduce_dim1");
-    t.reduce_dim2 = load_curve(is, "reduce_dim2");
-  }
-  if (version >= 3) {
-    t.compute = load_curve(is, "compute");
-  }
+  t.allgather = load_curve(is, "allgather");
+  t.reduce_dim1 = load_curve(is, "reduce_dim1");
+  t.reduce_dim2 = load_curve(is, "reduce_dim2");
+  t.compute = load_curve(is, "compute");
   return t;
 }
 
@@ -160,10 +160,12 @@ CharacterizedModel::CharacterizedModel(CharacterizationTable table)
     : table_(std::move(table)) {
   TCE_EXPECTS_MSG(!table_.rotate_dim1.empty() &&
                       !table_.rotate_dim2.empty() &&
-                      !table_.redistribute.empty(),
+                      !table_.redistribute.empty() &&
+                      !table_.allgather.empty() &&
+                      !table_.reduce_dim1.empty() &&
+                      !table_.reduce_dim2.empty() &&
+                      !table_.compute.empty(),
                   "characterization table has empty sections");
-  // The collective curves (v2) may be absent when loading a v1 file;
-  // allgather_cost / reduce_scatter_cost then throw on use.
 }
 
 double CharacterizedModel::rotate_cost(std::uint64_t local_bytes,
@@ -179,27 +181,18 @@ double CharacterizedModel::redistribute_cost(
 }
 
 double CharacterizedModel::allgather_cost(std::uint64_t total_bytes) const {
-  TCE_EXPECTS_MSG(!table_.allgather.empty(),
-                  "characterization lacks the allgather curve (v1 file?)");
   return table_.allgather.eval(total_bytes);
 }
 
 double CharacterizedModel::reduce_scatter_cost(std::uint64_t partial_bytes,
                                                int dim) const {
   TCE_EXPECTS(dim == 1 || dim == 2);
-  const CostCurve& curve =
-      dim == 1 ? table_.reduce_dim1 : table_.reduce_dim2;
-  TCE_EXPECTS_MSG(!curve.empty(),
-                  "characterization lacks the reduce curve (v1 file?)");
-  return curve.eval(partial_bytes);
+  return (dim == 1 ? table_.reduce_dim1 : table_.reduce_dim2)
+      .eval(partial_bytes);
 }
 
 double CharacterizedModel::compute_time(std::uint64_t flops) const {
   if (flops == 0) return 0.0;
-  // v1/v2 characterizations lack the compute curve: flat peak rate.
-  if (table_.compute.empty()) {
-    return static_cast<double>(flops) / table_.flops_per_proc;
-  }
   // Quiet eval: the extrapolation counters drive the *communication*
   // model's telemetry and tolerance decisions; see eval_quiet.
   return table_.compute.eval_quiet(flops);

@@ -77,11 +77,10 @@ struct CharacterizationTable {
   /// bytes.
   CostCurve reduce_dim1;
   CostCurve reduce_dim2;
-  /// Local-contraction curve (v3), keyed by *flops* rather than bytes:
+  /// Local-contraction curve, keyed by *flops* rather than bytes:
   /// measured/modeled seconds for one rank to execute a GEMM of that
   /// many flops.  Captures the size-dependent efficiency of the tiled
-  /// kernel (small products never reach peak).  When absent (v1/v2
-  /// files), compute_time falls back to the flat flops_per_proc rate.
+  /// kernel (small products never reach peak).
   CostCurve compute;
   double flops_per_proc = 1e9;
 
@@ -90,7 +89,7 @@ struct CharacterizationTable {
   std::string save_string() const;
 
   /// Parses a characterization file; throws tce::Error on malformed
-  /// input.
+  /// input or on any file version but 3.
   static CharacterizationTable load(std::istream& is);
   static CharacterizationTable load_string(const std::string& text);
 };

@@ -54,11 +54,6 @@ struct ContractionNode {
   IndexSet dimens() const { return tensor.index_set(); }
   /// v.indices — all loop indices of the node's loop nest.
   IndexSet loop_indices() const { return dimens() | sum_indices; }
-  /// True when this node is representable by the generalized Cannon
-  /// algorithm (a true contraction: no batch indices).
-  bool cannon_representable() const {
-    return kind == Kind::kContraction && batch_indices.empty();
-  }
 };
 
 /// A tree of contraction/reduce nodes over an IndexSpace.
@@ -70,7 +65,6 @@ class ContractionTree {
   static ContractionTree from_sequence(const FormulaSequence& seq);
 
   const IndexSpace& space() const noexcept { return space_; }
-  IndexSpace& mutable_space() noexcept { return space_; }
   NodeId root() const noexcept { return root_; }
   const ContractionNode& node(NodeId id) const {
     TCE_EXPECTS(id >= 0 && id < static_cast<NodeId>(nodes_.size()));

@@ -65,7 +65,6 @@ class FormulaSequence {
       : space_(std::move(space)), formulas_(std::move(formulas)) {}
 
   const IndexSpace& space() const noexcept { return space_; }
-  IndexSpace& mutable_space() noexcept { return space_; }
   const std::vector<Formula>& formulas() const noexcept { return formulas_; }
 
   /// Appends a formula (validation is deferred to validate()).

@@ -54,13 +54,6 @@ class IndexSpace {
     return extents_[id];
   }
 
-  /// Replaces the extent of an existing index (used by parameter sweeps).
-  void set_extent(IndexId id, std::uint64_t extent) {
-    TCE_EXPECTS(id < extents_.size());
-    TCE_EXPECTS(extent > 0);
-    extents_[id] = extent;
-  }
-
  private:
   std::vector<std::string> names_;
   std::vector<std::uint64_t> extents_;
@@ -149,14 +142,6 @@ class IndexSet {
   };
   iterator begin() const { return iterator(bits_); }
   iterator end() const { return iterator(0); }
-
-  /// Members as a vector, in increasing id order.
-  std::vector<IndexId> to_vector() const {
-    std::vector<IndexId> v;
-    v.reserve(count());
-    for (IndexId id : *this) v.push_back(id);
-    return v;
-  }
 
   /// Product of extents of all members (1 for the empty set).
   std::uint64_t extent_product(const IndexSpace& space) const {

@@ -313,8 +313,9 @@ OracleOutcome oracle_commlb(const OracleInput& in) {
 
   bool checked = false;
 
-  // The DP plan: the stamped stats must match independent recomputation
-  // and the certified bound must hold.
+  // The DP plan: the stamped certificate must match the prover's and
+  // hold against the stamped words (which the verify oracle holds equal
+  // to the verifier's independent recount).
   if (const auto plan = try_optimize(in)) {
     checked = true;
     if (plan->stats.comm_lb_words != lb) {
@@ -322,13 +323,7 @@ OracleOutcome oracle_commlb(const OracleInput& in) {
                   std::to_string(plan->stats.comm_lb_words) +
                   " != recomputed certificate " + std::to_string(lb));
     }
-    const std::uint64_t achieved =
-        lint::plan_comm_words(*in.tree, *plan, in.model->grid());
-    if (plan->stats.achieved_comm_words != achieved) {
-      return fail("stamped achieved_comm_words " +
-                  std::to_string(plan->stats.achieved_comm_words) +
-                  " != recomputed " + std::to_string(achieved));
-    }
+    const std::uint64_t achieved = plan->stats.achieved_comm_words;
     if (lb > achieved) {
       return fail("UNSOUND: certified comm LB " + std::to_string(lb) +
                   " words/proc exceeds the DP plan's achieved " +

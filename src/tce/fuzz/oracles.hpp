@@ -20,9 +20,9 @@
 ///   commlb   the static communication lower-bound prover is sound:
 ///            CommLB(root) ≤ the canonical achieved word count of the
 ///            DP plan and of every brute-force root solution, and the
-///            stats stamped on the DP plan (comm_lb_words, and the
-///            achieved_comm_words core/accounting priced) match
-///            independent recomputation (lint::plan_comm_words)
+///            stamped comm_lb_words matches the prover; the stamped
+///            achieved_comm_words core/accounting priced are recounted
+///            independently by the verifier (the verify oracle)
 ///
 /// Each oracle returns pass / skip / fail plus a human-readable detail;
 /// a skip means the instance is outside the oracle's domain (e.g. an

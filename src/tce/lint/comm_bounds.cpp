@@ -5,9 +5,6 @@
 #include <limits>
 
 #include "tce/common/checked.hpp"
-#include "tce/common/error.hpp"
-#include "tce/core/plan.hpp"
-#include "tce/dist/distribution.hpp"
 #include "tce/fusion/fused.hpp"
 
 namespace tce::lint {
@@ -19,14 +16,6 @@ std::uint64_t words_of(const TensorRef& t, const IndexSpace& space) {
   std::uint64_t w = 1;
   for (IndexId i : t.dims) w = checked_mul(w, space.extent(i));
   return w;
-}
-
-/// Trip count of the fused loops in \p f (fused indices are never
-/// grid-distributed, so each contributes its full extent).
-std::uint64_t trip_count(IndexSet f, const IndexSpace& space) {
-  std::uint64_t r = 1;
-  for (IndexId i : f) r = checked_mul(r, space.extent(i));
-  return r;
 }
 
 /// The memory-constrained term at a node whose operands are both input
@@ -127,146 +116,6 @@ CommBoundResult prove_comm(const ContractionTree& tree, const ProcGrid& grid,
     res.nodes.push_back(std::move(nb));
   }
   return res;
-}
-
-std::uint64_t plan_comm_words(const ContractionTree& tree,
-                              const OptimizedPlan& plan,
-                              const ProcGrid& grid) {
-  const IndexSpace& space = tree.space();
-  const std::uint64_t procs = grid.procs;
-  const std::uint64_t edge = grid.edge;
-
-  // Recover which array-table row belongs to which tree node by
-  // replaying the table's construction order (leaves in tree order,
-  // then internal nodes in post order — see Search::extract_plan).
-  constexpr std::size_t kNoRow = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> row_of(tree.size(), kNoRow);
-  std::size_t idx = 0;
-  for (NodeId id : tree.leaves()) row_of[static_cast<std::size_t>(id)] = idx++;
-  for (NodeId id : tree.post_order()) {
-    if (tree.node(id).kind != ContractionNode::Kind::kInput) {
-      row_of[static_cast<std::size_t>(id)] = idx++;
-    }
-  }
-  if (idx != plan.arrays.size()) {
-    throw Error("plan_comm_words: array table does not match the tree (" +
-                std::to_string(plan.arrays.size()) + " rows, expected " +
-                std::to_string(idx) + ")");
-  }
-  const auto row = [&](NodeId id) -> const ArrayReport& {
-    const std::size_t r = row_of[static_cast<std::size_t>(id)];
-    if (r == kNoRow ||
-        plan.arrays[r].full.name != tree.node(id).tensor.name) {
-      throw Error("plan_comm_words: array table row mismatch at node '" +
-                  tree.node(id).tensor.name + "'");
-    }
-    return plan.arrays[r];
-  };
-
-  std::uint64_t total = 0;
-  const auto add = [&](std::uint64_t w) { total = checked_add(total, w); };
-
-  for (const PlanStep& st : plan.steps) {
-    const ContractionNode& n = tree.node(st.node);
-    const IndexSet f_eff = st.effective_fused;
-    const std::uint64_t rep = trip_count(f_eff, space);
-
-    if (st.tmpl == StepTemplate::kCannon) {
-      const CannonChoice& c = st.choice;
-      const auto rotated = [&](const TensorRef& ref, const Distribution& d) {
-        const std::uint64_t block = dist_size(ref, d, f_eff, space, grid);
-        add(checked_mul(rep, checked_mul(edge - 1, block)));
-      };
-      if (c.rotates_left()) rotated(tree.node(n.left).tensor, st.left_dist);
-      if (c.rotates_right()) {
-        rotated(tree.node(n.right).tensor, st.right_dist);
-      }
-      if (c.rotates_result()) rotated(n.tensor, st.result_dist);
-    } else {
-      // Replicated step: allgather of the gathered operand's fused
-      // slice, then (when a summation index splits the stationary
-      // side) a reduce-scatter — or allreduce — of the partials.
-      const NodeId repl_id = st.replicate_right ? n.right : n.left;
-      const TensorRef& rref = tree.node(repl_id).tensor;
-      const std::uint64_t slice =
-          fused_bytes(rref, f_eff, space) / 8;
-      const std::uint64_t ag_rep =
-          trip_count(f_eff & rref.index_set(), space);
-      add(checked_mul(ag_rep, slice - slice / procs));
-
-      if (st.reduce_dim != 0) {
-        // The canonical orientation puts the reduced grid line in dim 2
-        // (see eval_replicated); the partial keeps only the stationary
-        // index of the result distribution, the other slot is j_pick.
-        const bool canonical = st.reduce_dim == 2;
-        const Distribution& alpha = st.result_dist;
-        const Distribution partial =
-            canonical ? Distribution(alpha.at(1), kNoIndex)
-                      : Distribution(kNoIndex, alpha.at(2));
-        const IndexId j_pick = canonical ? alpha.at(2) : alpha.at(1);
-        const IndexSet f_red = f_eff & n.tensor.index_set();
-        const std::uint64_t pw =
-            dist_size(n.tensor, partial, f_red, space, grid);
-        std::uint64_t rs = checked_mul(trip_count(f_red, space),
-                                       pw - pw / edge);
-        // Without a scatter index the line stays replicated: allreduce
-        // moves each partial word twice.
-        if (j_pick == kNoIndex) rs = checked_mul(rs, 2ull);
-        add(rs);
-      }
-    }
-
-    // Operand redistributions: a materialized internal child consumed
-    // in a distribution other than the one it was produced in was
-    // reshuffled once, moving its source block.  The gathered side of a
-    // replicated step accepts any stored layout without reshuffling.
-    const bool replicated = st.tmpl == StepTemplate::kReplicated;
-    const auto redistributed = [&](NodeId child,
-                                   const Distribution& consumed_dist) {
-      if (tree.node(child).kind == ContractionNode::Kind::kInput) return;
-      const ArrayReport& r = row(child);
-      if (!r.initial_dist.has_value()) {
-        throw Error("plan_comm_words: internal array '" + r.full.name +
-                    "' has no producing distribution");
-      }
-      if (*r.initial_dist != consumed_dist) {
-        add(dist_size(tree.node(child).tensor, *r.initial_dist, IndexSet(),
-                      space, grid));
-      }
-    };
-    if (!(replicated && !st.replicate_right)) {
-      redistributed(n.left, st.left_dist);
-    }
-    if (!(replicated && st.replicate_right)) {
-      redistributed(n.right, st.right_dist);
-    }
-  }
-
-  // Reduce nodes (not in the step list): an allreduce combines partials
-  // whenever the child distribution splits a summed index.
-  for (NodeId id : tree.post_order()) {
-    const ContractionNode& n = tree.node(id);
-    if (n.kind != ContractionNode::Kind::kReduce) continue;
-    const ArrayReport& r = row(id);
-    if (!r.initial_dist.has_value()) {
-      throw Error("plan_comm_words: reduce array '" + r.full.name +
-                  "' has no producing distribution");
-    }
-    const ArrayReport& cr = row(n.left);
-    const std::optional<Distribution>& cdist =
-        cr.is_input ? cr.final_dist : cr.initial_dist;
-    if (!cdist.has_value()) {
-      throw Error("plan_comm_words: reduce child '" + cr.full.name +
-                  "' has no distribution");
-    }
-    if (*cdist != *r.initial_dist) {
-      const IndexSet f_u = r.full.index_set() - r.reduced.index_set();
-      const std::uint64_t block =
-          dist_size(n.tensor, *r.initial_dist, f_u, space, grid);
-      add(checked_mul(trip_count(f_u, space), block));
-    }
-  }
-  return total;
 }
 
 }  // namespace tce::lint

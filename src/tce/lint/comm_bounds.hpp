@@ -10,7 +10,8 @@
 /// the whole-tree bound CommLB(root) = Σ_v lb(v) is sound because the
 /// tree shape is fixed — every plan executes every contraction node
 /// exactly once, and the per-node collectives are attributed to exactly
-/// one node by the canonical word accounting (plan_comm_words below).
+/// one node by the canonical word accounting (core/accounting.hpp prices
+/// it; the plan verifier recounts it).
 ///
 /// lb(v) = max(lb_struct(v), lb_mem(v)), with each term relaxing the
 /// search independently:
@@ -57,9 +58,11 @@
 /// communication up.  In this plan space blocks stay resident, so the
 /// condition typically co-occurs with (near-)infeasible limits.
 ///
-/// The companion plan_comm_words() computes the canonical achieved
-/// word count of a finished plan; the fuzz oracle `commlb` asserts
-/// CommLB(root) ≤ achieved for every DP and brute-force plan.
+/// The achieved side is the canonical word count the search stamps into
+/// OptimizerStats::achieved_comm_words; the plan verifier (tce/verify,
+/// rule cost.total) recounts it independently from the finished plan,
+/// and the fuzz oracle `commlb` asserts CommLB(root) ≤ achieved for
+/// every DP and brute-force plan.
 
 #include <cstdint>
 #include <string>
@@ -67,10 +70,6 @@
 
 #include "tce/dist/grid.hpp"
 #include "tce/expr/contraction.hpp"
-
-namespace tce {
-struct OptimizedPlan;  // tce/core/plan.hpp (header-only plan types)
-}
 
 namespace tce::lint {
 
@@ -118,20 +117,5 @@ struct CommBoundResult {
 /// (batch indices) contribute 0.
 CommBoundResult prove_comm(const ContractionTree& tree, const ProcGrid& grid,
                            const CommBoundConfig& cfg);
-
-/// The canonical achieved communication volume of \p plan, in words per
-/// processor: Cannon rotations count (√P−1) received blocks per sweep,
-/// an allgathered slice counts s − ⌊s/P⌋ received words per iteration,
-/// a reduce-scatter of a partial counts p − ⌊p/√P⌋ (doubled for an
-/// allreduce), an operand redistribution counts the source block, and a
-/// reduce node's allreduce counts its result block — each scaled by the
-/// enclosing fused-loop trip counts, mirroring the optimizer's cost
-/// attribution term by term.  The costing kernel (core/accounting.hpp)
-/// prices the same words per candidate and `optimize()` stamps the
-/// chosen plan's into OptimizerStats::achieved_comm_words; this is the
-/// independent recomputation from the finished plan.
-std::uint64_t plan_comm_words(const ContractionTree& tree,
-                              const OptimizedPlan& plan,
-                              const ProcGrid& grid);
 
 }  // namespace tce::lint

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "tce/common/checked.hpp"
 #include "tce/common/error.hpp"
 #include "tce/common/json.hpp"
 #include "tce/common/strings.hpp"
@@ -31,6 +32,8 @@ struct NodeAccount {
   std::uint64_t peak = 0;     ///< Peak live intermediate bytes, subtree.
   std::uint64_t working = 0;  ///< Bytes live while the parent executes.
   std::uint64_t input_bytes = 0;
+  std::uint64_t words = 0;    ///< Canonical comm words per processor,
+                              ///< subtree (saturating, like the search).
 };
 
 class PlanVerifier {
@@ -218,6 +221,13 @@ class PlanVerifier {
     return r;
   }
 
+  /// Canonical words of a collective that moves \p words per processor
+  /// once per iteration of the fused loops over \p f.
+  std::uint64_t looped_words(IndexSet f, std::uint64_t words) const {
+    for (IndexId j : f) words = saturating_mul(words, space_.extent(j));
+    return words;
+  }
+
   /// The optimizer's compact storage layout for a replicated-side leaf:
   /// split the first (up to) two dimensions.
   Distribution compact_dist(const TensorRef& ref) const {
@@ -307,9 +317,10 @@ class PlanVerifier {
     check_cost(parent, "cost.redistribution",
                "redistribution of '" + cn.tensor.name + "'",
                recorded_redist, e.redist_expected);
-    e.acc.max_msg = std::max(
-        e.acc.max_msg,
-        dist_bytes(cn.tensor, e.acc.dist, IndexSet(), space_, grid_));
+    const std::uint64_t source =
+        dist_bytes(cn.tensor, e.acc.dist, IndexSet(), space_, grid_);
+    e.acc.max_msg = std::max(e.acc.max_msg, source);
+    e.acc.words = saturating_add(e.acc.words, source / 8);
     return e;
   }
 
@@ -334,6 +345,7 @@ class PlanVerifier {
     s.mem = checked_add(checked_add(lo.mem, ro.mem), own_mem);
     s.max_msg = std::max(lo.max_msg, ro.max_msg);
     s.input_bytes = checked_add(lo.input_bytes, ro.input_bytes);
+    s.words = saturating_add(lo.words, ro.words);
     s.peak = std::max(
         {lo.peak, checked_add(lo.working, ro.peak),
          checked_add(checked_add(lo.working, ro.working), own_mem)});
@@ -433,27 +445,29 @@ class PlanVerifier {
 
     // Rotation costs, recomputed from the cost model exactly as the
     // optimizer prices them (see optimizer.hpp: the repeat factor spans
-    // *all* effective fused loops).
+    // *all* effective fused loops).  Every rotated block also travels
+    // √P − 1 hops per fused trip in the canonical word count.
     const double repeat = repeat_factor(f_eff);
     double rot_left = 0, rot_right = 0, rot_result = 0;
     std::uint64_t msg = std::max(le.acc.max_msg, re.acc.max_msg);
-    if (c.rotates_left()) {
-      const std::uint64_t block =
-          dist_bytes(lref, s.left_dist, f_eff, space_, grid_);
-      rot_left = repeat * model_.rotate_cost(block, c.left_rot_dim());
+    std::uint64_t words = 0;
+    const auto rotate = [&](const TensorRef& v, const Distribution& d,
+                            int dim) {
+      const std::uint64_t block = dist_bytes(v, d, f_eff, space_, grid_);
       msg = std::max(msg, block);
+      words = saturating_add(
+          words,
+          looped_words(f_eff, saturating_mul(grid_.edge - 1u, block / 8)));
+      return repeat * model_.rotate_cost(block, dim);
+    };
+    if (c.rotates_left()) {
+      rot_left = rotate(lref, s.left_dist, c.left_rot_dim());
     }
     if (c.rotates_right()) {
-      const std::uint64_t block =
-          dist_bytes(rref, s.right_dist, f_eff, space_, grid_);
-      rot_right = repeat * model_.rotate_cost(block, c.right_rot_dim());
-      msg = std::max(msg, block);
+      rot_right = rotate(rref, s.right_dist, c.right_rot_dim());
     }
     if (c.rotates_result()) {
-      const std::uint64_t block =
-          dist_bytes(n.tensor, s.result_dist, f_eff, space_, grid_);
-      rot_result = repeat * model_.rotate_cost(block, c.result_rot_dim());
-      msg = std::max(msg, block);
+      rot_result = rotate(n.tensor, s.result_dist, c.result_rot_dim());
     }
     check_cost(id, "cost.rotation", "left-operand rotation", s.rot_left_s,
                rot_left);
@@ -468,6 +482,7 @@ class PlanVerifier {
     NodeAccount acc =
         combine(le.acc, re.acc, own_mem, s.result_dist, s.fusion);
     acc.max_msg = std::max(acc.max_msg, msg);
+    acc.words = saturating_add(acc.words, words);
     const double dup = duplication_penalty(
         id, static_cast<int>((c.i != kNoIndex) + (c.j != kNoIndex) +
                              (c.k != kNoIndex)) -
@@ -579,30 +594,34 @@ class PlanVerifier {
         /*any_dist=*/true);
 
     // Allgather of the replicated operand: once per iteration of the
-    // fused loops that slice it.
-    double ag_repeat = 1.0;
-    for (IndexId j : f_eff & repl_ref.index_set()) {
-      ag_repeat *= static_cast<double>(space_.extent(j));
-    }
+    // fused loops that slice it; each rank receives the s − ⌊s/P⌋ slice
+    // words it does not hold.
+    const IndexSet f_ag = f_eff & repl_ref.index_set();
     const std::uint64_t slice_total =
         fused_bytes(repl_ref, f_eff, space_);
-    const double ag = ag_repeat * model_.allgather_cost(slice_total);
+    const double ag = repeat_factor(f_ag) * model_.allgather_cost(slice_total);
+    const std::uint64_t slice_words = slice_total / 8;
+    std::uint64_t words =
+        looped_words(f_ag, slice_words - slice_words / grid_.procs);
 
-    // Reduce-scatter of the result partials.
+    // Reduce-scatter of the result partials: p − ⌊p/√P⌋ words each.
     const IndexSet f_red = f_eff & n.tensor.index_set();
-    double red_repeat = 1.0;
-    for (IndexId j : f_red) {
-      red_repeat *= static_cast<double>(space_.extent(j));
-    }
     Distribution partial(s_r, kNoIndex);
     if (tr) partial = partial.transposed();
     const std::uint64_t partial_bytes =
         dist_bytes(n.tensor, partial, f_red, space_, grid_);
     double rs = 0;
     if (reduce_dim_want != 0) {
-      rs = red_repeat *
+      rs = repeat_factor(f_red) *
            model_.reduce_scatter_cost(partial_bytes, reduce_dim_want);
-      if (j_pick == kNoIndex) rs *= 2.0;  // allreduce: stay replicated
+      const std::uint64_t partial_words = partial_bytes / 8;
+      std::uint64_t rs_words = looped_words(
+          f_red, partial_words - partial_words / grid_.edge);
+      if (j_pick == kNoIndex) {  // allreduce: stay replicated
+        rs *= 2.0;
+        rs_words = saturating_mul(rs_words, 2);
+      }
+      words = saturating_add(words, rs_words);
     }
     check_cost(id, "cost.rotation", "replicated-operand allgather",
                s.replicate_right ? s.rot_right_s : s.rot_left_s, ag);
@@ -623,6 +642,7 @@ class PlanVerifier {
     NodeAccount acc =
         combine(se.acc, re.acc, own_mem, s.result_dist, s.fusion);
     acc.max_msg = std::max(acc.max_msg, transient);
+    acc.words = saturating_add(acc.words, words);
     const double dup = duplication_penalty(
         id, (s_r != kNoIndex ? 1 : 0) + (s_k != kNoIndex ? 1 : 0));
     acc.cost = se.acc.cost + re.acc.cost + se.redist_expected +
@@ -694,9 +714,11 @@ class PlanVerifier {
         dist_bytes(n.tensor, rdist, f_u, space_, grid_);
     double comm = 0;
     std::uint64_t msg = co.max_msg;
+    std::uint64_t words = 0;
     if (needs_allreduce) {
       comm = repeat_factor(f_u) * model_.redistribute_cost(own_mem);
       msg = std::max(msg, own_mem);
+      words = looped_words(f_u, own_mem / 8);
     }
     check_cost(id, "cost.reduce",
                "partial-sum combination at '" + n.tensor.name + "'",
@@ -709,6 +731,7 @@ class PlanVerifier {
     acc.mem = checked_add(co.mem, own_mem);
     acc.max_msg = msg;
     acc.input_bytes = co.input_bytes;
+    acc.words = saturating_add(co.words, words);
     acc.peak = std::max(co.peak, checked_add(co.working, own_mem));
     acc.working = own_mem;
     if (!f_u.empty()) acc.working = checked_add(acc.working, co.working);
@@ -766,6 +789,14 @@ class PlanVerifier {
 
     check_cost(kNoNode, "cost.total", "total communication",
                plan_.total_comm_s, acc.cost);
+    // The canonical words are the same total counted in words, so they
+    // share the rule (and its single count).
+    if (plan_.stats.achieved_comm_words != acc.words) {
+      fail(kNoNode, "cost.total",
+           "achieved_comm_words is " +
+               std::to_string(plan_.stats.achieved_comm_words) +
+               "; recomputed " + std::to_string(acc.words));
+    }
     check_cost(kNoNode, "cost.compute", "total compute",
                plan_.total_compute_s,
                model_.compute_time(tree_.total_flops() / grid_.procs));

@@ -51,7 +51,9 @@
 ///                               matches the cost model
 ///   cost.redistribution         per-step redistribution comm matches
 ///   cost.reduce                 reduce-node partial-sum comm matches
-///   cost.total                  total_comm_s matches the recomputed sum
+///   cost.total                  total_comm_s matches the recomputed sum,
+///                               and stats.achieved_comm_words the
+///                               recounted canonical words
 ///   cost.compute                total_compute_s matches flops/P/rate
 ///   mem.array-row               per-array bytes match the recomputed
 ///                               block sizes

@@ -214,6 +214,21 @@ TEST(Cli, MachineFileProcsMismatchIsRejected) {
   EXPECT_NE(p.error.find("16 processors"), std::string::npos);
 }
 
+TEST(Cli, LegacyMachineFileIsAnInputError) {
+  // A version 1 file lacks the collective curves --replication prices
+  // with; the loader rejects it as an input error naming the version.
+  const std::string v3 = run_cli({"characterize", "--procs", "16"}).output;
+  const std::size_t body = v3.find('\n');
+  TempFile machine("cli_machine_v1.txt",
+                   "tce-characterization 1" +
+                       v3.substr(body, v3.find("allgather ") - body));
+  TempFile f("cli_small_v1.tce", kSmallProgram);
+  CliResult p = run_cli({"plan", f.path(), "--procs", "16", "--machine",
+                         machine.path(), "--replication"});
+  EXPECT_EQ(p.exit_code, 4) << p.error;
+  EXPECT_NE(p.error.find("version 1"), std::string::npos) << p.error;
+}
+
 TEST(Cli, ExtensionFlagsAreAccepted) {
   TempFile f("cli_ext.tce", kSmallProgram);
   CliResult r = run_cli({"plan", f.path(), "--procs", "4",

@@ -98,8 +98,6 @@ TEST(Strings, TrimAndSplit) {
   EXPECT_EQ(split("a, b ,c", ','),
             (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(split("a,,b", ','), (std::vector<std::string>{"a", "", "b"}));
-  EXPECT_EQ(split_nonempty("a,,b", ','),
-            (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(Strings, IsIdentifier) {

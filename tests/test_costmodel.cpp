@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "tce/common/error.hpp"
 #include "tce/costmodel/analytic.hpp"
@@ -91,6 +93,24 @@ TEST(CharacterizationFile, RejectsGarbage) {
                    "tce-characterization 1\ngrid 16 2\nflops_per_proc "
                    "1e9\nrotate_dim1 3\n1000 0.5\n"),
                Error);  // truncated
+  // Complete version 1 and 2 files (which stopped before the collective
+  // and the compute curves) are rejected too, naming their version.
+  const std::string v3 = characterize_itanium(16).save_string();
+  const std::size_t body = v3.find('\n');
+  for (const auto& [version, cut_at] :
+       {std::pair<std::string, std::string>{"1", "allgather "},
+        {"2", "compute "}}) {
+    const std::string text = "tce-characterization " + version +
+                             v3.substr(body, v3.find(cut_at) - body);
+    try {
+      (void)CharacterizationTable::load_string(text);
+      ADD_FAILURE() << "loaded a version " << version << " file";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("version " + version),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ------------------------------------------------- Simulated measurement

@@ -234,7 +234,6 @@ TEST(ContractionTree, DecomposesPaperContractions) {
             IndexSet::of({sp.id("a"), sp.id("i")}));
   EXPECT_EQ(root.sum_indices, IndexSet::of({sp.id("c"), sp.id("k")}));
   EXPECT_TRUE(root.batch_indices.empty());
-  EXPECT_TRUE(root.cannon_representable());
 }
 
 TEST(ContractionTree, MergesSumChainsOverMult) {
@@ -261,7 +260,6 @@ TEST(ContractionTree, MergesSumChainsOverMult) {
   EXPECT_EQ(mm.tensor.index_set(),
             IndexSet::of({sp.id("a"), sp.id("c")}));
   EXPECT_TRUE(mm.batch_indices.empty());
-  EXPECT_TRUE(mm.cannon_representable());
 }
 
 TEST(ContractionTree, SumDirectlyOverMultMergesFully) {
@@ -294,7 +292,6 @@ TEST(ContractionTree, BatchIndicesDetectedAndNotCannon) {
   const IndexSpace& sp = t.space();
   EXPECT_EQ(root.batch_indices, IndexSet::single(sp.id("t")));
   EXPECT_EQ(root.sum_indices, IndexSet::single(sp.id("j")));
-  EXPECT_FALSE(root.cannon_representable());
 }
 
 TEST(ContractionTree, PureReduceOverLeaf) {

@@ -167,6 +167,23 @@ TEST(FuzzOracles, SimnetComparesTheModelWithTheSerializedReplay) {
   }
 }
 
+TEST(FuzzOracles, VerifyRecountsTheAllreduceWordsOfReplicatedSteps) {
+  // Replicated steps whose partials are allreduced (a summation index
+  // splits the stationary operand, no scatter index): every word moves
+  // twice.  A verifier recount that dropped the factor 2 passed every
+  // other ctest case and the seed-1 window, but fails here.  All
+  // oracles, so an even seed draws the exec-friendly instance the
+  // seed-50000 window checks.
+  for (std::uint64_t seed : {50029ull, 50082ull}) {
+    FuzzOptions opts;
+    opts.seed = seed;
+    opts.runs = 1;
+    const FuzzReport report = run_fuzz(opts);
+    EXPECT_TRUE(report.failures.empty()) << report.str();
+    EXPECT_EQ(report.executed.at("verify"), 1) << report.str();
+  }
+}
+
 TEST(FuzzOracles, SkipTelemetryListsAlwaysSkippedOracles) {
   // An instance on the analytic model has no reference network, so a
   // one-run simnet-only fuzz is 100% skips — the report must still show

@@ -14,6 +14,7 @@
 #include "tce/expr/parser.hpp"
 #include "tce/fuzz/harness.hpp"
 #include "tce/lint/lint.hpp"
+#include "tce/verify/verifier.hpp"
 
 #include "paper_workload.hpp"
 
@@ -507,7 +508,8 @@ TEST(CommProver, BoundIsInvariantUnderMemoryAccountingMode) {
 TEST(CommProver, ReplicatedPlansRespectTheBound) {
   // With the replicate-compute-reduce template enabled the bound uses
   // the allgather relaxation; the stamped stats must still satisfy
-  // LB <= achieved and match an independent recomputation.
+  // LB <= achieved, and the verifier's independent recount of the words
+  // (rule cost.total) must agree.
   const ContractionTree tree = testing::paper_tree();
   const CharacterizedModel model(characterize_itanium(16));
   OptimizerConfig cfg;
@@ -515,8 +517,8 @@ TEST(CommProver, ReplicatedPlansRespectTheBound) {
   cfg.enable_replication_template = true;
   const OptimizedPlan plan = optimize(tree, model, cfg);
   EXPECT_LE(plan.stats.comm_lb_words, plan.stats.achieved_comm_words);
-  EXPECT_EQ(plan.stats.achieved_comm_words,
-            lint::plan_comm_words(tree, plan, model.grid()));
+  const VerifyReport r = verify_plan(tree, model, plan);
+  EXPECT_TRUE(r.diagnostics.empty()) << r.str(tree);
 }
 
 // ------------------------------------------------------- report format

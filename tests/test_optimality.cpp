@@ -18,6 +18,7 @@
 #include "tce/fusion/fused.hpp"
 #include "tce/fuzz/brute.hpp"
 #include "tce/lint/comm_bounds.hpp"
+#include "tce/verify/verifier.hpp"
 
 namespace tce {
 namespace {
@@ -428,7 +429,8 @@ TEST(CommBoundSoundness, CertificateHoldsForEveryBruteSolution) {
 TEST(CommBoundSoundness, StampedStatsMatchIndependentRecomputation) {
   // The optimizer stamps comm_lb_words / achieved_comm_words while it
   // has the search state in hand; both must equal what the public
-  // prover and accounting compute from the finished plan alone.
+  // prover and the verifier's word recount (rule cost.total) derive
+  // from the finished plan alone.
   ContractionTree tree = ContractionTree::from_sequence(
       parse_formula_sequence("index a, b, c, d = 64\n"
                              "T[a,c] = sum[b] X[a,b] * Y[b,c]\n"
@@ -441,8 +443,8 @@ TEST(CommBoundSoundness, StampedStatsMatchIndependentRecomputation) {
   ccfg.mem_limit_node_bytes = cfg.mem_limit_node_bytes;
   EXPECT_EQ(plan.stats.comm_lb_words,
             lint::prove_comm(tree, model.grid(), ccfg).root_lb_words);
-  EXPECT_EQ(plan.stats.achieved_comm_words,
-            lint::plan_comm_words(tree, plan, model.grid()));
+  const VerifyReport r = verify_plan(tree, model, plan);
+  EXPECT_TRUE(r.diagnostics.empty()) << r.str(tree);
   EXPECT_LE(plan.stats.comm_lb_words, plan.stats.achieved_comm_words);
   EXPECT_GT(plan.stats.comm_gap_ratio, 0.0);
 }

@@ -329,6 +329,16 @@ TEST(ServeServer, ErrorCodesAreStable) {
                 .at("code")
                 .string,
             "usage");
+  // A version 1 characterization table (no collective curves) is the
+  // request's fault, not an internal error.
+  const std::string v3 = characterize_itanium(16).save_string();
+  const std::size_t body = v3.find('\n');
+  const std::string v1 = "tce-characterization 1" +
+                         v3.substr(body, v3.find("allgather ") - body);
+  std::string legacy = plan_request(kChain);
+  legacy.insert(legacy.size() - 1,
+                ",\"replication\":true,\"machine\":" + json::quote(v1));
+  EXPECT_EQ(handle(server, legacy).at("error").at("code").string, "input");
 }
 
 TEST(ServeServer, GridFieldsThatFormNoGridAreUsageErrors) {

@@ -71,8 +71,11 @@ TEST(Verify, PaperPlanHasZeroDiagnostics) {
 }
 
 TEST(Verify, PopulatesPerRuleCountersWhenMetricsAreLive) {
+  // Build the shared fixture first: under TCE_VERIFY_PLANS the optimizer
+  // verifies the plan it emits, and that run must not be counted here.
+  const OptimizedPlan& plan = paper16().plan;
   obs::ScopedMetrics scoped;
-  const VerifyReport r = verify16(paper16().plan);
+  const VerifyReport r = verify16(plan);
   EXPECT_EQ(obs::counter_value("verify.runs"), 1u);
   std::uint64_t per_rule = 0;
   for (const auto& [name, metric] : obs::metrics_snapshot()) {
@@ -242,6 +245,19 @@ TEST(Verify, UnderstatedCommTotalIsRejected) {
   const VerifyReport r = verify16(plan);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(has_rule(r, "cost.total")) << r.str(paper16().tree);
+}
+
+TEST(Verify, MisstatedCommWordsAreRejected) {
+  // The canonical word count shares cost.total with the seconds: a
+  // misstated count fails that rule without evaluating an extra one.
+  OptimizedPlan plan = paper16().plan;
+  const VerifyReport clean = verify16(plan);
+  plan.stats.achieved_comm_words += 1;
+  const VerifyReport r = verify16(plan);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(has_rule(r, "cost.total")) << r.str(paper16().tree);
+  EXPECT_EQ(r.diagnostics.size(), 1u) << r.str(paper16().tree);
+  EXPECT_EQ(r.rules_checked, clean.rules_checked);
 }
 
 TEST(Verify, PhantomRedistributionIsRejected) {
