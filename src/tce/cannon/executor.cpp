@@ -66,8 +66,8 @@ Triple triple_at(const CannonChoice& c, std::uint32_t e, std::uint32_t w1,
 }
 
 /// The storage of \p full (a const or mutable DenseTensor) from the
-/// origin of block \p r on — where gather_packed and
-/// scatter_packed_acc start their walk.
+/// origin of block \p r on — where the packs and scatter_packed_acc
+/// start their walk.
 template <typename Tensor>
 auto from_origin(Tensor& full, const BlockRange& r) {
   return full.data().subspan(full.offset(r.lo));
@@ -163,25 +163,25 @@ CannonRunResult cannon_numerics(const ProcGrid& grid,
 
   // Per-logical-processor block state, flattened w1 * e + w2: A and B
   // in the layout of the kernel that multiplies them, the accumulated
-  // result as a row-major [m][n] block.  Each operand block is gathered
-  // and packed once; rotations move whole buffers.
+  // result as a row-major [m][n] block.  Each operand block is packed
+  // once, straight from the full tensor through the lowering's offsets;
+  // rotations move whole buffers.
   PackedGemm gemm(low.m(), low.k(), low.n());
   const std::size_t np = static_cast<std::size_t>(e) * e;
   std::vector<std::vector<double>> a_blk(np), b_blk(np), c_blk(np);
   std::vector<Triple> coords(np);
-  std::vector<double> a_rows(low.a.size()), b_rows(low.b.size());
 
   for (std::uint32_t w1 = 0; w1 < e; ++w1) {
     for (std::uint32_t w2 = 0; w2 < e; ++w2) {
       const Triple t = triple_at(choice, e, w1, w2, 0);
       const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
       coords[p] = t;
-      gather_packed(from_origin(left_full, a_range(t)), low.a, a_rows);
       a_blk[p].resize(gemm.a_size());
-      gemm.pack_a(a_rows, a_blk[p]);
-      gather_packed(from_origin(right_full, b_range(t)), low.b, b_rows);
+      gemm.pack_a(from_origin(left_full, a_range(t)), low.a.rows, low.a.cols,
+                  a_blk[p]);
       b_blk[p].resize(gemm.b_size());
-      gemm.pack_b(b_rows, b_blk[p]);
+      gemm.pack_b(from_origin(right_full, b_range(t)), low.b.rows,
+                  low.b.cols, b_blk[p]);
       c_blk[p].assign(low.c.size(), 0.0);
     }
   }
@@ -245,11 +245,8 @@ CannonRunResult cannon_numerics(const ProcGrid& grid,
                        from_origin(out.result, c_range(coords[p])));
   }
   if (obs::metrics_enabled()) {
-    // The run's TTGT packs: each rank's two operand gathers and its
-    // result scatter.
-    obs::count("kernel.pack_bytes",
-               np * (low.a.size() + low.b.size() + low.c.size()) *
-                   sizeof(double));
+    // Each rank's result scatter; PackedGemm counts the operand packs.
+    obs::count("kernel.pack_bytes", np * low.c.size() * sizeof(double));
   }
   return out;
 }
@@ -328,48 +325,37 @@ CannonRunResult replicated_numerics(const ProcGrid& grid,
           : lower_node(node, left_full, repl_first, right_full, stat_first,
                        out.result, partial_first);
 
-  std::uint64_t packed = 0;
+  std::uint64_t scattered = 0;
   PackedGemm gemm(low.m(), low.k(), low.n());
-  std::vector<double> a_rows(low.a.size()), b_rows(low.b.size());
   std::vector<double> a_pk(gemm.a_size()), b_pk(gemm.b_size());
   std::vector<double> partial(low.c.size());
   for (std::uint32_t z1 = 0; z1 < e; ++z1) {
     for (std::uint32_t z2 = 0; z2 < e; ++z2) {
+      // A replica (a grid dim that splits nothing of the stationary
+      // operand and carries no reduction) repeats the work of the rank
+      // at coordinate 0 along that dim; only that rank contributes, so
+      // the replicas are skipped.
+      if ((stationary_dist.at(1) == kNoIndex && z1 != 0) ||
+          (stationary_dist.at(2) == kNoIndex && z2 != 0)) {
+        continue;
+      }
       const BlockRange stat_r = stat_range(z1, z2);
       const BlockRange repl_r = repl_range(z1, z2);
-      gather_packed(
-          from_origin(left_full, replicate_right ? stat_r : repl_r),
-          low.a, a_rows);
-      gemm.pack_a(a_rows, a_pk);
-      gather_packed(
-          from_origin(right_full, replicate_right ? repl_r : stat_r),
-          low.b, b_rows);
-      gemm.pack_b(b_rows, b_pk);
+      gemm.pack_a(from_origin(left_full, replicate_right ? stat_r : repl_r),
+                  low.a.rows, low.a.cols, a_pk);
+      gemm.pack_b(from_origin(right_full, replicate_right ? repl_r : stat_r),
+                  low.b.rows, low.b.cols, b_pk);
       std::fill(partial.begin(), partial.end(), 0.0);
       gemm.multiply_acc(a_pk, b_pk, partial);
-      packed += low.a.size() + low.b.size();
-
-      // Accumulate into the full result; replicas (grid dims that split
-      // nothing of the stationary operand and carry no reduction) only
-      // contribute once.
-      bool contribute = true;
-      if (stationary_dist.at(1) == kNoIndex && z1 != 0) {
-        contribute = false;
-      }
-      if (stationary_dist.at(2) == kNoIndex && z2 != 0) {
-        contribute = false;
-      }
-      if (contribute) {
-        scatter_packed_acc(partial, low.c,
-                           from_origin(out.result, partial_range(z1, z2)));
-        packed += partial.size();
-      }
+      scatter_packed_acc(partial, low.c,
+                         from_origin(out.result, partial_range(z1, z2)));
+      scattered += partial.size();
     }
   }
   if (obs::metrics_enabled()) {
-    // The run's TTGT packs: each rank's two operand gathers and the
-    // contributing ranks' result scatters.
-    obs::count("kernel.pack_bytes", packed * sizeof(double));
+    // The contributing ranks' result scatters; PackedGemm counts the
+    // operand packs.
+    obs::count("kernel.pack_bytes", scattered * sizeof(double));
   }
   // Every rank holds its stationary block, the whole replicated operand
   // and its partial result.

@@ -9,12 +9,15 @@
 /// whole arrays, so a fused step runs unfused, and takes its simulated
 /// time from core/simulate's replay of that unfused step: it builds no
 /// communication of its own.  Each contraction is lowered once per run,
-/// and every rank packs its operand blocks once, into the layout of the
-/// kernel that multiplies them, and keeps them packed until the final
-/// scatter (docs/KERNELS.md).  The result is therefore both a
-/// *numerically correct* output tensor (validated against the reference
-/// einsum in tests) and a *simulated wall time* decomposed into
-/// communication and computation.
+/// to row and column offsets of a block in its full tensor, and every
+/// rank packs its operand blocks once, straight from the full tensors
+/// through those offsets, into the layout of the kernel that multiplies
+/// them, and keeps them packed until the final scatter.  The replicated
+/// template runs only the ranks that contribute to the result; a
+/// replica would repeat another rank's product (docs/KERNELS.md).  The
+/// result is therefore both a *numerically correct* output tensor
+/// (validated against the reference einsum in tests) and a *simulated
+/// wall time* decomposed into communication and computation.
 ///
 /// Block schedule (canonical orientation; the transposed orientation
 /// swaps the grid dimensions): with e = √P, processor (z1, z2) at step s

@@ -12,6 +12,7 @@
 #include "tce/common/thread_pool.hpp"
 #include "tce/common/timer.hpp"
 #include "tce/obs/metrics.hpp"
+#include "tce/tensor/kernel_internal.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TCE_KERNEL_X86_DISPATCH 1
@@ -76,16 +77,16 @@ std::optional<KernelConfig> g_config TCE_GUARDED_BY(
     g_config_mutex);  // NOLINT(cert-err58-cpp)
 
 // ---------------------------------------------------------------------
-// Microkernel: C (MR×NR, row stride ldc) += Ap · Bp over kc steps,
-// where Ap is an MR-wide packed column-major micro-panel (Ap[p*MR + i])
-// and Bp an NR-wide packed row-major micro-panel (Bp[p*NR + j]).
+// Micro-kernels (kernel_internal.hpp): the valid mr×nr corner of an MR×NR
+// tile of C += Ap · Bp over kc steps.  Each adds its accumulators into C
+// itself, so an edge tile costs no more memory traffic than a full one.
 
-using MicroKernelFn = void (*)(std::size_t kc, const double* ap,
-                               const double* bp, double* c,
-                               std::size_t ldc);
+using kernel_internal::MicroKernel;
+using kernel_internal::MicroKernelFn;
 
 void micro_generic(std::size_t kc, const double* ap, const double* bp,
-                   double* c, std::size_t ldc) {
+                   double* c, std::size_t ldc, std::size_t mr,
+                   std::size_t nr) {
   double acc[kMicroM][kMicroN] = {};
   for (std::size_t p = 0; p < kc; ++p) {
     const double* a = ap + p * kMicroM;
@@ -96,23 +97,85 @@ void micro_generic(std::size_t kc, const double* ap, const double* bp,
       }
     }
   }
-  for (std::size_t i = 0; i < kMicroM; ++i) {
-    for (std::size_t j = 0; j < kMicroN; ++j) {
+  for (std::size_t i = 0; i < mr; ++i) {
+    for (std::size_t j = 0; j < nr; ++j) {
       c[i * ldc + j] += acc[i][j];
     }
   }
 }
 
 #if TCE_KERNEL_X86_DISPATCH
+// AVX2 helpers carry the same target attribute as the kernel so they
+// inline into it.
+#define TCE_AVX2_INLINE \
+  __attribute__((target("avx2,fma"), always_inline)) inline
+
+/// C row \p c += \p lo (columns 0..3) and \p hi (columns 4..5).
+TCE_AVX2_INLINE void add_row(double* c, __m256d lo, __m128d hi) {
+  _mm256_storeu_pd(c, _mm256_add_pd(_mm256_loadu_pd(c), lo));
+  _mm_storeu_pd(c + 4, _mm_add_pd(_mm_loadu_pd(c + 4), hi));
+}
+
+/// add_row for the columns whose mask lanes are set; masked lanes are
+/// neither read nor written.
+TCE_AVX2_INLINE void add_row_masked(double* c, __m256d lo, __m128d hi,
+                                    __m256i mlo, __m128i mhi) {
+  _mm256_maskstore_pd(c, mlo,
+                      _mm256_add_pd(_mm256_maskload_pd(c, mlo), lo));
+  _mm_maskstore_pd(c + 4, mhi,
+                   _mm_add_pd(_mm_maskload_pd(c + 4, mhi), hi));
+}
+
+/// Adds rows [0, rows) (1 ≤ rows ≤ 4) of a four-row band of the tile
+/// into C at \p c.  The band arrives as its six columns (x0..x5, one row
+/// per lane) and is transposed in registers, so each row takes one ymm
+/// and one xmm load-add-store, masked to \p nr columns on an edge tile.
+TCE_AVX2_INLINE void add_band(double* c, std::size_t ldc, std::size_t rows,
+                              std::size_t nr, __m256d x0, __m256d x1,
+                              __m256d x2, __m256d x3, __m256d x4,
+                              __m256d x5) {
+  // 4×4 transpose of columns 0..3: unpack pairs rows (0, 2) and (1, 3)
+  // of two columns, permute2f128 joins the halves.
+  const __m256d t0 = _mm256_unpacklo_pd(x0, x1);
+  const __m256d t1 = _mm256_unpackhi_pd(x0, x1);
+  const __m256d t2 = _mm256_unpacklo_pd(x2, x3);
+  const __m256d t3 = _mm256_unpackhi_pd(x2, x3);
+  const __m256d r0 = _mm256_permute2f128_pd(t0, t2, 0x20);
+  const __m256d r1 = _mm256_permute2f128_pd(t1, t3, 0x20);
+  const __m256d r2 = _mm256_permute2f128_pd(t0, t2, 0x31);
+  const __m256d r3 = _mm256_permute2f128_pd(t1, t3, 0x31);
+  const __m256d u0 = _mm256_unpacklo_pd(x4, x5);  // rows 0 and 2 of 4..5
+  const __m256d u1 = _mm256_unpackhi_pd(x4, x5);  // rows 1 and 3 of 4..5
+  const __m128d s0 = _mm256_castpd256_pd128(u0);
+  const __m128d s1 = _mm256_castpd256_pd128(u1);
+  const __m128d s2 = _mm256_extractf128_pd(u0, 1);
+  const __m128d s3 = _mm256_extractf128_pd(u1, 1);
+  if (rows == 4 && nr == kMicroN) {
+    add_row(c, r0, s0);
+    add_row(c + ldc, r1, s1);
+    add_row(c + 2 * ldc, r2, s2);
+    add_row(c + 3 * ldc, r3, s3);
+    return;
+  }
+  // Lane l of a mask is set when column l (resp. 4 + l) is valid.
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  const auto valid = static_cast<long long>(nr);
+  const __m256i mlo = _mm256_cmpgt_epi64(_mm256_set1_epi64x(valid), lane);
+  const __m128i mhi = _mm256_castsi256_si128(
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(valid - 4), lane));
+  add_row_masked(c, r0, s0, mlo, mhi);
+  if (rows > 1) add_row_masked(c + ldc, r1, s1, mlo, mhi);
+  if (rows > 2) add_row_masked(c + 2 * ldc, r2, s2, mlo, mhi);
+  if (rows > 3) add_row_masked(c + 3 * ldc, r3, s3, mlo, mhi);
+}
+
 /// AVX2+FMA variant: 12 ymm accumulators (two 4-double halves per C
 /// column), one broadcast of B and two loads of A per k step.  Compiled
 /// with a target attribute so the TU itself needs no -mavx2; the
 /// dispatcher only selects it when the CPU reports both features.
-__attribute__((target("avx2,fma"))) void micro_avx2(std::size_t kc,
-                                                    const double* ap,
-                                                    const double* bp,
-                                                    double* c,
-                                                    std::size_t ldc) {
+__attribute__((target("avx2,fma"))) void micro_avx2(
+    std::size_t kc, const double* ap, const double* bp, double* c,
+    std::size_t ldc, std::size_t mr, std::size_t nr) {
   // Explicit accumulators so the compiler keeps all 12 in ymm registers
   // (an array sometimes spills at -O2): cLjH = C columns 0..5, rows
   // 0..3 (lo) / 4..7 (hi).
@@ -163,77 +226,119 @@ __attribute__((target("avx2,fma"))) void micro_avx2(std::size_t kc,
   for (; p < kc; ++p) TCE_MICRO_STEP();
 #undef TCE_MICRO_STEP
 
-  alignas(32) double t[kMicroM];
-  const __m256d* lo[kMicroN] = {&c0l, &c1l, &c2l, &c3l, &c4l, &c5l};
-  const __m256d* hi[kMicroN] = {&c0h, &c1h, &c2h, &c3h, &c4h, &c5h};
-  for (std::size_t j = 0; j < kMicroN; ++j) {
-    _mm256_store_pd(t, *lo[j]);
-    _mm256_store_pd(t + 4, *hi[j]);
-    for (std::size_t i = 0; i < kMicroM; ++i) {
-      c[i * ldc + j] += t[i];
-    }
+  add_band(c, ldc, std::min<std::size_t>(mr, 4), nr, c0l, c1l, c2l, c3l,
+           c4l, c5l);
+  if (mr > 4) {
+    add_band(c + 4 * ldc, ldc, mr - 4, nr, c0h, c1h, c2h, c3h, c4h, c5h);
   }
 }
+#undef TCE_AVX2_INLINE
 #endif  // TCE_KERNEL_X86_DISPATCH
 
-struct MicroDispatch {
-  MicroKernelFn fn = micro_generic;
-  const char* isa = "generic";
-};
-
-MicroDispatch pick_micro() {
+/// The runnable micro-kernels, the one dispatch uses first.
+std::vector<MicroKernel> pick_micro_kernels() {
+  std::vector<MicroKernel> out;
 #if TCE_KERNEL_X86_DISPATCH
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return {micro_avx2, "avx2"};
+    out.push_back({"avx2", micro_avx2});
   }
 #endif
-  return {micro_generic, "generic"};
+  out.push_back({"generic", micro_generic});
+  return out;
 }
 
-const MicroDispatch& micro_dispatch() {
-  static const MicroDispatch d = pick_micro();
-  return d;
+const std::vector<MicroKernel>& micro_kernels() {
+  static const std::vector<MicroKernel> kernels = pick_micro_kernels();
+  return kernels;
 }
 
-/// Packs A[ic.., pc..] (row-major lda = k) into MR-row micro-panels,
-/// zero-padding rows past mc_eff.  Layout: panel ir, then k step, then
-/// row within the panel.
-void pack_a_panel(const double* a, std::size_t lda, std::size_t ic,
-                  std::size_t pc, std::size_t mc_eff, std::size_t kc_eff,
-                  double* out) {
+const MicroKernel& micro_dispatch() { return micro_kernels().front(); }
+
+/// Packs rows [0, mc_eff) × columns [0, kc_eff) of the matrix whose
+/// element (r, c) is src[row_off[r] + col_off[c]] into MR-row
+/// micro-panels, zero-padding rows past mc_eff.  Layout: panel ir, then
+/// k step, then row within the panel.
+void pack_a_panel(const double* src, const std::uint64_t* row_off,
+                  const std::uint64_t* col_off, std::size_t mc_eff,
+                  std::size_t kc_eff, double* out) {
   for (std::size_t ir = 0; ir < mc_eff; ir += kMicroM) {
     const std::size_t rows = std::min(kMicroM, mc_eff - ir);
+    const double* row[kMicroM];
+    for (std::size_t i = 0; i < rows; ++i) row[i] = src + row_off[ir + i];
     double* panel = out + ir * kc_eff;
     for (std::size_t p = 0; p < kc_eff; ++p) {
-      const double* col = a + (ic + ir) * lda + pc + p;
+      const std::uint64_t col = col_off[p];
       double* dst = panel + p * kMicroM;
-      for (std::size_t i = 0; i < rows; ++i) dst[i] = col[i * lda];
+      if (rows == kMicroM) {
+        for (std::size_t i = 0; i < kMicroM; ++i) dst[i] = row[i][col];
+        continue;
+      }
+      for (std::size_t i = 0; i < rows; ++i) dst[i] = row[i][col];
       for (std::size_t i = rows; i < kMicroM; ++i) dst[i] = 0.0;
     }
   }
 }
 
-/// Packs B[pc.., jc..] (row-major ldb = n) into NR-column micro-panels,
-/// zero-padding columns past nc_eff.
-void pack_b_panel(const double* b, std::size_t ldb, std::size_t pc,
-                  std::size_t jc, std::size_t kc_eff, std::size_t nc_eff,
-                  double* out) {
+/// Packs rows [0, kc_eff) × columns [0, nc_eff) of the matrix whose
+/// element (r, c) is src[row_off[r] + col_off[c]] into NR-column
+/// micro-panels, zero-padding columns past nc_eff.
+void pack_b_panel(const double* src, const std::uint64_t* row_off,
+                  const std::uint64_t* col_off, std::size_t kc_eff,
+                  std::size_t nc_eff, double* out) {
   for (std::size_t jr = 0; jr < nc_eff; jr += kMicroN) {
     const std::size_t cols = std::min(kMicroN, nc_eff - jr);
+    std::uint64_t col[kMicroN];
+    for (std::size_t j = 0; j < cols; ++j) col[j] = col_off[jr + j];
     double* panel = out + jr * kc_eff;
     for (std::size_t p = 0; p < kc_eff; ++p) {
-      const double* row = b + (pc + p) * ldb + jc + jr;
+      const double* row = src + row_off[p];
       double* dst = panel + p * kMicroN;
-      for (std::size_t j = 0; j < cols; ++j) dst[j] = row[j];
+      if (cols == kMicroN) {
+        for (std::size_t j = 0; j < kMicroN; ++j) dst[j] = row[col[j]];
+        continue;
+      }
+      for (std::size_t j = 0; j < cols; ++j) dst[j] = row[col[j]];
       for (std::size_t j = cols; j < kMicroN; ++j) dst[j] = 0.0;
     }
+  }
+}
+
+/// Offsets of \p count positions \p stride apart: the identity walk of
+/// a row-major matrix's rows (stride = row length) or columns (1).
+std::vector<std::uint64_t> strided_offsets(std::size_t count,
+                                           std::uint64_t stride) {
+  std::vector<std::uint64_t> out(count);
+  for (std::size_t x = 0; x < count; ++x) out[x] = x * stride;
+  return out;
+}
+
+/// True when every element src[rows[r] + cols[c]] lies inside \p src.
+bool reads_inside(std::span<const double> src,
+                  std::span<const std::uint64_t> rows,
+                  std::span<const std::uint64_t> cols) {
+  if (rows.empty() || cols.empty()) return true;
+  return checked_add(*std::max_element(rows.begin(), rows.end()),
+                     *std::max_element(cols.begin(), cols.end())) <
+         src.size();
+}
+
+/// The reference kernel's packed layout: the matrix whose element
+/// (r, c) is src[rows[r] + cols[c]], copied row-major.
+void gather_row_major(std::span<const double> src,
+                      std::span<const std::uint64_t> rows,
+                      std::span<const std::uint64_t> cols,
+                      std::span<double> out) {
+  double* dst = out.data();
+  for (const std::uint64_t r : rows) {
+    const double* row = src.data() + r;
+    for (const std::uint64_t c : cols) *dst++ = row[c];
   }
 }
 
 /// The macro-kernel shared by both tiled entry points: C (mc_eff×nc_eff
 /// at \p c, row stride \p ldc) += one packed MC×KC panel of A (\p ap)
 /// times one packed KC×NC panel of B (\p bp), MR×NR micro-tile by
-/// micro-tile.
+/// micro-tile; the micro-kernel adds each tile's valid corner into C.
 void macro_kernel(const double* ap, const double* bp, std::size_t mc_eff,
                   std::size_t nc_eff, std::size_t kc_eff, double* c,
                   std::size_t ldc) {
@@ -242,22 +347,8 @@ void macro_kernel(const double* ap, const double* bp, std::size_t mc_eff,
     const std::size_t nr = std::min(kMicroN, nc_eff - jr);
     const double* bp_r = bp + jr * kc_eff;
     for (std::size_t ir = 0; ir < mc_eff; ir += kMicroM) {
-      const std::size_t mr = std::min(kMicroM, mc_eff - ir);
-      const double* ap_r = ap + ir * kc_eff;
-      double* cp = c + ir * ldc + jr;
-      if (mr == kMicroM && nr == kMicroN) {
-        micro(kc_eff, ap_r, bp_r, cp, ldc);
-      } else {
-        // Edge tile: run the full microkernel into a bounce buffer,
-        // accumulate only the valid mr×nr corner.
-        double tmp[kMicroM * kMicroN] = {};
-        micro(kc_eff, ap_r, bp_r, tmp, kMicroN);
-        for (std::size_t i = 0; i < mr; ++i) {
-          for (std::size_t j = 0; j < nr; ++j) {
-            cp[i * ldc + j] += tmp[i * kMicroN + j];
-          }
-        }
-      }
+      micro(kc_eff, ap + ir * kc_eff, bp_r, c + ir * ldc + jr, ldc,
+            std::min(kMicroM, mc_eff - ir), nr);
     }
   }
 }
@@ -345,6 +436,10 @@ KernelKind select_kernel(KernelKind kind, std::uint64_t mnk) noexcept {
 
 const char* gemm_microkernel_isa() noexcept { return micro_dispatch().isa; }
 
+std::span<const MicroKernel> kernel_internal::runnable_micro_kernels() {
+  return micro_kernels();
+}
+
 void gemm_ref(std::span<const double> a, std::span<const double> b,
               std::span<double> c, std::size_t m, std::size_t k,
               std::size_t n, const TileConfig& tiles) {
@@ -390,6 +485,12 @@ void gemm_tiled(std::span<const double> a, std::span<const double> b,
   const unsigned use_threads = std::min<std::size_t>(
       ThreadPool::resolve_threads(threads), m_blocks);
 
+  // The identity walks of row-major A and B.
+  const std::vector<std::uint64_t> a_row_off = strided_offsets(m, k);
+  const std::vector<std::uint64_t> b_row_off = strided_offsets(k, n);
+  const std::vector<std::uint64_t> col_off =
+      strided_offsets(std::max(k, n), 1);
+
   std::uint64_t pack_bytes = 0;
   std::vector<double> bpack;
   for (std::size_t jc = 0; jc < n; jc += nc) {
@@ -398,7 +499,8 @@ void gemm_tiled(std::span<const double> a, std::span<const double> b,
     for (std::size_t pc = 0; pc < k; pc += kc) {
       const std::size_t kc_eff = std::min(kc, k - pc);
       bpack.resize(nc_pad * kc_eff);
-      pack_b_panel(b.data(), n, pc, jc, kc_eff, nc_eff, bpack.data());
+      pack_b_panel(b.data(), b_row_off.data() + pc, col_off.data() + jc,
+                   kc_eff, nc_eff, bpack.data());
       pack_bytes += nc_pad * kc_eff * sizeof(double);
       pack_bytes += round_up(m, kMicroM) * kc_eff * sizeof(double);
 
@@ -407,7 +509,8 @@ void gemm_tiled(std::span<const double> a, std::span<const double> b,
         const std::size_t mc_eff = std::min(mc, m - ic);
         thread_local std::vector<double> apack;
         apack.resize(round_up(mc_eff, kMicroM) * kc_eff);
-        pack_a_panel(a.data(), k, ic, pc, mc_eff, kc_eff, apack.data());
+        pack_a_panel(a.data(), a_row_off.data() + ic, col_off.data() + pc,
+                     mc_eff, kc_eff, apack.data());
         macro_kernel(apack.data(), bpack.data(), mc_eff, nc_eff, kc_eff,
                      c.data() + ic * n + jc, n);
       });
@@ -438,44 +541,51 @@ std::size_t PackedGemm::b_size() const noexcept {
   return kind_ == KernelKind::kTiled ? k_ * round_up(n_, kMicroN) : k_ * n_;
 }
 
-void PackedGemm::pack_a(std::span<const double> a,
+void PackedGemm::pack_a(std::span<const double> src,
+                        std::span<const std::uint64_t> rows,
+                        std::span<const std::uint64_t> cols,
                         std::span<double> out) const {
-  TCE_EXPECTS(a.size() == m_ * k_);
+  TCE_EXPECTS(rows.size() == m_ && cols.size() == k_);
   TCE_EXPECTS(out.size() == a_size());
+  TCE_EXPECTS(reads_inside(src, rows, cols));
   if (kind_ != KernelKind::kTiled) {
-    std::copy(a.begin(), a.end(), out.begin());
-    return;
-  }
-  // KC block pc holds round_up(m, MR)·kc_eff elements: the MR-row
-  // micro-panels of every MC block, which gemm_tiled packs one MC block
-  // at a time.
-  const std::size_t m_pad = round_up(m_, kMicroM);
-  for (std::size_t pc = 0; pc < k_; pc += tiles_.kc) {
-    const std::size_t kc_eff = std::min(tiles_.kc, k_ - pc);
-    pack_a_panel(a.data(), k_, 0, pc, m_, kc_eff, out.data() + m_pad * pc);
+    gather_row_major(src, rows, cols, out);
+  } else {
+    // KC block pc holds round_up(m, MR)·kc_eff elements: the MR-row
+    // micro-panels of every MC block, which gemm_tiled packs one MC
+    // block at a time.
+    const std::size_t m_pad = round_up(m_, kMicroM);
+    for (std::size_t pc = 0; pc < k_; pc += tiles_.kc) {
+      const std::size_t kc_eff = std::min(tiles_.kc, k_ - pc);
+      pack_a_panel(src.data(), rows.data(), cols.data() + pc, m_, kc_eff,
+                   out.data() + m_pad * pc);
+    }
   }
   if (obs::metrics_enabled()) {
     obs::count("kernel.pack_bytes", out.size() * sizeof(double));
   }
 }
 
-void PackedGemm::pack_b(std::span<const double> b,
+void PackedGemm::pack_b(std::span<const double> src,
+                        std::span<const std::uint64_t> rows,
+                        std::span<const std::uint64_t> cols,
                         std::span<double> out) const {
-  TCE_EXPECTS(b.size() == k_ * n_);
+  TCE_EXPECTS(rows.size() == k_ && cols.size() == n_);
   TCE_EXPECTS(out.size() == b_size());
+  TCE_EXPECTS(reads_inside(src, rows, cols));
   if (kind_ != KernelKind::kTiled) {
-    std::copy(b.begin(), b.end(), out.begin());
-    return;
-  }
-  // NC block jc holds nc_pad·k elements, its KC blocks in order.
-  const std::size_t nc = round_up(tiles_.nc, kMicroN);
-  for (std::size_t jc = 0; jc < n_; jc += nc) {
-    const std::size_t nc_eff = std::min(nc, n_ - jc);
-    const std::size_t nc_pad = round_up(nc_eff, kMicroN);
-    for (std::size_t pc = 0; pc < k_; pc += tiles_.kc) {
-      const std::size_t kc_eff = std::min(tiles_.kc, k_ - pc);
-      pack_b_panel(b.data(), n_, pc, jc, kc_eff, nc_eff,
-                   out.data() + jc * k_ + nc_pad * pc);
+    gather_row_major(src, rows, cols, out);
+  } else {
+    // NC block jc holds nc_pad·k elements, its KC blocks in order.
+    const std::size_t nc = round_up(tiles_.nc, kMicroN);
+    for (std::size_t jc = 0; jc < n_; jc += nc) {
+      const std::size_t nc_eff = std::min(nc, n_ - jc);
+      const std::size_t nc_pad = round_up(nc_eff, kMicroN);
+      for (std::size_t pc = 0; pc < k_; pc += tiles_.kc) {
+        const std::size_t kc_eff = std::min(tiles_.kc, k_ - pc);
+        pack_b_panel(src.data(), rows.data() + pc, cols.data() + jc, kc_eff,
+                     nc_eff, out.data() + jc * k_ + nc_pad * pc);
+      }
     }
   }
   if (obs::metrics_enabled()) {

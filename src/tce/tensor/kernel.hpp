@@ -12,7 +12,8 @@
 ///    MC×KC panels of MR-row micro-panels, B into KC×NC panels of
 ///    NR-column micro-panels, and an 8×6 register-blocked FMA
 ///    microkernel (AVX2+FMA when the CPU has it, a portable unrolled
-///    fallback otherwise) walks the panels.  The MC loop runs on the
+///    fallback otherwise) walks the panels and adds each tile's valid
+///    corner into C itself.  The MC loop runs on the
 ///    shared thread pool; every thread writes a disjoint row-block of C
 ///    and the KC accumulation order is fixed, so results are bitwise
 ///    identical at every thread count.
@@ -138,7 +139,7 @@ void gemm_tiled(std::span<const double> a, std::span<const double> b,
 /// times without further packing.  The kernel, tiles and threads are
 /// resolved once, at construction.  Under the tiled kernel a packed
 /// operand is gemm_tiled's MR/NR micro-panels concatenated over its
-/// KC/NC blocks; under the reference kernel it stays row-major.
+/// KC/NC blocks; under the reference kernel it is row-major.
 class PackedGemm {
  public:
   /// Resolves \p cfg (kAuto by size) for this shape.
@@ -149,10 +150,20 @@ class PackedGemm {
   std::size_t a_size() const noexcept;
   std::size_t b_size() const noexcept;
 
-  /// Packs row-major m×k \p a (resp. k×n \p b) into \p out, which holds
-  /// a_size() (resp. b_size()) elements.
-  void pack_a(std::span<const double> a, std::span<double> out) const;
-  void pack_b(std::span<const double> b, std::span<double> out) const;
+  /// Packs A (m×k) into \p out, which holds a_size() elements, reading
+  /// element (r, c) from src[rows[r] + cols[c]]: a block of a larger
+  /// tensor packs in place, and a row-major matrix is the identity walk
+  /// (rows[r] = r·k, cols[c] = c).  pack_b does the same for B (k×n)
+  /// into b_size() elements.  Each counts the bytes it writes as
+  /// kernel.pack_bytes.
+  void pack_a(std::span<const double> src,
+              std::span<const std::uint64_t> rows,
+              std::span<const std::uint64_t> cols,
+              std::span<double> out) const;
+  void pack_b(std::span<const double> src,
+              std::span<const std::uint64_t> rows,
+              std::span<const std::uint64_t> cols,
+              std::span<double> out) const;
 
   /// c (m×n, row-major) += A·B from packed operands, added as one fresh
   /// product: bit for bit what the kernel computes into a zeroed block,

@@ -29,67 +29,41 @@ PackedWalk make_walk(const DenseTensor& t,
     throw Error("ttgt: dimension groups must cover the tensor");
   }
   TCE_EXPECTS(block.size() == t.rank());
-  PackedWalk w;
-  auto add = [&](const std::vector<IndexId>& dims, std::uint64_t& product) {
+  // Every position of the group's block, first dimension slowest.
+  auto offsets = [&](const std::vector<IndexId>& dims) {
+    std::vector<std::uint64_t> out{0};
     for (IndexId id : dims) {
       const std::size_t pos = t.pos_of(id);
       TCE_EXPECTS(block[pos] > 0 && block[pos] <= t.extents()[pos]);
-      w.extents.push_back(block[pos]);
-      w.strides.push_back(t.stride(pos));
-      product = checked_mul(product, block[pos]);
+      std::vector<std::uint64_t> next;
+      next.reserve(checked_mul(out.size(), block[pos]));
+      for (const std::uint64_t base : out) {
+        for (std::uint64_t x = 0; x < block[pos]; ++x) {
+          next.push_back(base + x * t.stride(pos));
+        }
+      }
+      out = std::move(next);
     }
+    return out;
   };
-  add(batch_dims, w.batch);
-  add(row_dims, w.rows);
-  add(col_dims, w.cols);
+  PackedWalk w;
+  w.batch = offsets(batch_dims);
+  w.rows = offsets(row_dims);
+  w.cols = offsets(col_dims);
+  // The positions so far span [0, col_run) without a gap; a dimension
+  // whose stride is that span extends the run.
+  for (auto it = col_dims.rbegin(); it != col_dims.rend(); ++it) {
+    const std::size_t pos = t.pos_of(*it);
+    if (t.stride(pos) != w.col_run) break;
+    w.col_run *= block[pos];
+  }
   return w;
 }
 
-/// Offset of the walk's last element from the block origin.
+/// Offset of the walk's last element from the block origin, its largest.
 std::uint64_t last_offset(const PackedWalk& w) {
-  std::uint64_t off = 0;
-  for (std::size_t i = 0; i < w.strides.size(); ++i) {
-    off = checked_add(off, checked_mul(w.extents[i] - 1, w.strides[i]));
-  }
-  return off;
-}
-
-/// for_each_run's walk over dimensions \p dim onward: \p from is the
-/// block offset of the position fixed in the dimensions before \p dim,
-/// and \p to the packed offset of the next run.
-template <typename Fn>
-void walk_runs(const PackedWalk& w, std::size_t dim, std::uint64_t from,
-               std::uint64_t& to, Fn& run) {
-  const std::size_t inner = w.extents.size() - 1;
-  if (dim == inner) {
-    run(from, to);
-    to += w.extents[inner];
-    return;
-  }
-  for (std::uint64_t x = 0; x < w.extents[dim]; ++x) {
-    walk_runs(w, dim + 1, from, to, run);
-    from += w.strides[dim];
-  }
-}
-
-/// Calls run(from, to) for every innermost run of \p w: the run starts
-/// at offset `from` of the block and at offset `to` of the packed
-/// buffer, and is w.extents.back() elements long (1 at rank 0).  The
-/// block offset is carried forward as the outer dimensions advance.
-template <typename Fn>
-void for_each_run(const PackedWalk& w, Fn&& run) {
-  if (w.extents.empty()) {
-    run(std::uint64_t{0}, std::uint64_t{0});
-    return;
-  }
-  std::uint64_t to = 0;
-  walk_runs(w, 0, 0, to, run);
-}
-
-/// Length and stride of the walk's innermost runs.
-std::pair<std::uint64_t, std::uint64_t> inner_run(const PackedWalk& w) {
-  if (w.extents.empty()) return {1, 1};
-  return {w.extents.back(), w.strides.back()};
+  return checked_add(checked_add(w.batch.back(), w.rows.back()),
+                     w.cols.back());
 }
 
 }  // namespace
@@ -170,43 +144,63 @@ TtgtLowering lower_ttgt(const TtgtGroups& g, const DenseTensor& a,
   low.a = make_walk(a, a_block, g.batch, g.m, kdims);
   low.b = make_walk(b, b_block, g.batch, kdims, g.n);
   low.c = make_walk(c, c_block, g.batch, g.m, g.n);
-  TCE_EXPECTS_MSG(low.b.batch == low.a.batch && low.c.batch == low.a.batch &&
-                      low.b.rows == low.a.cols && low.c.rows == low.a.rows &&
-                      low.c.cols == low.b.cols,
+  TCE_EXPECTS_MSG(low.b.batch.size() == low.batch() &&
+                      low.c.batch.size() == low.batch() &&
+                      low.b.rows.size() == low.k() &&
+                      low.c.rows.size() == low.m() &&
+                      low.c.cols.size() == low.n(),
                   "ttgt: block shapes disagree on a shared group");
   return low;
 }
 
+// Both walks go row by row.  Strided columns take one offset per
+// element; columns that come in runs move a run per offset.
 void gather_packed(std::span<const double> src, const PackedWalk& walk,
                    std::span<double> out) {
   TCE_EXPECTS(out.size() == walk.size());
   TCE_EXPECTS(last_offset(walk) < src.size());
-  const auto [len, stride] = inner_run(walk);
-  for_each_run(walk, [&](std::uint64_t from, std::uint64_t to) {
-    const double* s = src.data() + from;
-    double* d = out.data() + to;
-    if (stride == 1) {
-      std::copy_n(s, len, d);
-    } else {
-      for (std::uint64_t j = 0; j < len; ++j) d[j] = s[j * stride];
+  const std::uint64_t* cols = walk.cols.data();
+  const std::size_t n = walk.cols.size();
+  const std::uint64_t run = walk.col_run;
+  double* d = out.data();
+  for (const std::uint64_t b : walk.batch) {
+    for (const std::uint64_t r : walk.rows) {
+      const double* row = src.data() + b + r;
+      if (run == 1) {
+        for (std::size_t x = 0; x < n; ++x) d[x] = row[cols[x]];
+        d += n;
+        continue;
+      }
+      for (std::size_t x = 0; x < n; x += run) {
+        d = std::copy_n(row + cols[x], run, d);
+      }
     }
-  });
+  }
 }
 
 void scatter_packed_acc(std::span<const double> buf, const PackedWalk& walk,
                         std::span<double> dst) {
   TCE_EXPECTS(buf.size() == walk.size());
   TCE_EXPECTS(last_offset(walk) < dst.size());
-  const auto [len, stride] = inner_run(walk);
-  for_each_run(walk, [&](std::uint64_t from, std::uint64_t to) {
-    double* d = dst.data() + from;
-    const double* s = buf.data() + to;
-    if (stride == 1) {
-      for (std::uint64_t j = 0; j < len; ++j) d[j] += s[j];
-    } else {
-      for (std::uint64_t j = 0; j < len; ++j) d[j * stride] += s[j];
+  const std::uint64_t* cols = walk.cols.data();
+  const std::size_t n = walk.cols.size();
+  const std::uint64_t run = walk.col_run;
+  const double* s = buf.data();
+  for (const std::uint64_t b : walk.batch) {
+    for (const std::uint64_t r : walk.rows) {
+      double* row = dst.data() + b + r;
+      if (run == 1) {
+        for (std::size_t x = 0; x < n; ++x) row[cols[x]] += s[x];
+        s += n;
+        continue;
+      }
+      for (std::size_t x = 0; x < n; x += run) {
+        double* d = row + cols[x];
+        for (std::uint64_t j = 0; j < run; ++j) d[j] += s[j];
+        s += run;
+      }
     }
-  });
+  }
 }
 
 void ttgt_contract_acc(const DenseTensor& a, const DenseTensor& b,
@@ -246,9 +240,9 @@ void ttgt_contract_acc(const DenseTensor& a, const DenseTensor& b,
   gather_packed(pa->data(), low.a, am);
   gather_packed(pb->data(), low.b, bm);
 
-  const std::size_t a_slice = low.a.rows * low.a.cols;
-  const std::size_t b_slice = low.b.rows * low.b.cols;
-  const std::size_t c_slice = low.c.rows * low.c.cols;
+  const std::size_t a_slice = low.m() * low.k();
+  const std::size_t b_slice = low.k() * low.n();
+  const std::size_t c_slice = low.m() * low.n();
   for (std::uint64_t bi = 0; bi < low.batch(); ++bi) {
     matmul_acc(std::span<const double>(am).subspan(bi * a_slice, a_slice),
                std::span<const double>(bm).subspan(bi * b_slice, b_slice),

@@ -18,11 +18,14 @@
 /// ttgt_contract_acc and the Cannon executor (which lowers once per
 /// run and keeps every rank's blocks packed across all its steps):
 ///   * lower_ttgt — the classification's K order and each tensor's
-///     PackedWalk: group-ordered extents of a block and the strides of
-///     the full tensor holding it;
-///   * gather_packed / scatter_packed_acc — a strided copy of one block
-///     of a full tensor into contiguous [batch][rows][cols] order, and
-///     back with accumulation (docs/KERNELS.md).
+///     PackedWalk: the offsets of a block's batch positions, rows and
+///     columns in the full tensor holding it;
+///   * gather_packed / scatter_packed_acc — a copy of one block of a
+///     full tensor, through those offsets, into contiguous
+///     [batch][rows][cols] order, and back with accumulation.
+/// The executor hands a walk's row and column offsets to PackedGemm,
+/// which packs its kernel's layout straight from the full tensor
+/// (docs/KERNELS.md).
 
 #include <span>
 
@@ -60,19 +63,22 @@ TtgtGroups classify_ttgt(const DenseTensor& a, const DenseTensor& b,
                          const std::vector<IndexId>& result_dims,
                          IndexSet sum_indices);
 
-/// One tensor block walked in packed order: the dimensions of its
-/// batch, row and column groups in that order, each with the block's
-/// extent and the stride of the full tensor the block lives in.
+/// One tensor block walked in packed order, as offsets from the block's
+/// origin in the full tensor that holds it: packed element (b, r, c) of
+/// the [batch][rows][cols] order lives at batch[b] + rows[r] + cols[c].
+/// Each group lists its positions first dimension slowest.
 struct PackedWalk {
-  std::vector<std::uint64_t> extents;
-  std::vector<std::uint64_t> strides;
-  std::uint64_t batch = 1;
-  std::uint64_t rows = 1;
-  std::uint64_t cols = 1;
+  std::vector<std::uint64_t> batch;
+  std::vector<std::uint64_t> rows;
+  std::vector<std::uint64_t> cols;
+  /// The columns come in runs of this many consecutive offsets: the
+  /// innermost column dimensions that are contiguous in the full tensor
+  /// (1 when the innermost one is strided).
+  std::uint64_t col_run = 1;
 
   /// Elements of the packed [batch][rows][cols] buffer.
   std::uint64_t size() const {
-    return checked_mul(checked_mul(batch, rows), cols);
+    return checked_mul(checked_mul(batch.size(), rows.size()), cols.size());
   }
 };
 
@@ -84,10 +90,10 @@ struct TtgtLowering {
   PackedWalk b;
   PackedWalk c;
 
-  std::uint64_t batch() const { return a.batch; }
-  std::uint64_t m() const { return a.rows; }
-  std::uint64_t k() const { return a.cols; }
-  std::uint64_t n() const { return b.cols; }
+  std::uint64_t batch() const { return a.batch.size(); }
+  std::uint64_t m() const { return a.rows.size(); }
+  std::uint64_t k() const { return a.cols.size(); }
+  std::uint64_t n() const { return b.cols.size(); }
 };
 
 /// Lowers c += Σ a·b, classified as \p g, for blocks of the given

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "tce/codegen/codegen.hpp"
@@ -21,6 +24,7 @@
 #include "tce/tensor/block.hpp"
 #include "tce/tensor/einsum.hpp"
 #include "tce/tensor/kernel.hpp"
+#include "tce/tensor/kernel_internal.hpp"
 #include "tce/tensor/matmul.hpp"
 #include "tce/tensor/ttgt.hpp"
 
@@ -74,6 +78,30 @@ std::vector<double> fresh_product(KernelKind kind,
   return c;
 }
 
+/// Offsets of \p count positions \p stride apart: the identity walk of a
+/// row-major matrix's rows (stride = row length) or columns (1).
+std::vector<std::uint64_t> strided(std::size_t count, std::uint64_t stride) {
+  std::vector<std::uint64_t> out(count);
+  for (std::size_t x = 0; x < count; ++x) out[x] = x * stride;
+  return out;
+}
+
+/// \p gemm's packs of row-major \p a (m×k) and \p b (k×n).
+std::vector<double> pack_row_major_a(const PackedGemm& gemm,
+                                     std::span<const double> a,
+                                     std::size_t m, std::size_t k) {
+  std::vector<double> out(gemm.a_size());
+  gemm.pack_a(a, strided(m, k), strided(k, 1), out);
+  return out;
+}
+std::vector<double> pack_row_major_b(const PackedGemm& gemm,
+                                     std::span<const double> b,
+                                     std::size_t k, std::size_t n) {
+  std::vector<double> out(gemm.b_size());
+  gemm.pack_b(b, strided(k, n), strided(n, 1), out);
+  return out;
+}
+
 /// c after a PackedGemm packs a and b once and multiplies them.
 std::vector<double> packed_product(KernelKind kind,
                                    const std::vector<double>& a,
@@ -83,10 +111,8 @@ std::vector<double> packed_product(KernelKind kind,
                                    const TileConfig& tiles,
                                    unsigned threads) {
   PackedGemm gemm(m, k, n, KernelConfig{kind, tiles, threads});
-  std::vector<double> ap(gemm.a_size()), bp(gemm.b_size());
-  gemm.pack_a(a, ap);
-  gemm.pack_b(b, bp);
-  gemm.multiply_acc(ap, bp, c);
+  gemm.multiply_acc(pack_row_major_a(gemm, a, m, k),
+                    pack_row_major_b(gemm, b, k, n), c);
   return c;
 }
 
@@ -143,6 +169,106 @@ TEST(Gemm, TinyTilesStillCorrect) {
   tiles.kc = 8;
   tiles.nc = 12;
   expect_gemms_agree(33, 29, 31, tiles);
+}
+
+/// C[i][j] after the micro-kernels' contract: c0 plus one chain per KC
+/// panel, each starting at 0.0 and running in ascending k, fused
+/// (std::fma) or as a rounded product then a sum.
+double panel_chains(const std::vector<double>& a, const std::vector<double>& b,
+                    double c0, std::size_t i, std::size_t j, std::size_t k,
+                    std::size_t n, std::size_t kc, bool fused) {
+  double c = c0;
+  for (std::size_t pc = 0; pc < k; pc += kc) {
+    double chain = 0.0;
+    for (std::size_t p = pc; p < std::min(pc + kc, k); ++p) {
+      if (fused) {
+        chain = std::fma(a[i * k + p], b[p * n + j], chain);
+      } else {
+        // volatile keeps the compiler from contracting this into an fma.
+        volatile double product = a[i * k + p] * b[p * n + j];
+        chain += product;
+      }
+    }
+    c += chain;
+  }
+  return c;
+}
+
+TEST(Gemm, EveryMicroKernelAddsEdgeTilesExactly) {
+  // Every (m mod MR, n mod NR) pair, each micro-kernel driven tile by tile
+  // over KC panels of 64.  Padding lanes hold NaN, and C sits in a buffer
+  // with guard cells before, after and between its rows: a lane outside
+  // the valid corner that is read or written shows.
+  const auto kernels = kernel_internal::runnable_micro_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.front().isa, gemm_microkernel_isa());
+  constexpr std::size_t kc = 64, guard = 8, row_gap = 2;
+  const double pad = std::numeric_limits<double>::quiet_NaN();
+  const double sentinel = 1234.5;
+  for (const kernel_internal::MicroKernel& micro : kernels) {
+    const bool avx2 = std::string(micro.isa) == "avx2";
+    for (const std::size_t k : {1u, 8u, 70u}) {
+      for (std::size_t m = 1; m <= 17; ++m) {
+        for (std::size_t n = 1; n <= 13; ++n) {
+          const std::vector<double> a = random_vec(m * k, 20 + m);
+          const std::vector<double> b = random_vec(k * n, 40 + n);
+          const std::vector<double> c0 = random_vec(m * n, 60 + k);
+          const std::size_t ldc = n + row_gap;
+          std::vector<double> buf(guard + m * ldc + guard, sentinel);
+          double* c = buf.data() + guard;
+          for (std::size_t i = 0; i < m; ++i) {
+            std::copy_n(&c0[i * n], n, c + i * ldc);
+          }
+          std::vector<double> ap(kMicroM * kc), bp(kMicroN * kc);
+          for (std::size_t pc = 0; pc < k; pc += kc) {
+            const std::size_t kc_eff = std::min(kc, k - pc);
+            for (std::size_t ir = 0; ir < m; ir += kMicroM) {
+              const std::size_t mr = std::min(kMicroM, m - ir);
+              for (std::size_t p = 0; p < kc_eff; ++p) {
+                for (std::size_t i = 0; i < kMicroM; ++i) {
+                  ap[p * kMicroM + i] =
+                      i < mr ? a[(ir + i) * k + pc + p] : pad;
+                }
+              }
+              for (std::size_t jr = 0; jr < n; jr += kMicroN) {
+                const std::size_t nr = std::min(kMicroN, n - jr);
+                for (std::size_t p = 0; p < kc_eff; ++p) {
+                  for (std::size_t j = 0; j < kMicroN; ++j) {
+                    bp[p * kMicroN + j] =
+                        j < nr ? b[(pc + p) * n + jr + j] : pad;
+                  }
+                }
+                micro.fn(kc_eff, ap.data(), bp.data(), c + ir * ldc + jr, ldc,
+                         mr, nr);
+              }
+            }
+          }
+          for (std::size_t x = 0; x < buf.size(); ++x) {
+            const std::size_t cell = x - guard;
+            const bool in_c = x >= guard && cell < m * ldc && cell % ldc < n;
+            if (!in_c) {
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(buf[x]),
+                        std::bit_cast<std::uint64_t>(sentinel))
+                  << micro.isa << " " << m << "x" << k << "x" << n
+                  << " guard cell " << x;
+              continue;
+            }
+            const std::size_t i = cell / ldc, j = cell % ldc;
+            const auto got = std::bit_cast<std::uint64_t>(buf[x]);
+            const auto fused = std::bit_cast<std::uint64_t>(
+                panel_chains(a, b, c0[i * n + j], i, j, k, n, kc, true));
+            const auto unfused = std::bit_cast<std::uint64_t>(
+                panel_chains(a, b, c0[i * n + j], i, j, k, n, kc, false));
+            // AVX2 fuses every step; the portable kernel fuses when the
+            // compiler contracts its multiply-add.
+            ASSERT_TRUE(got == fused || (!avx2 && got == unfused))
+                << micro.isa << " " << m << "x" << k << "x" << n << " at ("
+                << i << ", " << j << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Gemm, BitwiseDeterministicAcrossThreadCounts) {
@@ -342,49 +468,133 @@ TEST(Ttgt, PermutedOperandsMatchReference) {
   expect_ttgt_matches_einsum(a, b, {0, 1, 2}, IndexSet::single(3));
 }
 
-TEST(Ttgt, BlocksOfFullTensorsMatchExtractedBlocks) {
-  // C[b,m,n] += Σ_k A[k,b,m]·B[n,k,b] on one block triple, gathered
-  // straight out of the full tensors at nonzero origins, must equal the
-  // one-shot lowering of the extracted blocks bit for bit.
-  Rng rng(12);
-  DenseTensor a({3, 0, 1}, {6, 4, 5});
-  DenseTensor b({2, 3, 0}, {7, 6, 4});
-  a.fill_random(rng);
-  b.fill_random(rng);
-  const BlockRange ar{{2, 1, 0}, {5, 3, 5}};
-  const BlockRange br{{3, 2, 1}, {7, 5, 3}};
-  const BlockRange cr{{1, 0, 3}, {3, 5, 7}};
-  DenseTensor c({0, 1, 2}, {4, 5, 7});
+/// One block triple of c += Σ_sums a·b inside full tensors.
+struct BlockTriple {
+  DenseTensor a, b, c;
+  BlockRange ar, br, cr;
+  IndexSet sums;
+};
 
-  const TtgtGroups g = classify_ttgt(a, b, c.dims(), IndexSet::single(3));
-  const TtgtLowering low = lower_ttgt(g, a, ar.extents(), b, br.extents(),
-                                      c, cr.extents());
-  EXPECT_EQ(low.batch(), 2u);
-  EXPECT_EQ(low.m(), 5u);
-  EXPECT_EQ(low.k(), 3u);
-  EXPECT_EQ(low.n(), 4u);
+/// Lowers \p t's block triple and requires (1) packing each operand
+/// block straight from its full tensor to equal extract_block plus a
+/// row-major pack, bit for bit, under the reference kernel, the tiled
+/// kernel and tiled 8/8/8 tiles, and (2) the gather → GEMM → scatter of
+/// the full tensors to equal the one-shot lowering of the extracted
+/// blocks bit for bit.
+void expect_blocks_match(BlockTriple t) {
+  const TtgtGroups g = classify_ttgt(t.a, t.b, t.c.dims(), t.sums);
+  const TtgtLowering low = lower_ttgt(g, t.a, t.ar.extents(), t.b,
+                                      t.br.extents(), t.c, t.cr.extents());
+  const DenseTensor ab = extract_block(t.a, t.ar);
+  const DenseTensor bb = extract_block(t.b, t.br);
+  DenseTensor cb(t.c.dims(), t.cr.extents());
+  const TtgtLowering own = lower_ttgt(g, ab, ab.extents(), bb, bb.extents(),
+                                      cb, cb.extents());
   std::vector<double> am(low.a.size()), bm(low.b.size());
+  gather_packed(ab.data(), own.a, am);
+  gather_packed(bb.data(), own.b, bm);
+  const std::size_t m = low.m(), k = low.k(), n = low.n();
+  const std::size_t as = m * k, bs = k * n, cs = m * n;
+
+  TileConfig tiny;
+  tiny.mc = tiny.kc = tiny.nc = 8;
+  const auto a_full = t.a.data().subspan(t.a.offset(t.ar.lo));
+  const auto b_full = t.b.data().subspan(t.b.offset(t.br.lo));
+  for (const KernelConfig& cfg :
+       {KernelConfig{KernelKind::kReference, TileConfig{}, 1},
+        KernelConfig{KernelKind::kTiled, TileConfig{}, 1},
+        KernelConfig{KernelKind::kTiled, tiny, 1}}) {
+    const PackedGemm gemm(m, k, n, cfg);
+    for (std::size_t bi = 0; bi < low.batch(); ++bi) {
+      std::vector<double> got_a(gemm.a_size()), got_b(gemm.b_size());
+      gemm.pack_a(a_full.subspan(low.a.batch[bi]), low.a.rows, low.a.cols,
+                  got_a);
+      gemm.pack_b(b_full.subspan(low.b.batch[bi]), low.b.rows, low.b.cols,
+                  got_b);
+      EXPECT_TRUE(same_bits(
+          got_a, pack_row_major_a(
+                     gemm, std::span<const double>(am).subspan(bi * as, as),
+                     m, k)))
+          << kernel_kind_name(cfg.kind) << " mc=" << cfg.tiles.mc
+          << " batch " << bi;
+      EXPECT_TRUE(same_bits(
+          got_b, pack_row_major_b(
+                     gemm, std::span<const double>(bm).subspan(bi * bs, bs),
+                     k, n)))
+          << kernel_kind_name(cfg.kind) << " mc=" << cfg.tiles.mc
+          << " batch " << bi;
+    }
+  }
+
+  // The packed operands of the full tensors equal am and bm, so the
+  // products run on them.
   std::vector<double> cm(low.c.size(), 0.0);
-  gather_packed(a.data().subspan(a.offset(ar.lo)), low.a, am);
-  gather_packed(b.data().subspan(b.offset(br.lo)), low.b, bm);
-  const std::size_t as = low.m() * low.k(), bs = low.k() * low.n(),
-                    cs = low.m() * low.n();
   for (std::size_t bi = 0; bi < low.batch(); ++bi) {
     matmul_acc(std::span<const double>(am).subspan(bi * as, as),
                std::span<const double>(bm).subspan(bi * bs, bs),
-               std::span<double>(cm).subspan(bi * cs, cs), low.m(),
-               low.k(), low.n());
+               std::span<double>(cm).subspan(bi * cs, cs), m, k, n);
   }
-  scatter_packed_acc(cm, low.c, c.data().subspan(c.offset(cr.lo)));
+  scatter_packed_acc(cm, low.c, t.c.data().subspan(t.c.offset(t.cr.lo)));
 
-  DenseTensor cb({0, 1, 2}, cr.extents());
-  ttgt_contract_acc(extract_block(a, ar), extract_block(b, br),
-                    IndexSet::single(3), cb);
-  DenseTensor want({0, 1, 2}, {4, 5, 7});
-  place_block(cb, cr, want);
-  EXPECT_EQ(std::memcmp(c.data().data(), want.data().data(),
-                        c.size() * sizeof(double)),
+  ttgt_contract_acc(ab, bb, t.sums, cb);
+  DenseTensor want(t.c.dims(), t.c.extents());
+  place_block(cb, t.cr, want);
+  EXPECT_EQ(std::memcmp(t.c.data().data(), want.data().data(),
+                        t.c.size() * sizeof(double)),
             0);
+}
+
+TEST(Ttgt, BlocksOfFullTensorsMatchExtractedBlocks) {
+  // Blocks at nonzero origins, walked through the full tensors' strides.
+  Rng rng(12);
+  {
+    // C[b,m,n] += Σ_k A[k,b,m]·B[n,k,b]: batched, K outermost in A,
+    // N outermost in B; C's column runs are contiguous.
+    BlockTriple t{DenseTensor({3, 0, 1}, {6, 4, 5}),
+                  DenseTensor({2, 3, 0}, {7, 6, 4}),
+                  DenseTensor({0, 1, 2}, {4, 5, 7}),
+                  BlockRange{{2, 1, 0}, {5, 3, 5}},
+                  BlockRange{{3, 2, 1}, {7, 5, 3}},
+                  BlockRange{{1, 0, 3}, {3, 5, 7}},
+                  IndexSet::single(3)};
+    t.a.fill_random(rng);
+    t.b.fill_random(rng);
+    const TtgtLowering low =
+        lower_ttgt(classify_ttgt(t.a, t.b, t.c.dims(), t.sums), t.a,
+                   t.ar.extents(), t.b, t.br.extents(), t.c, t.cr.extents());
+    EXPECT_EQ(low.batch(), 2u);
+    EXPECT_EQ(low.m(), 5u);
+    EXPECT_EQ(low.k(), 3u);
+    EXPECT_EQ(low.n(), 4u);
+    EXPECT_EQ(low.c.col_run, 4u);
+    expect_blocks_match(std::move(t));
+  }
+  {
+    // The paper's T1[b,c,d,f] += Σ_{e,l} B[b,e,f,l]·D[c,d,e,l] with every
+    // extent 8: D's N walk {c, d} has runs of stride E·L = 64, B's K walk
+    // {e, l} runs of 4 (half of l), and m = k = n = 32 spans several
+    // MC/KC/NC blocks at 8/8/8 tiles.
+    enum : IndexId { b_, c_, d_, e_, f_, l_ };
+    BlockTriple t{DenseTensor({b_, e_, f_, l_}, {8, 8, 8, 8}),
+                  DenseTensor({c_, d_, e_, l_}, {8, 8, 8, 8}),
+                  DenseTensor({b_, c_, d_, f_}, {8, 8, 8, 8}),
+                  BlockRange{{4, 0, 0, 4}, {8, 8, 8, 8}},
+                  BlockRange{{4, 0, 0, 4}, {8, 8, 8, 8}},
+                  BlockRange{{4, 4, 0, 0}, {8, 8, 8, 8}},
+                  IndexSet::of({e_, l_})};
+    t.a.fill_random(rng);
+    t.b.fill_random(rng);
+    const TtgtLowering low =
+        lower_ttgt(classify_ttgt(t.a, t.b, t.c.dims(), t.sums), t.a,
+                   t.ar.extents(), t.b, t.br.extents(), t.c, t.cr.extents());
+    EXPECT_EQ(low.m(), 32u);
+    EXPECT_EQ(low.k(), 32u);
+    EXPECT_EQ(low.n(), 32u);
+    EXPECT_EQ(low.b.cols[1] - low.b.cols[0], 64u);
+    EXPECT_EQ(low.b.col_run, 1u);
+    EXPECT_EQ(low.a.col_run, 4u);
+    expect_blocks_match(std::move(t));
+  }
 }
 
 TEST(Einsum, KernelsAgreeOnFuzzedContractions) {
@@ -520,9 +730,8 @@ TEST(Kernel, TiledGemmEmitsMetrics) {
   // The packed-operand GEMM counts its panel packs once and each
   // multiply as one tiled call.
   PackedGemm gemm(n, n, n, KernelConfig{KernelKind::kTiled, TileConfig{}, 1});
-  std::vector<double> ap(gemm.a_size()), bp(gemm.b_size());
-  gemm.pack_a(a, ap);
-  gemm.pack_b(b, bp);
+  const std::vector<double> ap = pack_row_major_a(gemm, a, n, n);
+  const std::vector<double> bp = pack_row_major_b(gemm, b, n, n);
   gemm.multiply_acc(ap, bp, c);
   gemm.multiply_acc(ap, bp, c);
   const auto after = obs::metrics_snapshot();

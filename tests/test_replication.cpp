@@ -64,7 +64,7 @@ TEST(Collectives, ReduceScatterCurvesAreSaneBothDims) {
   }
 }
 
-TEST(Collectives, V2FileRoundTripsNewCurves) {
+TEST(Collectives, V3FileRoundTripsEveryCurve) {
   CharacterizationTable t = characterize_itanium(16);
   CharacterizationTable u =
       CharacterizationTable::load_string(t.save_string());
