@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "tce/common/table.hpp"
+#include "tce/tensor/kernel.hpp"
 
 #include "bench_common.hpp"
 
@@ -64,7 +65,7 @@ void show(std::uint32_t procs, tce::bench::BenchOutput& out) {
     const double fl = static_cast<double>(cf[i]);
     const auto n = static_cast<std::uint64_t>(std::cbrt(fl / 2.0) + 0.5);
     ct.add_row({std::to_string(n), std::to_string(cf[i]),
-                fixed(fl / (s * t.flops_per_proc), 4), fixed(s, 4),
+                fixed(gemm_model_efficiency(n, n, n), 4), fixed(s, 4),
                 fixed(fl / s / 1e9, 4)});
   }
   std::printf("%s", ct.str().c_str());

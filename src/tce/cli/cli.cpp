@@ -1,7 +1,6 @@
 #include "tce/cli/cli.hpp"
 
 #include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -48,7 +47,8 @@ usage:
         --threads N          planner worker threads; 0 = all hardware
                              threads (default), 1 = sequential.  The
                              plan is identical at every setting.
-        --machine FILE       characterization file for the target machine
+        --machine FILE       characterization file for the target machine,
+                             for the same --procs and --procs-per-node
                              (default: measure the bundled simulated
                              itanium-2003 cluster)
         --no-fusion          disallow loop fusion
@@ -77,10 +77,6 @@ usage:
                              independent verifier; fails (exit 1) with
                              one "error node=... rule=...: ..." line per
                              violation (see docs/VERIFIER.md)
-        --kernel NAME        local GEMM kernel for any numeric execution:
-                             auto (default; per-block size cutoff), ref,
-                             or tiled (docs/KERNELS.md).  Plans are
-                             identical under every setting.
         --opmin              binarize multi-factor statements first
 
   tcemin lint <program-file> [options]
@@ -96,8 +92,9 @@ usage:
         --procs-per-node N   processors per node (default 2)
         --mem-limit SIZE     per-node limit for the infeasibility prover
                              (default unlimited = prover off)
-        --machine FILE       characterization file (default: measure the
-                             bundled simulated itanium-2003 cluster)
+        --machine FILE       characterization file, as in plan (default:
+                             measure the bundled simulated itanium-2003
+                             cluster)
         --no-fusion          analyze without loop fusion
         --liveness           liveness-aware memory accounting (extension)
         --comm-bounds        also run the communication lower-bound
@@ -123,16 +120,14 @@ usage:
       plan on the simulated cluster, which it measures itself (no
       --machine).  Takes plan's --procs, --procs-per-node, --mem-limit,
       --threads, --no-fusion, --no-redistribution, --replication,
-      --liveness, --opmin and --kernel, and
+      --liveness and --opmin, and
         --trace FILE         record the simulated flows as a timeline
 
   tcemin characterize [options]
-      Measure a simulated cluster and print a characterization file.
+      Measure the bundled simulated itanium-2003 cluster and print its
+      characterization file: the table plan measures without --machine.
         --procs N            processors (default 16)
         --procs-per-node N   processors per node (default 2)
-        --nic-bw B/S         NIC bandwidth, e.g. 27MB (default 27MB)
-        --latency SECONDS    per-message start-up (default 0.06)
-        --flops F/S          per-processor flop rate (default 615000000)
 
   tcemin serve [options]
       Run the planner as a long-lived service (docs/SERVING.md):
@@ -141,9 +136,10 @@ usage:
       keyed by a renaming-invariant canonical hash of (tree shape,
       extents, grid, model, memory limit).  Cache hits are
       byte-identical to fresh searches.  Certified-infeasible requests
-      are rejected by the lint prover before any search, with the rule
-      id and certificate in the reply.  An HTTP `GET /metrics` on the
-      same socket answers a Prometheus scrape of the metrics registry.
+      are rejected by the planner's memory prover before any search,
+      with the rule id and certificate in the reply.  An HTTP
+      `GET /metrics` on the same socket answers a Prometheus scrape of
+      the metrics registry.
         --socket PATH        listen on a Unix-domain socket at PATH
         --stdio              serve stdin/stdout instead (tests, pipes)
         --cache-capacity N   LRU plan-cache entries (default 256;
@@ -190,17 +186,14 @@ environment:
     TCE_LOG=FILE        append structured tce-log/1 event lines;
                         TCE_LOG_LEVEL=debug|info|warn|error filters
                         the file (default info)
-    TCE_KERNEL=NAME     local GEMM kernel (auto | ref | tiled), as
-                        --kernel but for every subcommand
+    TCE_KERNEL=NAME     local GEMM kernel (auto | ref | tiled) for any
+                        numeric execution (docs/KERNELS.md)
     TCE_TILE_MC=N       cache-blocking overrides for both kernels
     TCE_TILE_KC=N       (positive integers in [8, 1048576]); defaults
     TCE_TILE_NC=N       128/256/3072 (docs/KERNELS.md)
     TCE_KERNEL_THREADS=N  worker threads for the tiled GEMM's MC loop
                         (0 = hardware); results are bitwise identical
                         at every setting
-    TCE_SERVE_CACHE_CAPACITY=N  default for serve --cache-capacity
-    TCE_SERVE_THREADS=N         default for serve --threads
-    TCE_SERVE_VERIFY_CACHE=1    as serve --verify-cache
 
 Every run buffers its structured events in an in-memory flight
 recorder; on any nonzero exit the buffered tail is dumped to stderr
@@ -218,18 +211,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
-}
-
-/// Applies --kernel NAME (auto | ref | tiled) to the process-wide
-/// local-GEMM configuration.  Planning itself never reads it — plans
-/// are identical under every setting — but the flag pins the kernel for
-/// any numeric execution the command performs and is echoed into
-/// metrics/logs.  Malformed names throw KernelUsageError (exit 1).
-void apply_kernel_flag(const std::string& name) {
-  if (name.empty()) return;
-  KernelConfig cfg = kernel_config();
-  cfg.kind = parse_kernel_kind(name);
-  set_kernel_config(cfg);
 }
 
 /// Minimal flag cursor over argv-style arguments.
@@ -310,19 +291,6 @@ class Args {
   std::vector<std::string> args_;
 };
 
-double parse_double_option(const std::string& name,
-                           const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return v;
-  } catch (const std::exception&) {
-    throw UsageError("option " + name + " needs a number, got '" + text +
-                     "'");
-  }
-}
-
 /// Takes --procs and --procs-per-node; values that form no grid are a
 /// usage error.
 ProcGrid take_grid(Args& args) {
@@ -335,8 +303,7 @@ ProcGrid take_grid(Args& args) {
   return ProcGrid::make(procs, per_node);
 }
 
-/// The planner options plan and validate share (see the usage text),
-/// with --kernel applied on the way.
+/// The planner options plan and validate share (see the usage text).
 struct PlannerOptions {
   ProcGrid grid;
   OptimizerConfig cfg;
@@ -353,25 +320,20 @@ PlannerOptions take_planner_options(Args& args) {
   o.cfg.enable_replication_template = args.take_flag("--replication");
   o.cfg.liveness_aware = args.take_flag("--liveness");
   o.opmin = args.take_flag("--opmin");
-  apply_kernel_flag(args.take_option("--kernel", ""));
   return o;
 }
 
+/// The model for \p grid: --machine FILE's table (which must be for
+/// \p grid), or the bundled cluster's without one.
 CharacterizedModel load_or_measure(Args& args, const ProcGrid& grid) {
   const std::string machine = args.take_option("--machine", "");
+  std::string text;
   if (!machine.empty()) {
-    std::ifstream in(machine);
-    if (!in) throw IoError("cannot open machine file '" + machine + "'");
-    CharacterizationTable t = CharacterizationTable::load(in);
-    if (t.grid.procs != grid.procs) {
-      throw Error("machine file is for " + std::to_string(t.grid.procs) +
-                  " processors, but --procs is " +
-                  std::to_string(grid.procs));
-    }
-    return CharacterizedModel(std::move(t));
+    text = read_file(machine);
+    // An empty text would select the bundled cluster.
+    if (text.empty()) throw Error("machine file '" + machine + "' is empty");
   }
-  return CharacterizedModel(
-      characterize_itanium(grid.procs, grid.procs_per_node));
+  return CharacterizedModel(characterization_for(text, grid));
 }
 
 /// `--trace FILE`: starts the trace emitter for the command's scope and
@@ -712,47 +674,17 @@ std::string cmd_validate(Args args) {
 
 std::string cmd_characterize(Args args) {
   const ProcGrid grid = take_grid(args);
-  const std::uint64_t nic = args.take_size("--nic-bw", "27MB");
-  const std::string latency = args.take_option("--latency", "0.06");
-  const std::string flops = args.take_option("--flops", "615000000");
   args.expect_empty();
-
-  ClusterSpec spec;
-  spec.nodes = grid.nodes();
-  spec.procs_per_node = grid.procs_per_node;
-  spec.nic_bw = static_cast<double>(nic);
-  spec.mem_bw = spec.nic_bw * 15.0;
-  spec.latency_s = parse_double_option("--latency", latency);
-  spec.flops_per_proc = parse_double_option("--flops", flops);
-  Network net(spec);
-  return characterize(net, grid).save_string();
-}
-
-/// Checked TCE_SERVE_* numeric environment lookup: unset/empty uses the
-/// fallback, garbage fails loudly (exit 1) naming the variable — same
-/// policy as kernel.cpp's env_tile/env_threads.
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  const std::optional<std::uint64_t> v = parse_u64(raw);
-  if (!v.has_value()) {
-    throw UsageError(std::string(name) +
-                     " must be a non-negative integer, got '" + raw + "'");
-  }
-  return *v;
+  return characterize_itanium(grid.procs, grid.procs_per_node).save_string();
 }
 
 std::string cmd_serve(Args args) {
   const std::string socket_path = args.take_option("--socket", "");
   const bool stdio = args.take_flag("--stdio");
-  const std::uint64_t capacity = args.take_uint(
-      "--cache-capacity",
-      std::to_string(env_u64("TCE_SERVE_CACHE_CAPACITY", 256)));
-  const auto threads = static_cast<unsigned>(
-      args.take_uint("--threads",
-                     std::to_string(env_u64("TCE_SERVE_THREADS", 0))));
-  const bool verify_cache = args.take_flag("--verify-cache") ||
-                            env_u64("TCE_SERVE_VERIFY_CACHE", 0) != 0;
+  const std::uint64_t capacity = args.take_uint("--cache-capacity", "256");
+  const auto threads =
+      static_cast<unsigned>(args.take_uint("--threads", "0"));
+  const bool verify_cache = args.take_flag("--verify-cache");
   const TraceGuard trace(args.take_option("--trace", ""));
   const MetricsGuard metrics(args.take_option("--metrics", ""));
   args.expect_empty();
@@ -897,8 +829,8 @@ CliResult run_cli(const std::vector<std::string>& args) {
     result.exit_code = kExitUsage;
     result.error = std::string("error: ") + e.what() + "\n";
   } catch (const KernelUsageError& e) {
-    // Malformed --kernel / TCE_KERNEL / TCE_TILE_* settings are usage
-    // errors, even though the tensor layer cannot name UsageError.
+    // Malformed TCE_KERNEL / TCE_TILE_* settings are usage errors,
+    // even though the tensor layer cannot name UsageError.
     result.exit_code = kExitUsage;
     result.error = std::string("error: ") + e.what() + "\n";
   } catch (const IoError& e) {

@@ -860,7 +860,8 @@ void maybe_verify(const ContractionTree& tree, const MachineModel& model,
 }
 
 /// Static prover fast path (tce/lint): certifies infeasibility before the
-/// DP runs and yields the certified root lower bound for the plan stats.
+/// DP runs, throwing lint::CertifiedInfeasibleError with the certificate,
+/// and yields the certified root lower bound for the plan stats.
 /// Returns 0 without proving anything when the prover is disabled or no
 /// limit is set.
 std::uint64_t prove_or_throw(const ContractionTree& tree,
@@ -885,7 +886,7 @@ std::uint64_t prove_or_throw(const ContractionTree& tree,
                                 pr.certificate->mem_limit_node_bytes)
                          .str());
     }
-    throw InfeasibleError("statically infeasible: " + pr.certificate->str());
+    throw lint::CertifiedInfeasibleError(*pr.certificate);
   }
   return pr.root_lower_bound_node_bytes;
 }

@@ -64,7 +64,8 @@ struct OptimizerConfig {
   bool liveness_aware = false;
   /// Run the static memory-infeasibility prover (tce/lint) before the DP
   /// when a memory limit is set: if it certifies that no plan can fit,
-  /// the search is skipped and InfeasibleError carries the certificate.
+  /// the search is skipped and lint::CertifiedInfeasibleError carries
+  /// the certificate.
   /// The prover never rejects a satisfiable instance (the fuzz "lint"
   /// oracle cross-checks this), so disabling it only costs time; the
   /// flag exists so differential tests can compare prover and raw DP.
@@ -84,8 +85,9 @@ lint::LintConfig lint_config_of(const OptimizerConfig& config);
 lint::CommBoundConfig comm_config_of(const OptimizerConfig& config);
 
 /// Runs the search.  Throws InfeasibleError when no plan fits the memory
-/// limit, tce::Error when the tree contains a node the Cannon framework
-/// cannot execute (batch indices).
+/// limit (lint::CertifiedInfeasibleError when the prover certifies it
+/// before the search), tce::Error when the tree contains a node the
+/// Cannon framework cannot execute (batch indices).
 OptimizedPlan optimize(const ContractionTree& tree,
                        const MachineModel& model,
                        const OptimizerConfig& config = {});

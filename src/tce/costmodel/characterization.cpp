@@ -1,6 +1,8 @@
 #include "tce/costmodel/characterization.hpp"
 
 #include <cmath>
+#include <istream>
+#include <limits>
 #include <sstream>
 
 #include "tce/common/error.hpp"
@@ -96,7 +98,6 @@ CostCurve load_curve(std::istream& is, const std::string& want) {
 void CharacterizationTable::save(std::ostream& os) const {
   os << "tce-characterization 3\n";
   os << "grid " << grid.procs << " " << grid.procs_per_node << "\n";
-  os << "flops_per_proc " << flops_per_proc << "\n";
   save_curve(os, "rotate_dim1", rotate_dim1);
   save_curve(os, "rotate_dim2", rotate_dim2);
   save_curve(os, "redistribute", redistribute);
@@ -136,9 +137,13 @@ CharacterizationTable CharacterizationTable::load(std::istream& is) {
     throw Error("characterization file: bad grid line: " + why);
   }
   t.grid = ProcGrid::make(procs, per_node);
-  if (!(is >> key >> t.flops_per_proc) || key != "flops_per_proc" ||
-      t.flops_per_proc <= 0) {
-    throw Error("characterization file: missing flops_per_proc line");
+  // Older version 3 files carry the flop rate the compute curve was
+  // derated from; nothing reads it, so its line is skipped.
+  if ((is >> std::ws).peek() == 'f') {
+    if (!(is >> key) || key != "flops_per_proc") {
+      throw Error("characterization file: expected section 'rotate_dim1'");
+    }
+    is.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
   }
   t.rotate_dim1 = load_curve(is, "rotate_dim1");
   t.rotate_dim2 = load_curve(is, "rotate_dim2");

@@ -82,14 +82,14 @@ struct CharacterizationTable {
   /// many flops.  Captures the size-dependent efficiency of the tiled
   /// kernel (small products never reach peak).
   CostCurve compute;
-  double flops_per_proc = 1e9;
 
   /// Serializes to the characterization-file text format.
   void save(std::ostream& os) const;
   std::string save_string() const;
 
   /// Parses a characterization file; throws tce::Error on malformed
-  /// input or on any file version but 3.
+  /// input or on any file version but 3.  The `flops_per_proc` line of
+  /// files written before the compute curve carried the rate is skipped.
   static CharacterizationTable load(std::istream& is);
   static CharacterizationTable load_string(const std::string& text);
 };

@@ -181,7 +181,6 @@ CharacterizationTable characterize(const Network& net, const ProcGrid& grid,
 
   CharacterizationTable t;
   t.grid = grid;
-  t.flops_per_proc = net.spec().flops_per_proc;
   for (std::uint64_t s : sizes) {
     t.rotate_dim1.add_sample(s, measure_rotation(net, grid, 1, s));
     t.rotate_dim2.add_sample(s, measure_rotation(net, grid, 2, s));
@@ -193,7 +192,7 @@ CharacterizationTable characterize(const Network& net, const ProcGrid& grid,
     t.reduce_dim2.add_sample(
         s, measure(net, reduce_scatter_phases(grid, 2, s)));
   }
-  fill_compute_curve(t.compute, t.flops_per_proc);
+  fill_compute_curve(t.compute, net.spec().flops_per_proc);
   return t;
 }
 
@@ -202,6 +201,24 @@ CharacterizationTable characterize_itanium(std::uint32_t procs,
   const ProcGrid grid = ProcGrid::make(procs, procs_per_node);
   Network net(ClusterSpec::itanium2003(grid.nodes(), procs_per_node));
   return characterize(net, grid);
+}
+
+CharacterizationTable characterization_for(const std::string& table_text,
+                                           const ProcGrid& grid) {
+  if (table_text.empty()) {
+    return characterize_itanium(grid.procs, grid.procs_per_node);
+  }
+  CharacterizationTable table =
+      CharacterizationTable::load_string(table_text);
+  if (table.grid.procs != grid.procs ||
+      table.grid.procs_per_node != grid.procs_per_node) {
+    throw Error("machine table is for " + std::to_string(table.grid.procs) +
+                " processors at " + std::to_string(table.grid.procs_per_node) +
+                " per node, not the requested " + std::to_string(grid.procs) +
+                " processors at " + std::to_string(grid.procs_per_node) +
+                " per node");
+  }
+  return table;
 }
 
 }  // namespace tce

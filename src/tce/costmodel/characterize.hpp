@@ -43,9 +43,18 @@ CharacterizationTable characterize(const Network& net, const ProcGrid& grid,
 
 /// Convenience: simulated-Itanium characterization for a given processor
 /// count (paper settings: 64 or 16, 2 procs/node) on the bundled cluster
-/// of that grid, ClusterSpec::itanium2003.
+/// of that grid, ClusterSpec::itanium2003.  `tcemin characterize` prints
+/// this table.
 CharacterizationTable characterize_itanium(std::uint32_t procs,
                                            std::uint32_t procs_per_node = 2);
+
+/// The one model loader of the planner front ends (`tcemin plan`/`lint`
+/// and the daemon): the bundled cluster's characterization of \p grid
+/// when \p table_text is empty, otherwise the parsed characterization
+/// file.  A table whose grid differs from \p grid in processors or in
+/// processors per node throws tce::Error, as does a malformed one.
+CharacterizationTable characterization_for(const std::string& table_text,
+                                           const ProcGrid& grid);
 
 /// One array's part of a ring shift: every rank sends its \p bytes to
 /// its ring neighbor along grid dimension \p dim.

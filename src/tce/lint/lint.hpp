@@ -77,8 +77,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "tce/common/error.hpp"
 #include "tce/costmodel/characterization.hpp"
 #include "tce/dist/grid.hpp"
 #include "tce/expr/contraction.hpp"
@@ -117,6 +119,24 @@ struct InfeasibilityCertificate {
   /// "certificate rule=mem.infeasible node=<name>
   ///  lower_bound_node_bytes=<n> mem_limit_node_bytes=<n>".
   std::string str() const;
+};
+
+/// The InfeasibleError optimize() throws when its prover fast path
+/// certifies the limit unsatisfiable before any search.  what() is
+/// "statically infeasible: <certificate line>"; front ends that answer
+/// with the certificate itself (the daemon) read certificate().
+class CertifiedInfeasibleError : public InfeasibleError {
+ public:
+  explicit CertifiedInfeasibleError(InfeasibilityCertificate certificate)
+      : InfeasibleError("statically infeasible: " + certificate.str()),
+        certificate_(std::move(certificate)) {}
+
+  const InfeasibilityCertificate& certificate() const noexcept {
+    return certificate_;
+  }
+
+ private:
+  InfeasibilityCertificate certificate_;
 };
 
 /// Knobs mirrored from OptimizerConfig (the subset the analyses need).

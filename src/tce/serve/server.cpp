@@ -37,13 +37,9 @@ namespace tce::serve {
 struct PlanRequest {
   std::string id;
   std::string program;
-  std::uint32_t procs = 16;
-  std::uint32_t per_node = 2;
-  std::uint64_t mem_limit_bytes = 0;
-  bool fusion = true;
-  bool redistribution = true;
-  bool replication = false;
-  bool liveness = false;
+  ProcGrid grid;
+  /// The request's limit and flags, plus the daemon's --threads.
+  OptimizerConfig cfg;
   /// Characterization-file text; empty = measure the bundled simulated
   /// itanium-2003 cluster for the requested grid.
   std::string machine;
@@ -159,17 +155,6 @@ ContractionTree build_canonical_tree(const std::string& canonical_text) {
   return ContractionTree::from_sequence(to_formula_sequence(program));
 }
 
-OptimizerConfig optimizer_config(const PlanRequest& req, unsigned threads) {
-  OptimizerConfig cfg;
-  cfg.mem_limit_node_bytes = req.mem_limit_bytes;
-  cfg.enable_fusion = req.fusion;
-  cfg.enable_redistribution = req.redistribution;
-  cfg.enable_replication_template = req.replication;
-  cfg.liveness_aware = req.liveness;
-  cfg.threads = threads;
-  return cfg;
-}
-
 /// Runs the search on the canonical tree and renders the canonical plan
 /// JSON.  Wall-clock stats (search_wall_s, per-node wall_s) are zeroed
 /// first: they are the only nondeterministic bytes in the plan document,
@@ -178,8 +163,8 @@ OptimizerConfig optimizer_config(const PlanRequest& req, unsigned threads) {
 /// instead (docs/SERVING.md).
 std::string solve_canonical(const ContractionTree& tree,
                             const CharacterizedModel& model,
-                            const PlanRequest& req, unsigned threads) {
-  OptimizedPlan plan = optimize(tree, model, optimizer_config(req, threads));
+                            const OptimizerConfig& cfg) {
+  OptimizedPlan plan = optimize(tree, model, cfg);
   plan.stats.search_wall_s = 0;
   for (NodeSearchStats& n : plan.stats.nodes) n.wall_s = 0;
   return plan_to_json(plan, tree.space());
@@ -191,46 +176,22 @@ Server::Server(ServeOptions options)
     : options_(options), cache_(options.cache_capacity) {}
 
 std::shared_ptr<const CharacterizedModel> Server::model_for(
-    const std::string& machine_text, std::uint32_t procs,
-    std::uint32_t per_node, std::string* fingerprint) {
-  // The fingerprint is part of the cache key: it must pin the *curves*,
-  // so request-supplied tables carry their full text verbatim (FNV-1a
-  // is not collision-resistant, and two colliding tables must never
-  // share a resident model or a plan-cache fingerprint — this mirrors
-  // how the canonical program text is used verbatim as the cache key)
-  // while the bundled cluster, a pure function of the grid, is named by
-  // the grid alone.  The compact hex digest echoed in replies is
-  // derived from the whole cache key afterwards.
-  std::string key;
-  if (machine_text.empty()) {
-    key = "itanium2003/" + std::to_string(procs) + "/" +
-          std::to_string(per_node);
-  } else {
-    key = "table/";
-    key += machine_text;
-  }
-  *fingerprint = key;
+    const std::string& machine_text, const ProcGrid& grid) {
+  // Keyed by the grid and the table text verbatim (never a digest, so
+  // two tables cannot share an entry): a table is handed out only for
+  // the grid characterization_for checked it against, and a table for
+  // another grid reaches the loader, which rejects it, on every request.
+  std::string key = std::to_string(grid.procs) + "/" +
+                    std::to_string(grid.procs_per_node) + "/";
+  key += machine_text;
 
   MutexLock lock(model_mu_);
   const auto it = models_.find(key);
   if (it != models_.end()) return it->second;
-  std::shared_ptr<const CharacterizedModel> model;
-  if (machine_text.empty()) {
-    model = std::make_shared<const CharacterizedModel>(
-        characterize_itanium(procs, per_node));
-  } else {
-    CharacterizationTable table =
-        CharacterizationTable::load_string(machine_text);
-    if (table.grid.procs != procs) {
-      throw Error("machine table is for " +
-                  std::to_string(table.grid.procs) +
-                  " processors, but the request asks for " +
-                  std::to_string(procs));
-    }
-    model = std::make_shared<const CharacterizedModel>(std::move(table));
-  }
+  auto model = std::make_shared<const CharacterizedModel>(
+      characterization_for(machine_text, grid));
   if (models_.size() >= kMaxResidentModels) models_.clear();
-  models_.emplace(key, model);
+  models_.emplace(std::move(key), model);
   return model;
 }
 
@@ -257,25 +218,36 @@ std::string Server::handle_plan(const PlanRequest& req) {
 
 std::string Server::plan_canonical(const PlanRequest& req,
                                    const CanonicalProblem& canon) {
-  std::string fingerprint;
   const std::shared_ptr<const CharacterizedModel> model =
-      model_for(req.machine, req.procs, req.per_node, &fingerprint);
+      model_for(req.machine, req.grid);
 
   // The full key: canonical program text plus everything else the
   // search depends on.  OptimizerConfig::threads is deliberately
   // absent — plans are identical at every thread count (see
   // optimizer.hpp), so a daemon restarted with different parallelism
-  // still hits.  The cache map keys on the whole string; the 64-bit
-  // digest is only the compact name echoed in replies and logs.
+  // still hits.  The model fingerprint pins the *curves*: the bundled
+  // cluster, a pure function of the grid, is named by the grid alone,
+  // and a request-supplied table by its full text verbatim (FNV-1a is
+  // not collision-resistant, so two colliding tables must never share a
+  // fingerprint — as the canonical program text is used verbatim).  The
+  // cache map keys on the whole string; the 64-bit digest is only the
+  // compact name echoed in replies and logs.
+  const OptimizerConfig& cfg = req.cfg;
   std::string key = canon.text;
-  key += "procs=" + std::to_string(req.procs);
-  key += " ppn=" + std::to_string(req.per_node);
-  key += " mem=" + std::to_string(req.mem_limit_bytes);
-  key += " fusion=" + std::to_string(req.fusion ? 1 : 0);
-  key += " redist=" + std::to_string(req.redistribution ? 1 : 0);
-  key += " repl=" + std::to_string(req.replication ? 1 : 0);
-  key += " live=" + std::to_string(req.liveness ? 1 : 0);
-  key += " model=" + fingerprint;
+  key += "procs=" + std::to_string(req.grid.procs);
+  key += " ppn=" + std::to_string(req.grid.procs_per_node);
+  key += " mem=" + std::to_string(cfg.mem_limit_node_bytes);
+  key += " fusion=" + std::to_string(cfg.enable_fusion ? 1 : 0);
+  key += " redist=" + std::to_string(cfg.enable_redistribution ? 1 : 0);
+  key += " repl=" + std::to_string(cfg.enable_replication_template ? 1 : 0);
+  key += " live=" + std::to_string(cfg.liveness_aware ? 1 : 0);
+  if (req.machine.empty()) {
+    key += " model=itanium2003/" + std::to_string(req.grid.procs) + "/" +
+           std::to_string(req.grid.procs_per_node);
+  } else {
+    key += " model=table/";
+    key += req.machine;
+  }
   const std::string digest = hex64(fnv1a64(key));
 
   const Stopwatch sw;
@@ -283,8 +255,7 @@ std::string Server::plan_canonical(const PlanRequest& req,
   if (cached.has_value()) {
     if (options_.verify_cache) {
       const ContractionTree tree = build_canonical_tree(canon.text);
-      const std::string fresh =
-          solve_canonical(tree, *model, req, options_.threads);
+      const std::string fresh = solve_canonical(tree, *model, cfg);
       if (fresh != *cached) {
         obs::count("serve.verify.mismatch");
         obs::log_event(obs::LogLevel::kError, "serve",
@@ -305,44 +276,38 @@ std::string Server::plan_canonical(const PlanRequest& req,
   }
 
   const ContractionTree tree = build_canonical_tree(canon.text);
-
-  // Admission control: before spending a search, ask the lint prover
-  // whether the memory limit is *certifiably* unsatisfiable.  A
-  // certificate short-circuits the request with the rule id and the
-  // binding node (translated back into the request's vocabulary).
-  if (req.mem_limit_bytes > 0) {
-    const std::optional<lint::InfeasibilityCertificate> cert =
-        lint::prove_infeasible(
-            tree, model->grid(),
-            lint_config_of(optimizer_config(req, options_.threads)));
-    if (cert.has_value()) {
-      obs::count("serve.rejected");
-      const std::string node = rename_back(cert->node, canon.renames);
-      obs::log_event(obs::LogLevel::kWarn, "serve", "admission.reject",
-                     json::ObjectWriter()
-                         .field("key", digest)
-                         .field("node", node)
-                         .field("lower_bound_node_bytes",
-                                cert->lower_bound_node_bytes)
-                         .str());
-      return error_reply(
-          "plan", req.id, "infeasible",
-          "rejected before search: no plan can satisfy the per-node "
-          "memory limit (binding node " +
-              node + ", certified lower bound " +
-              std::to_string(cert->lower_bound_node_bytes) + " > limit " +
-              std::to_string(cert->mem_limit_node_bytes) + " bytes)",
-          "mem.infeasible",
-          json::ObjectWriter()
-              .field("node", node)
-              .field("lower_bound_node_bytes", cert->lower_bound_node_bytes)
-              .field("mem_limit_node_bytes", cert->mem_limit_node_bytes)
-              .str());
-    }
+  std::string canonical_plan;
+  try {
+    canonical_plan = solve_canonical(tree, *model, cfg);
+  } catch (const lint::CertifiedInfeasibleError& e) {
+    // Admission control: optimize's prover fast path certified the
+    // limit unsatisfiable before any search.  The reply carries the
+    // rule id and the certificate, its binding node translated back
+    // into the request's vocabulary; nothing is cached.
+    const lint::InfeasibilityCertificate& cert = e.certificate();
+    obs::count("serve.rejected");
+    const std::string node = rename_back(cert.node, canon.renames);
+    obs::log_event(obs::LogLevel::kWarn, "serve", "admission.reject",
+                   json::ObjectWriter()
+                       .field("key", digest)
+                       .field("node", node)
+                       .field("lower_bound_node_bytes",
+                              cert.lower_bound_node_bytes)
+                       .str());
+    return error_reply(
+        "plan", req.id, "infeasible",
+        "rejected before search: no plan can satisfy the per-node "
+        "memory limit (binding node " +
+            node + ", certified lower bound " +
+            std::to_string(cert.lower_bound_node_bytes) + " > limit " +
+            std::to_string(cert.mem_limit_node_bytes) + " bytes)",
+        "mem.infeasible",
+        json::ObjectWriter()
+            .field("node", node)
+            .field("lower_bound_node_bytes", cert.lower_bound_node_bytes)
+            .field("mem_limit_node_bytes", cert.mem_limit_node_bytes)
+            .str());
   }
-
-  const std::string canonical_plan =
-      solve_canonical(tree, *model, req, options_.threads);
   cache_.put(key, canonical_plan);
   obs::gauge("serve.cache.size", static_cast<double>(cache_.size()));
   const std::string plan = rename_quoted(canonical_plan, canon.renames);
@@ -387,20 +352,24 @@ std::string Server::handle(const std::string& request_json) {
             "required");
       }
       req.program = prog->string;
-      req.procs = get_u32(doc, "procs", req.procs);
-      req.per_node = get_u32(doc, "procs_per_node", req.per_node);
-      const std::string why = ProcGrid::shape_error(req.procs, req.per_node);
+      const std::uint32_t procs = get_u32(doc, "procs", 16);
+      const std::uint32_t per_node = get_u32(doc, "procs_per_node", 2);
+      const std::string why = ProcGrid::shape_error(procs, per_node);
       if (!why.empty()) {
         throw RequestError(
             "request fields 'procs' and 'procs_per_node': " + why);
       }
-      req.mem_limit_bytes =
-          get_u64(doc, "mem_limit_bytes", req.mem_limit_bytes);
-      req.fusion = get_bool(doc, "fusion", req.fusion);
-      req.redistribution = get_bool(doc, "redistribution",
-                                    req.redistribution);
-      req.replication = get_bool(doc, "replication", req.replication);
-      req.liveness = get_bool(doc, "liveness", req.liveness);
+      req.grid = ProcGrid::make(procs, per_node);
+      OptimizerConfig& cfg = req.cfg;
+      cfg.mem_limit_node_bytes =
+          get_u64(doc, "mem_limit_bytes", cfg.mem_limit_node_bytes);
+      cfg.enable_fusion = get_bool(doc, "fusion", cfg.enable_fusion);
+      cfg.enable_redistribution =
+          get_bool(doc, "redistribution", cfg.enable_redistribution);
+      cfg.enable_replication_template =
+          get_bool(doc, "replication", cfg.enable_replication_template);
+      cfg.liveness_aware = get_bool(doc, "liveness", cfg.liveness_aware);
+      cfg.threads = options_.threads;
       req.machine = get_string(doc, "machine", "");
       reply = handle_plan(req);
     } else if (op == "ping") {

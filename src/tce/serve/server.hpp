@@ -15,11 +15,16 @@
 ///      the request's vocabulary — byte-identical to what a fresh
 ///      search would reply, because misses travel the same
 ///      canonical-solve + rename path before being stored;
-///   3. a miss first passes admission control — the lint memory
-///      prover (tce/lint) rejects certified-infeasible requests with
-///      the rule id and machine-readable certificate *before* any
-///      search is spent — then runs the §3 DP (on the shared thread
-///      pool, OptimizerConfig::threads) and stores the result.
+///   3. a miss runs optimize() with the request's OptimizerConfig.  Its
+///      prover fast path is the admission control: a certified-infeasible
+///      request is answered with the rule id and the machine-readable
+///      certificate *before* any search is spent (the memory prover
+///      runs once per miss).  Otherwise the §3 DP runs (on the shared
+///      thread pool, OptimizerConfig::threads) and the result is stored.
+///
+/// The model comes from characterization_for (tce/costmodel), as in
+/// `tcemin plan`: the bundled cluster for the request's grid, or the
+/// request's table, which must be for that grid.
 ///
 /// handle() is thread-safe: concurrent requests share the cache and
 /// model table behind mutexes while their searches batch onto the
@@ -41,17 +46,17 @@
 
 namespace tce::serve {
 
-/// Daemon knobs (CLI flags / TCE_SERVE_* env; docs/SERVING.md).
+/// Daemon knobs (`tcemin serve` flags; docs/SERVING.md).
 struct ServeOptions {
-  /// Plan-cache capacity in entries (TCE_SERVE_CACHE_CAPACITY).
+  /// Plan-cache capacity in entries (--cache-capacity).
   std::size_t cache_capacity = 256;
   /// Planner threads per search, as OptimizerConfig::threads
-  /// (TCE_SERVE_THREADS): 0 = all hardware threads, 1 = sequential.
+  /// (--threads): 0 = all hardware threads, 1 = sequential.
   unsigned threads = 0;
-  /// Debug mode (--verify-cache / TCE_SERVE_VERIFY_CACHE=1): every
-  /// cache hit re-runs the full search and fails the request if the
-  /// cached bytes differ from the fresh ones.  Expensive by design —
-  /// it exists to *prove* hit/fresh byte-identity under suspicion.
+  /// Debug mode (--verify-cache): every cache hit re-runs the full
+  /// search and fails the request if the cached bytes differ from the
+  /// fresh ones.  Expensive by design — it exists to *prove* hit/fresh
+  /// byte-identity under suspicion.
   bool verify_cache = false;
 };
 
@@ -76,20 +81,23 @@ class Server {
  private:
   std::string handle_plan(const struct PlanRequest& req);
   /// The post-canonicalization half of handle_plan: cache lookup,
-  /// admission control, search.  Errors it throws may carry canonical
-  /// names; handle_plan renames them back before they escape.
+  /// search, and the admission reply when optimize's prover rejects.
+  /// Errors it throws may carry canonical names; handle_plan renames
+  /// them back before they escape.
   std::string plan_canonical(const struct PlanRequest& req,
                              const struct CanonicalProblem& canon);
+  /// The resident model for \p machine_text (empty = the bundled
+  /// cluster) on \p grid, loaded by characterization_for on first use.
   std::shared_ptr<const CharacterizedModel> model_for(
-      const std::string& machine_text, std::uint32_t procs,
-      std::uint32_t per_node, std::string* fingerprint);
+      const std::string& machine_text, const ProcGrid& grid);
 
   ServeOptions options_;
   PlanCache cache_;
   std::atomic<bool> shutdown_{false};
   Mutex model_mu_;
-  /// fingerprint → model; characterizing the bundled cluster (or
-  /// loading a request-supplied table) happens once per fingerprint.
+  /// (grid, table text) → model; characterizing the bundled cluster (or
+  /// loading a request-supplied table) happens once per grid and
+  /// accepted table.
   std::map<std::string, std::shared_ptr<const CharacterizedModel>>
       models_ TCE_GUARDED_BY(model_mu_);
 };

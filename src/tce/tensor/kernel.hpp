@@ -23,9 +23,9 @@
 /// times (the Cannon executor).
 ///
 /// Which kernel runs is decided at *execution* time by the process-wide
-/// KernelConfig (`TCE_KERNEL` / `--kernel`, auto by default with a size
-/// cutoff).  Planning never consults it: plans are byte-identical under
-/// every kernel setting — only execution timings and floating-point
+/// KernelConfig (`TCE_KERNEL`, auto by default with a size cutoff).
+/// Planning never consults it: plans are byte-identical under every
+/// kernel setting — only execution timings and floating-point
 /// rounding differ (docs/KERNELS.md).
 
 #include <cstdint>
@@ -37,8 +37,8 @@
 
 namespace tce {
 
-/// Thrown on malformed TCE_KERNEL / TCE_TILE_* / --kernel settings; the
-/// CLI maps it to the usage exit code (1) like its own UsageError.
+/// Thrown on malformed TCE_KERNEL / TCE_TILE_* settings; the CLI maps
+/// it to the usage exit code (1) like its own UsageError.
 class KernelUsageError : public Error {
  public:
   explicit KernelUsageError(const std::string& what) : Error(what) {}
@@ -90,7 +90,7 @@ KernelKind parse_kernel_kind(const std::string& name);
 /// KernelUsageError on malformed or out-of-range values.
 const KernelConfig& kernel_config();
 
-/// Replaces the process-wide configuration (CLI --kernel, tests).
+/// Replaces the process-wide configuration (ScopedKernelConfig, tests).
 void set_kernel_config(const KernelConfig& cfg);
 
 /// Discards any cached/overridden configuration and re-reads the

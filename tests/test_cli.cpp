@@ -10,6 +10,7 @@
 #include "tce/cli/cli.hpp"
 #include "tce/common/error.hpp"
 #include "tce/common/json.hpp"
+#include "tce/costmodel/characterize.hpp"
 #include "tce/serve/server.hpp"
 
 #include "paper_workload.hpp"
@@ -202,9 +203,23 @@ TEST(Cli, CharacterizeEmitsLoadableFile) {
   CliResult p = run_cli(
       {"plan", f.path(), "--procs", "16", "--machine", machine.path()});
   EXPECT_EQ(p.exit_code, 0) << p.error;
+
+  // The file is the bundled cluster's table, the one plan measures
+  // without --machine, so planning from it moves no plan.
+  for (const auto& [procs, per_node] :
+       {std::pair{16u, 2u}, std::pair{16u, 4u}, std::pair{64u, 2u}}) {
+    const CliResult c =
+        run_cli({"characterize", "--procs", std::to_string(procs),
+                 "--procs-per-node", std::to_string(per_node)});
+    ASSERT_EQ(c.exit_code, 0) << c.error;
+    EXPECT_EQ(c.output, characterize_itanium(procs, per_node).save_string())
+        << procs << "x" << per_node;
+  }
 }
 
 TEST(Cli, MachineFileProcsMismatchIsRejected) {
+  // A 16×2 table is refused for any other grid, also for 16 procs at 4
+  // per node, rather than planned at the table's grid.
   CliResult c = run_cli({"characterize", "--procs", "16"});
   TempFile machine("cli_machine2.txt", c.output);
   TempFile f("cli_small6.tce", kSmallProgram);
@@ -212,6 +227,14 @@ TEST(Cli, MachineFileProcsMismatchIsRejected) {
       {"plan", f.path(), "--procs", "4", "--machine", machine.path()});
   EXPECT_EQ(p.exit_code, 4);
   EXPECT_NE(p.error.find("16 processors"), std::string::npos);
+  for (const char* cmd : {"plan", "lint"}) {
+    const CliResult r =
+        run_cli({cmd, f.path(), "--procs", "16", "--procs-per-node", "4",
+                 "--machine", machine.path()});
+    EXPECT_EQ(r.exit_code, kExitInput) << cmd << ": " << r.error;
+    EXPECT_NE(r.error.find("16 processors at 2 per node"), std::string::npos)
+        << cmd << ": " << r.error;
+  }
 }
 
 TEST(Cli, LegacyMachineFileIsAnInputError) {
@@ -302,26 +325,64 @@ TEST(Cli, ProcsPerNodeShapesTheBundledCluster) {
     }
   }
 
-  const CliResult plan =
-      run_cli({"plan", f.path(), "--procs", "16", "--procs-per-node", "1",
-               "--mem-limit", "4GB", "--json"});
-  ASSERT_EQ(plan.exit_code, 0) << plan.error;
+  // The CLI and the daemon build one OptimizerConfig from their flags and
+  // fields, so they answer alike under every planner flag and limit: the
+  // same plan bytes, or the same prover certificate.
   serve::ServeOptions options;
   options.threads = 1;
   serve::Server server(options);
-  const std::string reply = server.handle(
-      json::ObjectWriter()
-          .field("op", "plan")
+  struct Flag {
+    const char* cli;
+    const char* field;
+    bool value;
+  };
+  for (const Flag& flag : {Flag{"", "", false},
+                           Flag{"--no-fusion", "fusion", false},
+                           Flag{"--no-redistribution", "redistribution", false},
+                           Flag{"--replication", "replication", true},
+                           Flag{"--liveness", "liveness", true}}) {
+    for (const std::uint64_t limit : {0ull, 4'000'000'000ull}) {
+      std::vector<std::string> args{"plan", f.path(), "--procs", "16",
+                                    "--procs-per-node", "1", "--json"};
+      json::ObjectWriter req;
+      req.field("op", "plan")
           .field("program", ::tce::testing::kPaperProgram)
           .field("procs", 16)
-          .field("procs_per_node", 1)
-          .field("mem_limit_bytes", std::uint64_t{4'000'000'000})
-          .str());
-  // "plan" is the reply's last member: drop the envelope's closing brace.
-  const std::size_t at = reply.find("\"plan\":");
-  ASSERT_NE(at, std::string::npos) << reply;
-  EXPECT_EQ(zero_wall_times(plan.output),
-            reply.substr(at + 7, reply.size() - at - 8) + "\n");
+          .field("procs_per_node", 1);
+      if (*flag.cli != '\0') {
+        args.push_back(flag.cli);
+        req.field(flag.field, flag.value);
+      }
+      if (limit != 0) {
+        args.insert(args.end(), {"--mem-limit", "4GB"});
+        req.field("mem_limit_bytes", limit);
+      }
+      const std::string what =
+          std::string(flag.cli) + (limit != 0 ? " 4GB" : "");
+      const CliResult plan = run_cli(args);
+      const std::string reply = server.handle(req.str());
+      if (plan.exit_code == kExitInfeasible) {
+        const json::Value doc = json::parse(reply);
+        const json::Value& err = doc.at("error");
+        ASSERT_EQ(err.at("code").string, "infeasible") << what << reply;
+        const json::Value& cert = err.at("certificate");
+        const std::string certified =
+            "node=" + cert.at("node").string + " lower_bound_node_bytes=" +
+            std::to_string(cert.at("lower_bound_node_bytes").integer);
+        EXPECT_NE(plan.error.find(certified), std::string::npos)
+            << what << plan.error << reply;
+        continue;
+      }
+      ASSERT_EQ(plan.exit_code, 0) << what << plan.error;
+      // "plan" is the reply's last member: drop the envelope's closing
+      // brace.
+      const std::size_t at = reply.find("\"plan\":");
+      ASSERT_NE(at, std::string::npos) << what << reply;
+      EXPECT_EQ(zero_wall_times(plan.output),
+                reply.substr(at + 7, reply.size() - at - 8) + "\n")
+          << what;
+    }
+  }
 }
 
 TEST(Cli, GridOptionsThatFormNoGridAreUsageErrors) {
@@ -631,21 +692,11 @@ TEST(Cli, ServeRejectsMalformedNumericOptions) {
   }
 }
 
-TEST(Cli, ServeRejectsMalformedEnvironment) {
-  ::setenv("TCE_SERVE_CACHE_CAPACITY", "lots", 1);
-  CliResult r = run_cli({"serve", "--stdio"});
-  ::unsetenv("TCE_SERVE_CACHE_CAPACITY");
-  EXPECT_EQ(r.exit_code, kExitUsage);
-  EXPECT_NE(r.error.find("TCE_SERVE_CACHE_CAPACITY"), std::string::npos);
-  EXPECT_NE(r.error.find("lots"), std::string::npos);
-}
-
 TEST(Cli, HelpDocumentsServe) {
   CliResult r = run_cli({"help"});
   ASSERT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("tcemin serve"), std::string::npos);
   EXPECT_NE(r.output.find("--verify-cache"), std::string::npos);
-  EXPECT_NE(r.output.find("TCE_SERVE_CACHE_CAPACITY"), std::string::npos);
 }
 
 }  // namespace

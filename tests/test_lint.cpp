@@ -316,13 +316,18 @@ TEST(LintProver, CertificateAgreesWithRawSearch) {
   cfg.enable_static_prover = false;
   EXPECT_THROW(optimize(tree, model, cfg), InfeasibleError);
 
+  // With the fast path, the exception carries the prover's certificate,
+  // which the daemon answers with.
   cfg.enable_static_prover = true;
+  const std::optional<lint::InfeasibilityCertificate> cert =
+      lint::prove_infeasible(tree, model.grid(), lint_config_of(cfg));
+  ASSERT_TRUE(cert.has_value());
   try {
     optimize(tree, model, cfg);
     FAIL() << "expected InfeasibleError";
-  } catch (const InfeasibleError& e) {
-    EXPECT_NE(std::string(e.what()).find("statically infeasible"),
-              std::string::npos);
+  } catch (const lint::CertifiedInfeasibleError& e) {
+    EXPECT_EQ(std::string(e.what()), "statically infeasible: " + cert->str());
+    EXPECT_EQ(e.certificate().str(), cert->str());
     EXPECT_NE(std::string(e.what()).find("mem.infeasible"),
               std::string::npos);
   }

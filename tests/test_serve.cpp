@@ -301,6 +301,41 @@ TEST(ServeServer, AdmissionControlRejectsWithCertificate) {
   EXPECT_EQ(server.cache().size(), 0u);
 }
 
+TEST(ServeServer, MachineTableServesOnlyItsOwnGrid) {
+  // A 16×2 table plans 16×2 requests.  At 64×2 or 16×4 it is the
+  // request's fault on every request, also once the table is resident
+  // from a 16×2 request, and nothing is cached for those requests.
+  Server server(small_options());
+  const std::string machine = characterize_itanium(16, 2).save_string();
+  const auto request = [&](std::uint32_t procs, std::uint32_t per_node) {
+    return json::ObjectWriter()
+        .field("op", "plan")
+        .field("program", kChain)
+        .field("procs", procs)
+        .field("procs_per_node", per_node)
+        .field("machine", machine)
+        .str();
+  };
+  const auto expect_rejected = [&] {
+    for (const auto& [procs, per_node] :
+         {std::pair{64u, 2u}, std::pair{16u, 4u}}) {
+      const json::Value reply = handle(server, request(procs, per_node));
+      EXPECT_EQ(reply.at("error").at("code").string, "input")
+          << procs << "x" << per_node;
+      EXPECT_NE(reply.at("error").at("message").string.find(
+                    "16 processors at 2 per node"),
+                std::string::npos);
+    }
+  };
+  expect_rejected();
+  EXPECT_EQ(server.cache().size(), 0u);
+  const json::Value own = handle(server, request(16, 2));
+  ASSERT_TRUE(own.at("ok").boolean);
+  EXPECT_EQ(server.cache().size(), 1u);
+  expect_rejected();
+  EXPECT_EQ(server.cache().size(), 1u);
+}
+
 TEST(ServeServer, ErrorCodesAreStable) {
   Server server(small_options());
   EXPECT_EQ(handle(server, "not json").at("error").at("code").string,
