@@ -379,8 +379,8 @@ int baselines(const Run& run) {
 /// the --json document's metrics section reflects the last case.
 int pruning(const Run& run) {
   TextTable table({"scenario", "candidates", "memory-cut", "dominated",
-                   "kept", "max/node", "search ms"});
-  for (std::size_t c = 1; c < 7; ++c) table.set_right_aligned(c);
+                   "bounded", "kept", "max/node", "search ms"});
+  for (std::size_t c = 1; c < 8; ++c) table.set_right_aligned(c);
 
   const ContractionTree paper = paper_tree();
   const ContractionTree quad =
@@ -415,6 +415,7 @@ int pruning(const Run& run) {
     const std::uint64_t candidates = obs::counter_value("opt.candidates");
     const std::uint64_t infeasible = obs::counter_value("opt.infeasible");
     const std::uint64_t dominated = obs::counter_value("opt.dominated");
+    const std::uint64_t bounded = obs::counter_value("opt.bounded");
     const std::uint64_t kept = obs::counter_value("opt.kept");
     std::uint64_t max_per_node = 0;
     const auto snapshot = obs::metrics_snapshot();
@@ -424,7 +425,8 @@ int pruning(const Run& run) {
     }
     table.add_row({k.label, std::to_string(candidates),
                    std::to_string(infeasible), std::to_string(dominated),
-                   std::to_string(kept), std::to_string(max_per_node),
+                   std::to_string(bounded), std::to_string(kept),
+                   std::to_string(max_per_node),
                    fixed(a.wall_ms, 1)});
     run.out.planner_row(json::ObjectWriter()
                             .field("scenario", k.label)
@@ -434,6 +436,7 @@ int pruning(const Run& run) {
                             .field("candidates", candidates)
                             .field("infeasible", infeasible)
                             .field("dominated", dominated)
+                            .field("bounded", bounded)
                             .field("kept", kept)
                             .field("max_per_node", max_per_node)
                             .field("search_ms", a.wall_ms)

@@ -303,6 +303,17 @@ ProcGrid take_grid(Args& args) {
   return ProcGrid::make(procs, per_node);
 }
 
+/// The memory limit and model switches plan, validate and lint share
+/// (see the usage text).
+OptimizerConfig take_model_options(Args& args) {
+  OptimizerConfig cfg;
+  cfg.mem_limit_node_bytes = args.take_size("--mem-limit", "");
+  cfg.enable_fusion = !args.take_flag("--no-fusion");
+  cfg.enable_replication_template = args.take_flag("--replication");
+  cfg.liveness_aware = args.take_flag("--liveness");
+  return cfg;
+}
+
 /// The planner options plan and validate share (see the usage text).
 struct PlannerOptions {
   ProcGrid grid;
@@ -313,12 +324,9 @@ struct PlannerOptions {
 PlannerOptions take_planner_options(Args& args) {
   PlannerOptions o;
   o.grid = take_grid(args);
-  o.cfg.mem_limit_node_bytes = args.take_size("--mem-limit", "");
+  o.cfg = take_model_options(args);
   o.cfg.threads = static_cast<unsigned>(args.take_uint("--threads", "0"));
-  o.cfg.enable_fusion = !args.take_flag("--no-fusion");
   o.cfg.enable_redistribution = !args.take_flag("--no-redistribution");
-  o.cfg.enable_replication_template = args.take_flag("--replication");
-  o.cfg.liveness_aware = args.take_flag("--liveness");
   o.opmin = args.take_flag("--opmin");
   return o;
 }
@@ -483,11 +491,8 @@ std::string lint_report_json(const lint::LintReport& report) {
 
 std::string cmd_lint(Args args) {
   const ProcGrid grid = take_grid(args);
-  const std::uint64_t mem_limit = args.take_size("--mem-limit", "");
-  const bool no_fusion = args.take_flag("--no-fusion");
-  const bool liveness = args.take_flag("--liveness");
-  const bool comm_bounds = args.take_flag("--comm-bounds");
-  const bool replication = args.take_flag("--replication");
+  lint::LintConfig cfg = lint_config_of(take_model_options(args));
+  cfg.comm_bounds = args.take_flag("--comm-bounds");
   const bool json_out = args.take_flag("--json");
   CharacterizedModel model = load_or_measure(args, grid);
   // Positionals are taken only after every option is consumed, so an
@@ -497,12 +502,6 @@ std::string cmd_lint(Args args) {
   args.expect_empty();
 
   const ParsedProgram program = parse_program(read_file(path));
-  lint::LintConfig cfg;
-  cfg.mem_limit_node_bytes = mem_limit;
-  cfg.enable_fusion = !no_fusion;
-  cfg.liveness_aware = liveness;
-  cfg.comm_bounds = comm_bounds;
-  cfg.enable_replication = replication;
   const lint::LintReport report =
       lint::lint_program(program, grid, &model.table(), cfg);
   const std::string rendered =

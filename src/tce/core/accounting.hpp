@@ -303,6 +303,14 @@ StepComm reduce_comm(const MachineModel& model, GeomCache& geom,
 double duplication_s(const MachineModel& model, std::uint64_t node_flops,
                      int split_dims);
 
+/// The leading partial sum of roll_up's cost: the two subtree costs,
+/// then the two reshuffles.  Every later term is non-negative seconds,
+/// so a step's cost is never below this (IEEE addition is monotone).
+inline double operands_cost(const Delivered& first,
+                            const Delivered& second) {
+  return first.fp.cost + second.fp.cost + first.redist_s + second.redist_s;
+}
+
 /// The summed and liveness roll-up of one step: \p first runs, then
 /// \p second with first's working set retained, then the step's own
 /// loops with both operands and its array (\p own_mem bytes) live.  A
@@ -318,8 +326,8 @@ inline Footprint roll_up(const Delivered& first, const Delivered& second,
   const Footprint& a = first.fp;
   const Footprint& b = second.fp;
   Footprint fp;
-  fp.cost = a.cost + b.cost + first.redist_s + second.redist_s +
-            comm.left_s + comm.right_s + comm.result_s + dup_s;
+  fp.cost = operands_cost(first, second) + comm.left_s + comm.right_s +
+            comm.result_s + dup_s;
   fp.mem = checked_add(checked_add(a.mem, b.mem), own_mem);
   fp.max_msg = std::max({a.max_msg, b.max_msg, comm.max_msg});
   fp.input_bytes = checked_add(a.input_bytes, b.input_bytes);

@@ -12,8 +12,10 @@
 /// the fusion with the parent, the subtree communication cost, and the
 /// subtree memory usage; solutions that exceed the memory limit or that
 /// are Pareto-dominated within their (distribution, fusion) state are
-/// pruned.  At the root, the cheapest feasible solution is extracted into
-/// an OptimizedPlan.
+/// pruned.  optimize() extracts only the cheapest feasible plan, so at
+/// the root it keeps just the candidates tied at the lowest cost seen
+/// so far and drops the rest, most of them before they are priced;
+/// optimize_frontier() keeps the root's whole frontier.
 ///
 /// Every number the search compares — cost, memory, largest message,
 /// canonical words, feasibility — comes from the costing kernel in
@@ -84,20 +86,23 @@ struct OptimizerConfig {
 lint::LintConfig lint_config_of(const OptimizerConfig& config);
 lint::CommBoundConfig comm_config_of(const OptimizerConfig& config);
 
-/// Runs the search.  Throws InfeasibleError when no plan fits the memory
-/// limit (lint::CertifiedInfeasibleError when the prover certifies it
-/// before the search), tce::Error when the tree contains a node the
-/// Cannon framework cannot execute (batch indices).
+/// Runs the search and returns the cheapest plan; among equally cheap
+/// ones, the one with the least memory metric, then the smallest largest
+/// message, then the earliest enumerated.  Throws InfeasibleError when
+/// no plan fits the memory limit (lint::CertifiedInfeasibleError when
+/// the prover certifies it before the search), tce::Error when the tree
+/// contains a node the Cannon framework cannot execute (batch indices).
 OptimizedPlan optimize(const ContractionTree& tree,
                        const MachineModel& model,
                        const OptimizerConfig& config = {});
 
 /// Runs the search and returns the whole Pareto frontier of root plans
-/// over (communication cost, memory metric), sorted by increasing cost —
-/// every communication/memory trade-off the tree admits.  The first
-/// element equals optimize()'s result.  Used by the forest optimizer to
-/// combine trees under a shared memory limit, and useful on its own to
-/// inspect the trade-off curve.
+/// over (communication cost, memory metric, largest message), sorted by
+/// increasing cost, then memory metric, then largest message — every
+/// communication/memory trade-off the tree admits.  The first element
+/// equals optimize()'s result apart from search counters.  Used by the
+/// forest optimizer to combine trees under a shared memory limit, and
+/// useful on its own to inspect the trade-off curve.
 std::vector<OptimizedPlan> optimize_frontier(
     const ContractionTree& tree, const MachineModel& model,
     const OptimizerConfig& config = {});

@@ -24,9 +24,10 @@ std::string comm_or_na(const std::optional<double>& s) {
 std::string OptimizerStats::str() const {
   std::string out;
   out += "search statistics:\n";
-  out += "  candidates costed:   " + std::to_string(candidates) + "\n";
+  out += "  candidates:          " + std::to_string(candidates) + "\n";
   out += "  memory-infeasible:   " + std::to_string(infeasible) + "\n";
   out += "  Pareto-dominated:    " + std::to_string(dominated) + "\n";
+  out += "  bounded at the root: " + std::to_string(bounded) + "\n";
   out += "  kept (all nodes):    " + std::to_string(kept) + "\n";
   out += "  max frontier/node:   " + std::to_string(max_per_node) + "\n";
   out += "  redistributions:     " + std::to_string(redistributions) + "\n";
@@ -47,13 +48,13 @@ std::string OptimizerStats::str() const {
   out += "  search wall time:    " + fixed(search_wall_s * 1e3, 2) + " ms\n";
   if (!nodes.empty()) {
     TextTable t({"Node", "Result", "Candidates", "Infeasible", "Dominated",
-                 "Kept", "Wall (ms)"});
-    for (int c = 2; c <= 6; ++c) t.set_right_aligned(c);
+                 "Bounded", "Kept", "Wall (ms)"});
+    for (int c = 2; c <= 7; ++c) t.set_right_aligned(c);
     for (const NodeSearchStats& n : nodes) {
       t.add_row({std::to_string(n.node), n.result_name,
                  std::to_string(n.candidates), std::to_string(n.infeasible),
-                 std::to_string(n.dominated), std::to_string(n.kept),
-                 fixed(n.wall_s * 1e3, 2)});
+                 std::to_string(n.dominated), std::to_string(n.bounded),
+                 std::to_string(n.kept), fixed(n.wall_s * 1e3, 2)});
     }
     out += t.str();
   }

@@ -61,9 +61,11 @@ struct ArrayReport {
 struct NodeSearchStats {
   NodeId node = kNoNode;
   std::string result_name;       ///< Result tensor of the node.
-  std::uint64_t candidates = 0;  ///< Configurations costed here.
+  std::uint64_t candidates = 0;  ///< Configurations enumerated here.
   std::uint64_t infeasible = 0;  ///< Dropped by the memory limit.
   std::uint64_t dominated = 0;   ///< Dropped by Pareto dominance.
+  std::uint64_t bounded = 0;     ///< Root only: dropped as dearer than
+                                 ///< optimize()'s incumbent.
   std::uint64_t kept = 0;        ///< Frontier size after pruning.
   double wall_s = 0;             ///< Search wall time at this node.
 };
@@ -72,9 +74,14 @@ struct NodeSearchStats {
 /// pruning is effective in keeping the size of the solution set in each
 /// node small" with hard numbers).
 struct OptimizerStats {
-  std::uint64_t candidates = 0;  ///< Configurations costed.
+  /// Configurations enumerated: each is infeasible, dominated, bounded
+  /// or kept.
+  std::uint64_t candidates = 0;
   std::uint64_t infeasible = 0;  ///< Dropped by the memory limit.
   std::uint64_t dominated = 0;   ///< Dropped by Pareto dominance.
+  /// Root candidates optimize() dropped as dearer than its incumbent,
+  /// before or after pricing them (0 for optimize_frontier).
+  std::uint64_t bounded = 0;
   std::uint64_t kept = 0;        ///< Solutions surviving across all nodes.
   std::uint64_t max_per_node = 0;  ///< Largest per-node solution set.
   /// Redistribution candidates inserted between child result and parent

@@ -197,6 +197,7 @@ std::string plan_to_json(const OptimizedPlan& plan,
   out += "\"candidates\":" + std::to_string(plan.stats.candidates);
   out += ",\"infeasible\":" + std::to_string(plan.stats.infeasible);
   out += ",\"dominated\":" + std::to_string(plan.stats.dominated);
+  out += ",\"bounded\":" + std::to_string(plan.stats.bounded);
   out += ",\"kept\":" + std::to_string(plan.stats.kept);
   out += ",\"max_per_node\":" + std::to_string(plan.stats.max_per_node);
   out += ",\"redistributions\":" +
@@ -221,6 +222,7 @@ std::string plan_to_json(const OptimizedPlan& plan,
     out += ",\"candidates\":" + std::to_string(n.candidates);
     out += ",\"infeasible\":" + std::to_string(n.infeasible);
     out += ",\"dominated\":" + std::to_string(n.dominated);
+    out += ",\"bounded\":" + std::to_string(n.bounded);
     out += ",\"kept\":" + std::to_string(n.kept);
     out += ",\"wall_s\":" + jnum(n.wall_s);
     out += "}";
@@ -344,6 +346,9 @@ OptimizedPlan plan_from_json(const std::string& json,
     if (const Json* v = stats->find("table_lookups"); v != nullptr) {
       plan.stats.table_lookups = as_u64(*v, "table_lookups");
     }
+    if (const Json* v = stats->find("bounded"); v != nullptr) {
+      plan.stats.bounded = as_u64(*v, "bounded");
+    }
     if (const Json* v = stats->find("extrapolations"); v != nullptr) {
       plan.stats.extrapolations = as_u64(*v, "extrapolations");
     }
@@ -370,6 +375,9 @@ OptimizedPlan plan_from_json(const std::string& json,
         n.candidates = as_u64(jn.at("candidates"), "candidates");
         n.infeasible = as_u64(jn.at("infeasible"), "infeasible");
         n.dominated = as_u64(jn.at("dominated"), "dominated");
+        if (const Json* v = jn.find("bounded"); v != nullptr) {
+          n.bounded = as_u64(*v, "bounded");
+        }
         n.kept = as_u64(jn.at("kept"), "kept");
         n.wall_s = as_number(jn.at("wall_s"), "wall_s");
         plan.stats.nodes.push_back(std::move(n));

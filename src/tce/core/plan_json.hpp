@@ -33,7 +33,7 @@
 ///               "mem_per_node_bytes": ..., "comm_initial_s": ...|null,
 ///               "comm_final_s": ...|null}],
 ///   "stats": {"candidates": ..., "infeasible": ..., "dominated": ...,
-///             "kept": ..., "max_per_node": ...}
+///             "bounded": ..., "kept": ..., "max_per_node": ...}
 /// }
 
 #include <string>

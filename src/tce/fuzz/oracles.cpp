@@ -8,6 +8,7 @@
 #include "tce/cannon/executor.hpp"
 #include "tce/common/assert.hpp"
 #include "tce/common/error.hpp"
+#include "tce/common/json.hpp"
 #include "tce/core/optimizer.hpp"
 #include "tce/core/plan_json.hpp"
 #include "tce/core/simulate.hpp"
@@ -32,6 +33,18 @@ OracleOutcome fail(std::string why) {
 bool close(double a, double b) {
   return std::abs(a - b) <= 1e-9 * std::max(std::abs(a), std::abs(b)) +
                                 1e-12;
+}
+
+/// \p plan's JSON with the search-effort record (counters and wall
+/// times) zeroed: the plan's decisions and totals only.
+std::string decisions_json(OptimizedPlan plan, const IndexSpace& space) {
+  OptimizerStats& st = plan.stats;
+  st.candidates = st.infeasible = st.dominated = st.bounded = st.kept = 0;
+  st.max_per_node = st.redistributions = 0;
+  st.table_lookups = st.extrapolations = 0;
+  st.search_wall_s = 0;
+  for (NodeSearchStats& n : st.nodes) n = {n.node, n.result_name};
+  return plan_to_json(plan, space);
 }
 
 /// optimize() with InfeasibleError mapped to nullopt.
@@ -65,6 +78,19 @@ OracleOutcome oracle_brute(const OracleInput& in) {
                 (br.root.empty() ? "infeasible" : "feasible"));
   }
   if (infeasible) return pass();
+
+  // optimize() solves the root for its cheapest plan alone; it must
+  // return the frontier's first plan, bit for bit.
+  const OptimizedPlan best = optimize(*in.tree, *in.model, cfg);
+  if (best.total_comm_s != frontier.front().total_comm_s) {
+    return fail("optimize cost " + json::number(best.total_comm_s) +
+                " differs from the frontier's first plan, " +
+                json::number(frontier.front().total_comm_s));
+  }
+  if (decisions_json(best, in.tree->space()) !=
+      decisions_json(frontier.front(), in.tree->space())) {
+    return fail("optimize picked another plan than the frontier's first");
+  }
 
   const bool lv = cfg.liveness_aware;
   double min_cost = br.root.front().fp.cost;

@@ -478,7 +478,8 @@ TEST(CheckRegistryPin, MetricNames) {
       {"cannon.phase_s",      "cannon.replicated_runs",
        "cannon.runs",         "cannon.steps",
        "kernel.gemm_s",       "kernel.pack_bytes",
-       "kernel.tiled_calls",  "opt.candidates",
+       "kernel.tiled_calls",  "opt.bounded",
+       "opt.candidates",
        "opt.curve.extrapolations", "opt.curve.lookups",
        "opt.dominated",       "opt.frontier",
        "opt.infeasible",      "opt.kept",

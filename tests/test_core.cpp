@@ -197,7 +197,13 @@ TEST(Simulate, StatsAreAccountedConsistently) {
   OptimizedPlan plan = optimize(tree, model, cfg);
   const OptimizerStats& st = plan.stats;
   EXPECT_GT(st.candidates, 1000u);
-  EXPECT_EQ(st.candidates, st.infeasible + st.dominated + st.kept);
+  EXPECT_EQ(st.candidates,
+            st.infeasible + st.dominated + st.bounded + st.kept);
+  EXPECT_GT(st.bounded, 0u);  // the root keeps only its cheapest ties
+  for (const NodeSearchStats& n : st.nodes) {
+    EXPECT_EQ(n.candidates, n.infeasible + n.dominated + n.bounded + n.kept)
+        << n.result_name;
+  }
   EXPECT_LE(st.max_per_node, st.kept);
   EXPECT_GT(st.dominated, st.kept);  // pruning is doing real work
 }

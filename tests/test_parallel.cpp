@@ -392,25 +392,31 @@ TEST(ParallelSearch, FrontierIdenticalAcrossThreadCounts) {
 
 TEST(ParallelSearch, StatsCountersThreadInvariant) {
   const ContractionTree tree = paper_tree();
-  OptimizerConfig cfg;
-  cfg.mem_limit_node_bytes = kNodeLimit4GB;
-  cfg.threads = 1;
-  const OptimizerStats s1 = optimize(tree, model16(), cfg).stats;
-  cfg.threads = 8;
-  const OptimizerStats s8 = optimize(tree, model16(), cfg).stats;
-  EXPECT_EQ(s8.candidates, s1.candidates);
-  EXPECT_EQ(s8.infeasible, s1.infeasible);
-  EXPECT_EQ(s8.dominated, s1.dominated);
-  EXPECT_EQ(s8.kept, s1.kept);
-  EXPECT_EQ(s8.max_per_node, s1.max_per_node);
-  EXPECT_EQ(s8.redistributions, s1.redistributions);
-  EXPECT_EQ(s8.table_lookups, s1.table_lookups);
-  EXPECT_EQ(s8.extrapolations, s1.extrapolations);
-  ASSERT_EQ(s8.nodes.size(), s1.nodes.size());
-  for (std::size_t i = 0; i < s1.nodes.size(); ++i) {
-    EXPECT_EQ(s8.nodes[i].node, s1.nodes[i].node) << i;
-    EXPECT_EQ(s8.nodes[i].candidates, s1.nodes[i].candidates) << i;
-    EXPECT_EQ(s8.nodes[i].kept, s1.nodes[i].kept) << i;
+  for (const bool replication : {false, true}) {
+    SCOPED_TRACE(replication ? "replication" : "Cannon only");
+    OptimizerConfig cfg;
+    cfg.mem_limit_node_bytes = kNodeLimit4GB;
+    cfg.enable_replication_template = replication;
+    cfg.threads = 1;
+    const OptimizerStats s1 = optimize(tree, model16(), cfg).stats;
+    cfg.threads = 8;
+    const OptimizerStats s8 = optimize(tree, model16(), cfg).stats;
+    EXPECT_EQ(s8.candidates, s1.candidates);
+    EXPECT_EQ(s8.infeasible, s1.infeasible);
+    EXPECT_EQ(s8.dominated, s1.dominated);
+    EXPECT_EQ(s8.bounded, s1.bounded);
+    EXPECT_EQ(s8.kept, s1.kept);
+    EXPECT_EQ(s8.max_per_node, s1.max_per_node);
+    EXPECT_EQ(s8.redistributions, s1.redistributions);
+    EXPECT_EQ(s8.table_lookups, s1.table_lookups);
+    EXPECT_EQ(s8.extrapolations, s1.extrapolations);
+    ASSERT_EQ(s8.nodes.size(), s1.nodes.size());
+    for (std::size_t i = 0; i < s1.nodes.size(); ++i) {
+      EXPECT_EQ(s8.nodes[i].node, s1.nodes[i].node) << i;
+      EXPECT_EQ(s8.nodes[i].candidates, s1.nodes[i].candidates) << i;
+      EXPECT_EQ(s8.nodes[i].bounded, s1.nodes[i].bounded) << i;
+      EXPECT_EQ(s8.nodes[i].kept, s1.nodes[i].kept) << i;
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <string>
+#include <vector>
 
 #include "tce/cannon/executor.hpp"
 #include "tce/common/error.hpp"
@@ -220,6 +222,52 @@ TEST(Replication, BeatsCannonOnTheFusedPaperWorkload) {
   // Still within the memory budget.
   EXPECT_LE(plan.bytes_per_node() + plan.buffer_bytes_per_node(),
             base.mem_limit_node_bytes);
+}
+
+/// One line per step: the layouts it consumes and produces, and its
+/// Cannon choice or its replicated operand and reduce dimension.
+std::string decisions(const PlanStep& s, const IndexSpace& space) {
+  const auto name = [&](IndexId id) {
+    return id == kNoIndex ? std::string("-") : space.name(id);
+  };
+  std::string out = s.result_name + " " + s.left_dist.str(space) + "*" +
+                    s.right_dist.str(space) + "->" +
+                    s.result_dist.str(space);
+  if (!s.fusion.empty()) out += " fused";
+  if (s.tmpl == StepTemplate::kReplicated) {
+    return out + " replicate " + (s.replicate_right ? "right" : "left") +
+           ", reduce dim " + std::to_string(s.reduce_dim);
+  }
+  return out + " cannon " + name(s.choice.i) + "," + name(s.choice.j) +
+         "," + name(s.choice.k) + (s.choice.transposed ? " transposed" : "") +
+         " rot=" + name(s.choice.rot);
+}
+
+TEST(Replication, TiedRootSolutionsKeepTheirPick) {
+  // Four root solutions tie on cost, memory and largest message here;
+  // they differ only in S's layout.  optimize() must return the first
+  // in enumeration order, the plan captured when the root still built
+  // its whole frontier.
+  ContractionTree tree = paper_tree();
+  CharacterizedModel model(characterize_itanium(64));
+  OptimizerConfig cfg;
+  cfg.mem_limit_node_bytes = kNodeLimit4GB;
+  cfg.enable_replication_template = true;
+  const OptimizedPlan plan = optimize(tree, model, cfg);
+  ASSERT_FALSE(plan.stats.nodes.empty());
+  EXPECT_EQ(plan.stats.nodes.back().kept, 4u);
+  EXPECT_EQ(plan.total_comm_s, 93.849669162388324);
+  EXPECT_EQ(plan.array_bytes_per_proc, 1'043'988'480u);
+  EXPECT_EQ(plan.max_msg_bytes_per_proc, 458'096'640u);
+  std::vector<std::string> steps;
+  for (const PlanStep& s : plan.steps) {
+    steps.push_back(decisions(s, tree.space()));
+  }
+  EXPECT_EQ(steps,
+            (std::vector<std::string>{
+                "T1 <e,b>*<d,e>-><d,b> cannon b,d,e transposed rot=e",
+                "T2 <d,b>*<·,·>-><k,b> replicate right, reduce dim 1",
+                "S <k,b>*<a,k>-><a,b> cannon b,a,k transposed rot=b"}));
 }
 
 TEST(Replication, ReplicatedOperandReportsNoDistribution) {
