@@ -170,6 +170,21 @@ TEST(PlanJson, RoundTripIsLosslessAndVerifies) {
   EXPECT_DOUBLE_EQ(reread.stats.comm_gap_ratio,
                    plan.stats.comm_gap_ratio);
 
+  // A plan file written before the `bounded` counter existed still
+  // loads, with the counter at 0 in the totals and every node.
+  EXPECT_GT(plan.stats.bounded, 0u);
+  std::string older = json;
+  for (std::size_t at = older.find("\"bounded\":"); at != std::string::npos;
+       at = older.find("\"bounded\":")) {
+    older.erase(at, older.find(',', at) + 1 - at);
+  }
+  const OptimizedPlan old_plan = plan_from_json(older, tree);
+  EXPECT_EQ(old_plan.stats.bounded, 0u);
+  for (const NodeSearchStats& n : old_plan.stats.nodes) {
+    EXPECT_EQ(n.bounded, 0u) << n.result_name;
+  }
+  EXPECT_EQ(old_plan.stats.kept, plan.stats.kept);
+
   // The reread plan passes the full verifier, like the original.
   CharacterizedModel model(characterize_itanium(16));
   VerifyOptions opts;
