@@ -3,8 +3,10 @@
 #include <cctype>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "tce/codegen/codegen.hpp"
 #include "tce/common/assert.hpp"
@@ -262,17 +264,23 @@ class Args {
     }
   }
 
-  /// Takes an option that must parse as an unsigned integer (checked:
-  /// all digits, no overflow — see tce/common/parse.hpp).
-  std::uint64_t take_uint(const std::string& name,
-                          const std::string& fallback) {
+  /// Takes an option that must parse as an unsigned integer that \p T
+  /// holds (checked: all digits, no overflow — see
+  /// tce/common/parse.hpp — and at most T's largest value).
+  template <typename T>
+  T take_uint(const std::string& name, const std::string& fallback) {
+    constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
     const std::string text = take_option(name, fallback);
     const std::optional<std::uint64_t> v = parse_u64(text);
     if (!v.has_value()) {
       throw UsageError("option " + name + " needs a number, got '" +
                        text + "'");
     }
-    return *v;
+    if (*v > kMax) {
+      throw UsageError("option " + name + " needs a number at most " +
+                       std::to_string(kMax) + ", got '" + text + "'");
+    }
+    return static_cast<T>(*v);
   }
 
   /// Takes a byte-size option (e.g. "4GB"); empty fallback -> 0.
@@ -294,10 +302,9 @@ class Args {
 /// Takes --procs and --procs-per-node; values that form no grid are a
 /// usage error.
 ProcGrid take_grid(Args& args) {
-  const auto procs =
-      static_cast<std::uint32_t>(args.take_uint("--procs", "16"));
+  const auto procs = args.take_uint<std::uint32_t>("--procs", "16");
   const auto per_node =
-      static_cast<std::uint32_t>(args.take_uint("--procs-per-node", "2"));
+      args.take_uint<std::uint32_t>("--procs-per-node", "2");
   const std::string why = ProcGrid::shape_error(procs, per_node);
   if (!why.empty()) throw UsageError("--procs/--procs-per-node: " + why);
   return ProcGrid::make(procs, per_node);
@@ -325,7 +332,7 @@ PlannerOptions take_planner_options(Args& args) {
   PlannerOptions o;
   o.grid = take_grid(args);
   o.cfg = take_model_options(args);
-  o.cfg.threads = static_cast<unsigned>(args.take_uint("--threads", "0"));
+  o.cfg.threads = args.take_uint<unsigned>("--threads", "0");
   o.cfg.enable_redistribution = !args.take_flag("--no-redistribution");
   o.opmin = args.take_flag("--opmin");
   return o;
@@ -680,9 +687,9 @@ std::string cmd_characterize(Args args) {
 std::string cmd_serve(Args args) {
   const std::string socket_path = args.take_option("--socket", "");
   const bool stdio = args.take_flag("--stdio");
-  const std::uint64_t capacity = args.take_uint("--cache-capacity", "256");
-  const auto threads =
-      static_cast<unsigned>(args.take_uint("--threads", "0"));
+  const auto capacity =
+      args.take_uint<std::size_t>("--cache-capacity", "256");
+  const auto threads = args.take_uint<unsigned>("--threads", "0");
   const bool verify_cache = args.take_flag("--verify-cache");
   const TraceGuard trace(args.take_option("--trace", ""));
   const MetricsGuard metrics(args.take_option("--metrics", ""));
@@ -698,7 +705,7 @@ std::string cmd_serve(Args args) {
     obs::metrics_enable(true);
   }
   serve::ServeOptions opts;
-  opts.cache_capacity = static_cast<std::size_t>(capacity);
+  opts.cache_capacity = capacity;
   opts.threads = threads;
   opts.verify_cache = verify_cache;
   serve::Server server(opts);
@@ -718,9 +725,9 @@ std::string cmd_serve(Args args) {
 
 std::string cmd_fuzz(Args args) {
   fuzz::FuzzOptions opts;
-  opts.seed = args.take_uint("--seed", "1");
-  opts.runs = static_cast<int>(args.take_uint("--runs", "100"));
-  opts.max_nodes = static_cast<int>(args.take_uint("--max-nodes", "3"));
+  opts.seed = args.take_uint<std::uint64_t>("--seed", "1");
+  opts.runs = args.take_uint<int>("--runs", "100");
+  opts.max_nodes = args.take_uint<int>("--max-nodes", "3");
   opts.oracle = args.take_option("--oracle", "all");
   opts.shrink = !args.take_flag("--no-shrink");
   args.expect_empty();
@@ -759,14 +766,26 @@ CliResult finish_cli(CliResult result) {
 }  // namespace
 
 std::uint64_t parse_byte_size(const std::string& text) {
+  // The number: at least one digit and at most one dot.
   std::size_t i = 0;
-  while (i < text.size() &&
-         (std::isdigit(static_cast<unsigned char>(text[i])) ||
-          text[i] == '.')) {
-    ++i;
+  std::size_t digits = 0;
+  std::size_t dots = 0;
+  for (; i < text.size(); ++i) {
+    if (std::isdigit(static_cast<unsigned char>(text[i]))) {
+      ++digits;
+    } else if (text[i] == '.') {
+      ++dots;
+    } else {
+      break;
+    }
   }
-  if (i == 0) throw Error("bad size '" + text + "'");
-  const double value = std::stod(text.substr(0, i));
+  if (digits == 0 || dots > 1) throw Error("bad size '" + text + "'");
+  double value = 0;
+  try {
+    value = std::stod(text.substr(0, i));
+  } catch (const std::out_of_range&) {
+    throw Error("size '" + text + "' is out of range");
+  }
   std::string suffix(trim(text.substr(i)));
   for (auto& c : suffix) c = static_cast<char>(std::toupper(c));
   double scale = 1;

@@ -1,6 +1,9 @@
 #include "tce/common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 namespace tce {
 
@@ -42,47 +45,6 @@ struct ForState {
 };
 
 }  // namespace
-
-/// Group bookkeeping, heap-held: pull stubs enqueued on the pool keep a
-/// shared_ptr, so a stub that fires after the TaskGroup object is gone
-/// still touches live memory (and finds an empty queue).
-struct ThreadPool::TaskGroup::State {
-  Mutex mu;
-  CondVar cv;
-  std::deque<std::function<void()>> queue TCE_GUARDED_BY(mu);
-  std::size_t in_flight TCE_GUARDED_BY(mu) = 0;  ///< Queued + running.
-  std::exception_ptr error TCE_GUARDED_BY(mu);
-  bool failed TCE_GUARDED_BY(mu) = false;
-
-  /// Pops and runs one queued task; returns false when none queued.
-  bool run_one() {
-    std::function<void()> task;
-    bool skip = false;
-    {
-      const MutexLock lock(mu);
-      if (queue.empty()) return false;
-      task = std::move(queue.front());
-      queue.pop_front();
-      skip = failed;
-    }
-    if (!skip) {
-      try {
-        task();
-      } catch (...) {
-        const MutexLock lock(mu);
-        if (!failed) {
-          failed = true;
-          error = std::current_exception();
-        }
-      }
-    }
-    {
-      const MutexLock lock(mu);
-      if (--in_flight == 0) cv.notify_all();
-    }
-    return true;
-  }
-};
 
 ThreadPool& ThreadPool::shared() {
   static ThreadPool pool;
@@ -158,57 +120,6 @@ void ThreadPool::parallel_for(std::size_t n, unsigned threads,
   for (std::size_t i = 0; i < n; ++i) {
     if (state->errors[i]) std::rethrow_exception(state->errors[i]);
   }
-}
-
-ThreadPool::TaskGroup::TaskGroup(ThreadPool& pool, unsigned threads)
-    : pool_(pool),
-      helpers_(threads <= 1 ? 0 : std::min(threads, kMaxThreads) - 1),
-      state_(std::make_shared<State>()) {
-  if (helpers_ > 0) pool_.ensure_workers(helpers_);
-}
-
-ThreadPool::TaskGroup::~TaskGroup() {
-  // Settle stragglers so queued lambdas never outlive their captures;
-  // wait() is the normal path and already did this.
-  try {
-    wait();
-  } catch (...) {  // NOLINT(bugprone-empty-catch)
-    // wait() already surfaced this exception once; nothing actionable.
-  }
-}
-
-void ThreadPool::TaskGroup::submit(std::function<void()> task) {
-  {
-    const MutexLock lock(state_->mu);
-    ++state_->in_flight;
-    state_->queue.push_back(std::move(task));
-    state_->cv.notify_all();  // a wait()er drains new work immediately
-  }
-  // Post a pull stub: whichever worker gets it runs *one* task of this
-  // group (possibly none, if the caller drained the queue first).
-  if (helpers_ > 0) {
-    pool_.enqueue([st = state_] { st->run_one(); });
-  }
-}
-
-void ThreadPool::TaskGroup::wait() {
-  State& st = *state_;
-  for (;;) {
-    if (!st.run_one()) {
-      const MutexLock lock(st.mu);
-      if (st.in_flight == 0) break;
-      // Tasks are in flight on other threads; they may submit more, so
-      // wake on every completion and retry the local drain.
-      while (st.in_flight != 0 && st.queue.empty()) st.cv.wait(st.mu);
-      if (st.in_flight == 0) break;
-    }
-  }
-  std::exception_ptr err;
-  {
-    const MutexLock lock(st.mu);
-    std::swap(err, st.error);
-  }
-  if (err) std::rethrow_exception(err);
 }
 
 }  // namespace tce

@@ -1,35 +1,28 @@
 #pragma once
 /// \file thread_pool.hpp
-/// A shared work-claiming thread pool for the planner.
+/// A shared work-claiming thread pool for the planner and the kernels.
 ///
-/// The pool exists so the optimizer can fan independent pieces of the DP
-/// search across cores without ever changing the result: callers split
+/// The pool exists so the optimizer can fan the candidates of one DP
+/// node across cores without ever changing the result: callers split
 /// their work into *chunks with stable indices*, workers (plus the
 /// calling thread) claim chunk indices from a shared atomic cursor —
 /// dynamic load balancing with no per-chunk ownership — and the caller
 /// combines the per-chunk outputs in index order afterwards.  Which
 /// thread executed which chunk is invisible to the merged result.
 ///
-/// Two primitives:
-///  * parallel_for(n, threads, fn) — run fn(i) for i in [0, n).  The
-///    calling thread always participates, so the call makes progress
-///    even when every worker is busy (nested use from inside a pool
-///    task is fine and cannot deadlock).  The first exception, by
-///    lowest chunk index, is rethrown — deterministically, regardless
-///    of which chunks ran concurrently.
-///  * TaskGroup — irregular graphs (tree-node scheduling): tasks may
-///    submit further tasks as dependencies resolve; wait() drains the
-///    group's own queue on the calling thread while waiting, so a
-///    group blocked in wait() never starves its own tasks.
+/// One primitive, parallel_for(n, threads, fn): run fn(i) for i in
+/// [0, n).  The calling thread always participates, so the call makes
+/// progress even when every worker is busy (nested use from inside a
+/// pool task is fine and cannot deadlock).  The first exception, by
+/// lowest chunk index, is rethrown — deterministically, regardless of
+/// which chunks ran concurrently.
 ///
 /// `threads <= 1` bypasses the pool entirely and runs inline on the
 /// caller — the exact sequential path, no threads touched.
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -62,33 +55,6 @@ class ThreadPool {
   /// chunks are skipped once a failure is seen).
   void parallel_for(std::size_t n, unsigned threads,
                     const std::function<void(std::size_t)>& fn);
-
-  /// A group of dynamically submitted tasks; see file comment.
-  class TaskGroup {
-   public:
-    TaskGroup(ThreadPool& pool, unsigned threads);
-    ~TaskGroup();
-    TaskGroup(const TaskGroup&) = delete;
-    TaskGroup& operator=(const TaskGroup&) = delete;
-
-    /// Adds a task.  Safe to call from inside a running task of the
-    /// same group.  After a task has thrown, queued tasks are drained
-    /// without being executed.
-    void submit(std::function<void()> task);
-
-    /// Runs queued tasks on the calling thread until the group is
-    /// empty and all in-flight tasks have finished, then rethrows the
-    /// first captured exception (if any).
-    void wait();
-
-   private:
-    /// Heap-held so pool stubs can outlive the TaskGroup object.
-    struct State;
-
-    ThreadPool& pool_;
-    unsigned helpers_ = 0;
-    std::shared_ptr<State> state_;
-  };
 
  private:
   ThreadPool() = default;

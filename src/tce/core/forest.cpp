@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "tce/common/error.hpp"
-#include "tce/common/thread_pool.hpp"
 
 namespace tce {
 
@@ -47,17 +46,14 @@ ForestPlan optimize_forest(const ContractionForest& forest,
                            const OptimizerConfig& config) {
   TCE_EXPECTS(!forest.trees.empty());
 
-  // Per-tree Pareto frontiers (a per-tree InfeasibleError propagates —
-  // if one tree cannot fit alone, the program cannot).
-  // Trees are independent searches, so they run concurrently on the
-  // shared pool; each inner search fans out on the same pool, which
-  // caps total parallelism at the configured thread count.
-  const unsigned threads = ThreadPool::resolve_threads(config.threads);
-  std::vector<std::vector<OptimizedPlan>> frontiers(forest.trees.size());
-  ThreadPool::shared().parallel_for(
-      forest.trees.size(), threads, [&](std::size_t t) {
-        frontiers[t] = optimize_frontier(forest.trees[t], model, config);
-      });
+  // Per-tree Pareto frontiers, planned in program order (the first
+  // tree's InfeasibleError propagates — if one tree cannot fit alone,
+  // the program cannot).  Each tree's search fans out within its nodes.
+  std::vector<std::vector<OptimizedPlan>> frontiers;
+  frontiers.reserve(forest.trees.size());
+  for (const ContractionTree& tree : forest.trees) {
+    frontiers.push_back(optimize_frontier(tree, model, config));
+  }
 
   const bool liveness = config.liveness_aware;
   auto metric = [&](const State& s) {

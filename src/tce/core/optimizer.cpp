@@ -1,7 +1,6 @@
 #include "tce/core/optimizer.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <tuple>
 #include <utility>
@@ -243,11 +242,9 @@ class Search {
       }
     }
 
-    if (threads_ <= 1 || internal.size() <= 1) {
-      for (NodeId id : internal) solve_node(id);
-    } else {
-      solve_all_parallel(internal);
-    }
+    // Post order: every child's frontier is complete before its parent
+    // reads it.  Each node fans out over its own candidates.
+    for (NodeId id : internal) solve_node(id);
 
     // Deterministic roll-up in post order: per-node rows first, then
     // the grand totals.  Chunk/thread scheduling is invisible here.
@@ -281,47 +278,6 @@ class Search {
     }
   }
 
-  /// Dependency-counted scheduling of independent subtrees: a node is
-  /// submitted once its internal children are solved, so sibling
-  /// subtrees run concurrently on the shared pool.  The frontier each
-  /// node produces is thread-count independent, hence so is every
-  /// downstream consumer.
-  void solve_all_parallel(const std::vector<NodeId>& internal) {
-    std::vector<std::atomic<int>> pending(tree_.size());
-    auto is_internal_child = [&](NodeId c) {
-      return c != kNoNode &&
-             tree_.node(c).kind != ContractionNode::Kind::kInput;
-    };
-    // Snapshot the seed set from the static tree structure BEFORE any
-    // task runs: once tasks are in flight they decrement `pending`
-    // concurrently, so "pending == 0" no longer distinguishes an
-    // initially-ready node from one a finishing child just released
-    // (and is about to submit itself) — reading it late double-submits.
-    std::vector<NodeId> seeds;
-    for (NodeId id : internal) {
-      const ContractionNode& n = tree_.node(id);
-      const int deps = (is_internal_child(n.left) ? 1 : 0) +
-                       (is_internal_child(n.right) ? 1 : 0);
-      pending[static_cast<std::size_t>(id)].store(
-          deps, std::memory_order_relaxed);
-      if (deps == 0) seeds.push_back(id);
-    }
-    ThreadPool::TaskGroup group(ThreadPool::shared(), threads_);
-    std::function<void(NodeId)> submit_node = [&](NodeId id) {
-      group.submit([this, &submit_node, &pending, id] {
-        solve_node(id);
-        const NodeId p = tree_.node(id).parent;
-        if (p != kNoNode &&
-            pending[static_cast<std::size_t>(p)].fetch_sub(
-                1, std::memory_order_acq_rel) == 1) {
-          submit_node(p);
-        }
-      });
-    };
-    for (NodeId id : seeds) submit_node(id);
-    group.wait();
-  }
-
   void solve_node(NodeId id) {
     const ContractionNode& n = tree_.node(id);
     NodeAccum& acc = accums_[static_cast<std::size_t>(id)];
@@ -341,9 +297,10 @@ class Search {
     note_node_done(id, n, acc);
   }
 
-  /// Per-node observability after one solve_* call.  Runs on whichever
-  /// thread solved the node; the metrics registry and trace sink are
-  /// thread-safe, and counter totals are order-independent.
+  /// Per-node observability after one solve_* call, on the thread that
+  /// runs the search once the node's fan-out has joined.  The metrics
+  /// registry and trace sink are thread-safe, so concurrent searches
+  /// (the daemon's) may record at the same time.
   void note_node_done(NodeId id, const ContractionNode& n,
                       const NodeAccum& acc) {
     if (obs::metrics_enabled()) {
@@ -953,9 +910,9 @@ class Search {
   const unsigned threads_;
   /// Set by run(): the root keeps an Incumbent instead of a frontier.
   bool root_incumbent_ = false;
-  /// Per-node solved frontiers, indexed by NodeId.  Written once by the
-  /// node's (single) solve task; the dependency scheduler orders that
-  /// write before any parent read.
+  /// Per-node solved frontiers, indexed by NodeId.  Written once per
+  /// node, in post order, after its fan-out has joined, so a parent
+  /// reads only complete child frontiers.
   std::vector<std::vector<Sol>> sols_;
   std::vector<NodeAccum> accums_;
   OptimizerStats stats_;

@@ -72,12 +72,12 @@ struct OptimizerConfig {
   /// oracle cross-checks this), so disabling it only costs time; the
   /// flag exists so differential tests can compare prover and raw DP.
   bool enable_static_prover = true;
-  /// Worker threads for the search: independent sibling subtrees solve
-  /// concurrently and each node's choice enumeration fans across the
-  /// shared pool.  0 = hardware concurrency; 1 = fully sequential (no
-  /// pool involvement).  The result — plans, frontier, and every
-  /// OptimizerStats counter except wall times — is identical at every
-  /// setting; see docs/ALGORITHM.md ("Parallel search").
+  /// Worker threads for the search: the nodes are solved one after
+  /// another in post order, and each node's candidate enumeration fans
+  /// across the shared pool.  0 = hardware concurrency; 1 = fully
+  /// sequential (no pool involvement).  The result — plans, frontier,
+  /// and every OptimizerStats counter except wall times — is identical
+  /// at every setting; see docs/ALGORITHM.md ("Parallel search").
   unsigned threads = 0;
 };
 

@@ -34,29 +34,6 @@ std::uint64_t dist_size(const TensorRef& v, const Distribution& alpha,
   return size;
 }
 
-std::uint64_t loop_range(IndexId j, const Distribution& alpha,
-                         IndexSet fused, const IndexSpace& space,
-                         const ProcGrid& grid) {
-  if (!fused.contains(j)) return 1;
-  if (alpha.contains(j)) return ceil_div(space.extent(j), grid.edge);
-  return space.extent(j);
-}
-
-std::uint64_t msg_factor(const TensorRef& v, const Distribution& alpha,
-                         IndexSet fused, const IndexSpace& space,
-                         const ProcGrid& grid) {
-  std::uint64_t factor = 1;
-  for (IndexId j : v.dims) {
-    factor = checked_mul(factor, loop_range(j, alpha, fused, space, grid));
-  }
-  return factor;
-}
-
-bool fusion_compatible(IndexId i, const Distribution& a,
-                       const Distribution& b) {
-  return a.contains(i) == b.contains(i);
-}
-
 std::vector<Distribution> enumerate_distributions(const TensorRef& v) {
   std::vector<IndexId> slots(v.dims);
   slots.push_back(kNoIndex);

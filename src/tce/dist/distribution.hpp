@@ -1,7 +1,9 @@
 #pragma once
 /// \file distribution.hpp
-/// Array distributions ⟨i,j⟩ and the memory/communication bookkeeping
-/// formulas of §3.2.
+/// Array distributions ⟨i,j⟩ and the per-processor size formulas of
+/// §3.2 (DistRange, DistSize).  The search prices the communication
+/// side — the paper's LoopRange/MsgFactor and RotateCost — in
+/// tce/core/accounting.hpp.
 ///
 /// A distribution α is a pair of positions, α[1] and α[2], one per
 /// processor dimension; each position names the array index distributed
@@ -110,30 +112,6 @@ inline std::uint64_t dist_bytes(const TensorRef& v,
   return checked_mul(dist_size(v, alpha, fused, space, grid),
                      sizeof(double));
 }
-
-/// LoopRange(j, v, α, f) — §3.3: the iteration count contributed by
-/// dimension \p j to the number of communication start-ups:
-///   1        if j is not fused,
-///   N_j/√P   if j is fused and distributed,
-///   N_j      if j is fused and not distributed.
-std::uint64_t loop_range(IndexId j, const Distribution& alpha,
-                         IndexSet fused, const IndexSpace& space,
-                         const ProcGrid& grid);
-
-/// MsgFactor(v, α, f) — §3.3: product of LoopRange over the array's
-/// dimensions; multiplies the rotation cost when the collective sits
-/// inside fused loops.
-std::uint64_t msg_factor(const TensorRef& v, const Distribution& alpha,
-                         IndexSet fused, const IndexSpace& space,
-                         const ProcGrid& grid);
-
-/// §3.2(iii): a loop with index \p i can be fused across two nodes only
-/// when its range agrees on both sides — undistributed at both, or
-/// distributed (onto the same √P-way split) at both.  With a single
-/// common grid all splits are √P-way, so the condition reduces to
-/// "distributed at both or at neither".
-bool fusion_compatible(IndexId i, const Distribution& a,
-                       const Distribution& b);
 
 /// A distribution is valid for array \p v when every assigned position
 /// names one of v's dimensions.

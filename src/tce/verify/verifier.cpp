@@ -324,8 +324,9 @@ class PlanVerifier {
     return e;
   }
 
-  /// The redistribution cost the optimizer charges (see rotate_cost.cpp):
-  /// producer-side block, hoisted outside fused loops.
+  /// The redistribution cost the optimizer charges (see produced_operand
+  /// in core/accounting.cpp): producer-side block, hoisted outside fused
+  /// loops.
   double redistribute_cost_of(const TensorRef& v, const Distribution& from,
                               const Distribution& to) const {
     if (from == to) return 0.0;

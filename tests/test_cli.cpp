@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "tce/cli/cli.hpp"
 #include "tce/common/error.hpp"
@@ -51,6 +54,13 @@ TEST(ParseByteSize, AcceptsSuffixes) {
 TEST(ParseByteSize, RejectsGarbage) {
   EXPECT_THROW(parse_byte_size("GB"), Error);
   EXPECT_THROW(parse_byte_size("12XB"), Error);
+  // The number needs a digit and takes at most one dot.
+  EXPECT_THROW(parse_byte_size("."), Error);
+  EXPECT_THROW(parse_byte_size("..5"), Error);
+  EXPECT_THROW(parse_byte_size(".GB"), Error);
+  EXPECT_THROW(parse_byte_size("1.2.3GB"), Error);
+  // Too many digits for a double.
+  EXPECT_THROW(parse_byte_size(std::string(400, '9')), Error);
 }
 
 // ------------------------------------------------------------------- CLI
@@ -394,7 +404,10 @@ TEST(Cli, GridOptionsThatFormNoGridAreUsageErrors) {
       {"--procs", "8"},
       {"--procs", "0"},
       {"--procs", "15"},
-      {"--procs", "16", "--procs-per-node", "3"}};
+      {"--procs", "16", "--procs-per-node", "3"},
+      // Past 32 bits: 2^32 + 16 and 2^32 + 2 must not wrap to 16 and 2.
+      {"--procs", "4294967312"},
+      {"--procs", "16", "--procs-per-node", "4294967298"}};
   for (const std::string cmd : {"plan", "lint", "validate", "characterize"}) {
     for (const std::vector<std::string>& grid : grids) {
       std::vector<std::string> args{cmd};
@@ -493,8 +506,11 @@ TEST(Cli, FuzzRejectsUnknownOracle) {
 }
 
 TEST(Cli, FuzzRejectsMalformedCount) {
-  CliResult r = run_cli({"fuzz", "--runs", "many"});
-  EXPECT_EQ(r.exit_code, 1);
+  // 2^32 + 1 does not fit the run count and must not wrap to 1.
+  for (const char* runs : {"many", "4294967297"}) {
+    CliResult r = run_cli({"fuzz", "--runs", runs});
+    EXPECT_EQ(r.exit_code, 1) << runs;
+  }
 }
 
 // ------------------------------------------------------------------ lint
@@ -685,10 +701,15 @@ TEST(Cli, ServeNeedsExactlyOneTransport) {
 }
 
 TEST(Cli, ServeRejectsMalformedNumericOptions) {
-  for (const char* flag : {"--cache-capacity", "--threads"}) {
-    CliResult r = run_cli({"serve", "--stdio", flag, "garbage"});
-    EXPECT_EQ(r.exit_code, kExitUsage) << flag;
-    EXPECT_NE(r.error.find("garbage"), std::string::npos) << flag;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--cache-capacity", "garbage"},
+      {"--threads", "garbage"},
+      // 2^32 + 1 does not fit the thread count and must not wrap to 1.
+      {"--threads", "4294967297"}};
+  for (const auto& [flag, value] : cases) {
+    CliResult r = run_cli({"serve", "--stdio", flag, value});
+    EXPECT_EQ(r.exit_code, kExitUsage) << flag << " " << value;
+    EXPECT_NE(r.error.find(value), std::string::npos) << flag;
   }
 }
 

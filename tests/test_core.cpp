@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "tce/common/assert.hpp"
 #include "tce/common/error.hpp"
+#include "tce/core/accounting.hpp"
 #include "tce/core/optimizer.hpp"
 #include "tce/core/simulate.hpp"
 #include "tce/costmodel/analytic.hpp"
@@ -66,6 +70,113 @@ TEST(Optimizer, SingleMatmulKeepsLargestArrayFixed) {
   EXPECT_EQ(s.rot_result_s, 0.0);
   EXPECT_GT(s.rot_left_s, 0.0);
   EXPECT_GT(s.rot_right_s, 0.0);
+}
+
+// ------------------------------------------------------------ RotateCost
+
+// The paper's §3.3 RotateCost = MsgFactor · RCost(DistSize) as the search
+// prices it (cannon_comm, produced_operand), at Table 2's 16 processors
+// under the analytic model.
+class RotateCostFixture : public ::testing::Test {
+ protected:
+  RotateCostFixture()
+      : seq_(parse_formula_sequence(kPaperProgram)),
+        sp_(seq_.space()),
+        grid_(ProcGrid::make(16, 2)),
+        model_(grid_, AnalyticParams{}),
+        geom_(sp_, grid_) {}
+
+  TensorRef tensor(const std::string& name) const {
+    for (const auto& t : seq_.inputs()) {
+      if (t.name == name) return t;
+    }
+    for (const auto& f : seq_.formulas()) {
+      if (f.result.name == name) return f.result;
+    }
+    throw Error("no tensor " + name);
+  }
+
+  IndexId id(const char* n) const { return sp_.id(n); }
+
+  FormulaSequence seq_;
+  const IndexSpace& sp_;
+  ProcGrid grid_;
+  AnalyticModel model_;
+  GeomCache geom_;
+};
+
+TEST_F(RotateCostFixture, UnfusedRotationIsOneFullRotation) {
+  // S = T2·A with A(a,c,i,k) at <a,k>, unfused: one full rotation of
+  // 118 MB blocks along grid dimension 2.
+  const TensorRef a = tensor("A");
+  const CannonChoice c{.i = id("b"), .j = id("a"), .k = id("k"),
+                       .transposed = true, .rot = id("k")};
+  ASSERT_EQ(c.right_dist(), Distribution(id("a"), id("k")));
+  ASSERT_EQ(c.right_rot_dim(), 2);
+  const StepComm comm = cannon_comm(model_, geom_, c, tensor("T2"), a,
+                                    tensor("S"), IndexSet());
+  const std::uint64_t block =
+      dist_bytes(a, c.right_dist(), IndexSet(), sp_, grid_);
+  EXPECT_DOUBLE_EQ(comm.right_s, model_.rotate_cost(block, 2));
+  // ≈ paper's 34.6 s (Table 2).
+  EXPECT_NEAR(comm.right_s, 34.6, 3.0);
+}
+
+TEST_F(RotateCostFixture, FusedRotationMultipliesMessages) {
+  // T1 = B·D with B(b,e,f,l) at <e,b> and f fused: 64 iterations of a
+  // rotation of the (b/4,e/4,1,l) slice.  Paper Table 2: 25.7 s.
+  const TensorRef b = tensor("B");
+  const IndexSet fused = IndexSet::single(id("f"));
+  const CannonChoice c{.i = id("b"), .j = id("c"), .k = id("e"),
+                       .transposed = true, .rot = id("b")};
+  ASSERT_EQ(c.left_dist(), Distribution(id("e"), id("b")));
+  ASSERT_EQ(c.left_rot_dim(), 1);
+  const StepComm comm = cannon_comm(model_, geom_, c, b, tensor("D"),
+                                    tensor("T1"), fused);
+  EXPECT_NEAR(comm.left_s, 25.7, 3.0);
+  // Identity: MsgFactor (N_f = 64 fused iterations) × RCost(DistSize).
+  EXPECT_DOUBLE_EQ(
+      comm.left_s,
+      64.0 * model_.rotate_cost(dist_bytes(b, c.left_dist(), fused, sp_,
+                                           grid_),
+                                1));
+}
+
+TEST_F(RotateCostFixture, FusedT1RotationDominates) {
+  // T2 = T1·C with T1(b,c,d) (f fused) at <d,b>, rotated per f
+  // iteration: the paper's dominant 902 s entry.
+  const CannonChoice c{.i = id("b"), .j = id("j"), .k = id("d"),
+                       .transposed = true, .rot = id("d")};
+  ASSERT_EQ(c.left_dist(), Distribution(id("d"), id("b")));
+  ASSERT_EQ(c.left_rot_dim(), 1);
+  const StepComm comm =
+      cannon_comm(model_, geom_, c, tensor("T1"), tensor("C"),
+                  tensor("T2"), IndexSet::single(id("f")));
+  EXPECT_GT(comm.left_s, 700.0);
+  EXPECT_LT(comm.left_s, 1300.0);
+}
+
+TEST_F(RotateCostFixture, RedistributeZeroWhenSame) {
+  // An intermediate consumed in the layout it was made in moves
+  // nothing; a materialized one in another layout pays one reshuffle of
+  // its producer-side block.
+  const TensorRef t2 = tensor("T2");
+  const Distribution made_in(id("b"), id("c"));
+  const Distribution wanted(id("b"), id("k"));
+  const OptimizerConfig cfg;
+  const std::optional<Delivered> same = produced_operand(
+      model_, geom_, cfg, t2, Footprint{}, made_in, IndexSet(), made_in,
+      /*any_layout=*/false);
+  ASSERT_TRUE(same.has_value());
+  EXPECT_EQ(same->redist_s, 0.0);
+  const std::optional<Delivered> moved = produced_operand(
+      model_, geom_, cfg, t2, Footprint{}, made_in, IndexSet(), wanted,
+      /*any_layout=*/false);
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_GT(moved->redist_s, 0.0);
+  EXPECT_DOUBLE_EQ(moved->redist_s,
+                   model_.redistribute_cost(dist_bytes(
+                       t2, made_in, IndexSet(), sp_, grid_)));
 }
 
 // --------------------------------------------------------- invariants

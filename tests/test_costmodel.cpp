@@ -1,5 +1,5 @@
-// Tests for tce/costmodel: cost curves, characterization file round-trip,
-// simulated measurement, and the §3.3 RotateCost formula.
+// Tests for tce/costmodel: cost curves, characterization file round-trip
+// and simulated measurement.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,6 @@
 #include "tce/common/error.hpp"
 #include "tce/costmodel/analytic.hpp"
 #include "tce/costmodel/characterize.hpp"
-#include "tce/costmodel/rotate_cost.hpp"
-#include "tce/expr/parser.hpp"
 
 namespace tce {
 namespace {
@@ -203,84 +201,6 @@ TEST(Characterize, OneRankGridRecordsTheFloor) {
 TEST(Characterize, RejectsMismatchedGrid) {
   Network net(ClusterSpec::itanium2003(8));
   EXPECT_THROW(characterize(net, ProcGrid::make(64, 2)), Error);
-}
-
-// -------------------------------------------------------------- RotateCost
-
-class RotateCostFixture : public ::testing::Test {
- protected:
-  RotateCostFixture()
-      : seq_(parse_formula_sequence(R"(
-          index a, b, c, d = 480
-          index e, f = 64
-          index i, j, k, l = 32
-          T1[b,c,d,f] = sum[e,l] B[b,e,f,l] * D[c,d,e,l]
-          T2[b,c,j,k] = sum[d,f] T1[b,c,d,f] * C[d,f,j,k]
-          S[a,b,i,j]  = sum[c,k] T2[b,c,j,k] * A[a,c,i,k]
-        )")),
-        sp_(seq_.space()),
-        grid_(ProcGrid::make(16, 2)),
-        model_(grid_, AnalyticParams{}) {}
-
-  TensorRef tensor(const std::string& name) const {
-    for (const auto& t : seq_.inputs()) {
-      if (t.name == name) return t;
-    }
-    for (const auto& f : seq_.formulas()) {
-      if (f.result.name == name) return f.result;
-    }
-    throw Error("no tensor " + name);
-  }
-
-  FormulaSequence seq_;
-  const IndexSpace& sp_;
-  ProcGrid grid_;
-  AnalyticModel model_;
-};
-
-TEST_F(RotateCostFixture, UnfusedRotationIsOneFullRotation) {
-  // A(a,c,i,k) at <a,k>, unfused: one full rotation of 118 MB blocks.
-  TensorRef a = tensor("A");
-  Distribution d(sp_.id("a"), sp_.id("k"));
-  const double got = rotate_cost(model_, a, d, 2, IndexSet(), sp_);
-  const std::uint64_t block =
-      dist_bytes(a, d, IndexSet(), sp_, grid_);
-  EXPECT_DOUBLE_EQ(got, model_.rotate_cost(block, 2));
-  // ≈ paper's 34.6 s (Table 2).
-  EXPECT_NEAR(got, 34.6, 3.0);
-}
-
-TEST_F(RotateCostFixture, FusedRotationMultipliesMessages) {
-  // B(b,e,f,l) at <e,b> with f fused: 64 iterations of a rotation of the
-  // (b/4,e/4,1,l) slice.  Paper Table 2: 25.7 s.
-  TensorRef b = tensor("B");
-  Distribution d(sp_.id("e"), sp_.id("b"));
-  IndexSet fused = IndexSet::single(sp_.id("f"));
-  const double got = rotate_cost(model_, b, d, 1, fused, sp_);
-  EXPECT_NEAR(got, 25.7, 3.0);
-  // Identity: equals MsgFactor × RCost(DistSize).
-  EXPECT_DOUBLE_EQ(
-      got, static_cast<double>(msg_factor(b, d, fused, sp_, grid_)) *
-               model_.rotate_cost(dist_bytes(b, d, fused, sp_, grid_), 1));
-}
-
-TEST_F(RotateCostFixture, FusedT1RotationDominates) {
-  // T1(b,c,d) (f fused) at <d,b>, rotated per f iteration: the paper's
-  // dominant 902 s entry.
-  TensorRef t1 = tensor("T1");
-  Distribution d(sp_.id("d"), sp_.id("b"));
-  IndexSet fused = IndexSet::single(sp_.id("f"));
-  const double got = rotate_cost(model_, t1, d, 1, fused, sp_);
-  EXPECT_GT(got, 700.0);
-  EXPECT_LT(got, 1300.0);
-}
-
-TEST_F(RotateCostFixture, RedistributeZeroWhenSame) {
-  TensorRef a = tensor("A");
-  Distribution d(sp_.id("a"), sp_.id("k"));
-  EXPECT_EQ(redistribute_cost(model_, a, d, d, IndexSet(), sp_), 0.0);
-  Distribution d2(sp_.id("a"), sp_.id("c"));
-  EXPECT_GT(redistribute_cost(model_, a, d, d2, IndexSet(), sp_), 0.0);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
-// Tests for tce/dist: processor grids, distributions, the §3.2
-// DistSize/MsgFactor formulas (checked against numbers worked out in the
-// paper), and Cannon choice enumeration.
+// Tests for tce/dist: processor grids, distributions, the §3.2 DistSize
+// formula and the fused-loop counts of §3.3's MsgFactor (checked against
+// numbers worked out in the paper), and Cannon choice enumeration.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "tce/common/error.hpp"
+#include "tce/core/accounting.hpp"
 #include "tce/dist/cannon_space.hpp"
 #include "tce/expr/parser.hpp"
 
@@ -138,48 +139,33 @@ TEST_F(DistFixture, DistributionMustNameArrayDims) {
 
 // ------------------------------------------------------------- MsgFactor
 
+// §3.3's MsgFactor as the search counts it (GeomCache::loops): the
+// iterations of the fused loops around a collective.  The search never
+// distributes a fused index, so each contributes its full extent N_j.
+
 TEST_F(DistFixture, MsgFactorIsOneWhenUnfused) {
-  ProcGrid g = ProcGrid::make(16, 2);
-  TensorRef b = tensor("B");
-  EXPECT_EQ(msg_factor(b, Distribution(id("e"), id("b")), IndexSet(), sp_,
-                       g),
-            1u);
+  const ProcGrid g = ProcGrid::make(16, 2);
+  GeomCache geom(sp_, g);
+  EXPECT_EQ(geom.loops(IndexSet()).trips, 1u);
+  EXPECT_EQ(geom.loops(IndexSet()).repeat, 1.0);
 }
 
-// §3.2(ii): fusing index t multiplies message count by N_t when t is not
-// distributed, and by N_t/√P when it is.
 TEST_F(DistFixture, MsgFactorCountsFusedLoopIterations) {
-  ProcGrid g = ProcGrid::make(16, 2);
-  TensorRef b = tensor("B");  // B[b,e,f,l]
-  IndexSet fuse_f = IndexSet::single(id("f"));
-  // f undistributed in <e,b>: factor N_f = 64.
-  EXPECT_EQ(msg_factor(b, Distribution(id("e"), id("b")), fuse_f, sp_, g),
-            64u);
-  // f distributed in <e,f>: factor N_f/4 = 16.
-  EXPECT_EQ(msg_factor(b, Distribution(id("e"), id("f")), fuse_f, sp_, g),
-            16u);
+  // B[b,e,f,l] rotated inside the fused f loop: N_f = 64 messages.
+  const ProcGrid g = ProcGrid::make(16, 2);
+  GeomCache geom(sp_, g);
+  const IndexSet fuse_f = IndexSet::single(id("f"));
+  EXPECT_EQ(geom.loops(fuse_f).trips, 64u);
+  EXPECT_EQ(geom.loops(fuse_f).repeat, 64.0);
 }
 
 TEST_F(DistFixture, MsgFactorMultipliesOverFusedDims) {
-  ProcGrid g = ProcGrid::make(16, 2);
-  TensorRef t1 = tensor("T1");  // T1[b,c,d,f]
-  IndexSet fused = IndexSet::of({id("c"), id("f")});
-  // With <b,d>: c and f both undistributed -> 480 * 64.
-  EXPECT_EQ(msg_factor(t1, Distribution(id("b"), id("d")), fused, sp_, g),
-            480u * 64u);
-}
-
-// ------------------------------------------------- Fusion compatibility
-
-TEST_F(DistFixture, FusionCompatibilityRequiresMatchingSplit) {
-  Distribution u(id("b"), id("f"));
-  Distribution v(id("b"), id("c"));
-  // b distributed at both: fusable.
-  EXPECT_TRUE(fusion_compatible(id("b"), u, v));
-  // f distributed at u only: not fusable.
-  EXPECT_FALSE(fusion_compatible(id("f"), u, v));
-  // d distributed at neither: fusable.
-  EXPECT_TRUE(fusion_compatible(id("d"), u, v));
+  // T1[b,c,d,f] inside fused c and f loops: 480 * 64.
+  const ProcGrid g = ProcGrid::make(16, 2);
+  GeomCache geom(sp_, g);
+  const IndexSet fused = IndexSet::of({id("c"), id("f")});
+  EXPECT_EQ(geom.loops(fused).trips, 480u * 64u);
+  EXPECT_EQ(geom.loops(fused).repeat, 480.0 * 64.0);
 }
 
 // ------------------------------------------------------- Cannon choices

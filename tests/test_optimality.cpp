@@ -13,7 +13,7 @@
 #include "tce/common/error.hpp"
 #include "tce/core/optimizer.hpp"
 #include "tce/costmodel/analytic.hpp"
-#include "tce/costmodel/rotate_cost.hpp"
+#include "tce/dist/distribution.hpp"
 #include "tce/expr/parser.hpp"
 #include "tce/fusion/fused.hpp"
 #include "tce/fuzz/brute.hpp"
@@ -22,6 +22,15 @@
 
 namespace tce {
 namespace {
+
+/// Explicit cost of reshuffling a materialized intermediate \p v out of
+/// layout \p from into another: one redistribution of its producer-side
+/// block, outside any fused loop.
+double redist_cost(const MachineModel& model, const TensorRef& v,
+                   const Distribution& from, const IndexSpace& space) {
+  return model.redistribute_cost(
+      dist_bytes(v, from, IndexSet(), space, model.grid()));
+}
 
 /// Explicit cost of executing one contraction node with a concrete
 /// choice, a concrete fused set on the node's own edge, and concrete
@@ -102,8 +111,7 @@ double brute_force_chain(const ContractionTree& tree,
         double redist = 0;
         if (!dist_match) {
           if (!fv.empty()) return;  // fused child: must match exactly
-          redist = redistribute_cost(model, vn.tensor, cv.result_dist(),
-                                     cu.left_dist(), IndexSet(), space);
+          redist = redist_cost(model, vn.tensor, cv.result_dist(), space);
         }
 
         // Costs: v executes with its own fusion fv; u's collectives sit
@@ -271,14 +279,12 @@ double brute_force_chain3(const ContractionTree& tree,
 
             double cost = 0;
             if (!v_match) {
-              cost += redistribute_cost(model, vn.tensor,
-                                        cv.result_dist(), cu.left_dist(),
-                                        IndexSet(), space);
+              cost += redist_cost(model, vn.tensor, cv.result_dist(),
+                                  space);
             }
             if (!u_match) {
-              cost += redistribute_cost(model, un.tensor,
-                                        cu.result_dist(), cw.left_dist(),
-                                        IndexSet(), space);
+              cost += redist_cost(model, un.tensor, cu.result_dist(),
+                                  space);
             }
             // V executes inside fv; U inside fu ∪ fv; W inside fu.
             cost += node_comm(tree, v, model, cv, fv, IndexSet(),

@@ -122,39 +122,6 @@ TEST(ThreadPool, MoreThreadsThanItemsCoversEachIndexOnce) {
   EXPECT_EQ(sum.load(), 6u);
 }
 
-TEST(ThreadPool, TaskGroupWithoutHelpersDrainsOnCaller) {
-  // threads=1 spawns no workers: wait() alone must run the queue,
-  // including tasks submitted by running tasks.
-  ThreadPool::TaskGroup group(ThreadPool::shared(), 1);
-  std::vector<int> ran;
-  group.submit([&] {
-    ran.push_back(1);
-    group.submit([&] { ran.push_back(2); });
-  });
-  group.wait();
-  EXPECT_EQ(ran, (std::vector<int>{1, 2}));
-}
-
-TEST(ThreadPool, TaskGroupRunsSubmittedAndNestedTasks) {
-  std::atomic<int> ran{0};
-  ThreadPool::TaskGroup group(ThreadPool::shared(), 4);
-  for (int i = 0; i < 20; ++i) {
-    group.submit([&] {
-      ran.fetch_add(1);
-      // Tasks may submit follow-up tasks (dependency resolution).
-      group.submit([&] { ran.fetch_add(1); });
-    });
-  }
-  group.wait();
-  EXPECT_EQ(ran.load(), 40);
-}
-
-TEST(ThreadPool, TaskGroupPropagatesException) {
-  ThreadPool::TaskGroup group(ThreadPool::shared(), 4);
-  group.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(group.wait(), std::runtime_error);
-}
-
 // ------------------------------------------------------------ frontier
 
 struct FEntry {
@@ -325,6 +292,19 @@ const CharacterizedModel& model16() {
   return model;
 }
 
+// A root with two internal children, T1 and T2.  The paper program is a
+// chain; here a parent reads two solved subtrees.
+ContractionTree sibling_tree() {
+  return ContractionTree::from_sequence(parse_formula_sequence(R"(
+    index a, b, c, d = 48
+    index i, j, k, l = 24
+    index e, f = 24
+    T1[a,b,i,j] = sum[c,d] V[a,b,c,d] * T[c,d,i,j]
+    T2[i,j,e,f] = sum[k,l] W[i,j,k,l] * U[k,l,e,f]
+    R[a,b,e,f]  = sum[i,j] T1[a,b,i,j] * T2[i,j,e,f]
+  )"));
+}
+
 // Serializes a plan with the only thread-count-dependent quantities —
 // wall times — zeroed out; everything else must be bit-identical.
 std::string canonical_json(OptimizedPlan plan, const IndexSpace& space) {
@@ -334,20 +314,22 @@ std::string canonical_json(OptimizedPlan plan, const IndexSpace& space) {
 }
 
 TEST(ParallelSearch, PlanBitIdenticalAcrossThreadCounts) {
-  const ContractionTree tree = paper_tree();
-  for (const bool replication : {false, true}) {
-    OptimizerConfig cfg;
-    cfg.mem_limit_node_bytes = kNodeLimit4GB;
-    cfg.enable_replication_template = replication;
-    cfg.threads = 1;
-    const std::string want =
-        canonical_json(optimize(tree, model16(), cfg), tree.space());
-    for (const unsigned threads : {2u, 8u}) {
-      cfg.threads = threads;
-      EXPECT_EQ(canonical_json(optimize(tree, model16(), cfg),
-                               tree.space()),
-                want)
-          << "threads=" << threads << " replication=" << replication;
+  for (const ContractionTree& tree : {paper_tree(), sibling_tree()}) {
+    SCOPED_TRACE(tree.node(tree.root()).tensor.name);
+    for (const bool replication : {false, true}) {
+      OptimizerConfig cfg;
+      cfg.mem_limit_node_bytes = kNodeLimit4GB;
+      cfg.enable_replication_template = replication;
+      cfg.threads = 1;
+      const std::string want =
+          canonical_json(optimize(tree, model16(), cfg), tree.space());
+      for (const unsigned threads : {2u, 8u}) {
+        cfg.threads = threads;
+        EXPECT_EQ(canonical_json(optimize(tree, model16(), cfg),
+                                 tree.space()),
+                  want)
+            << "threads=" << threads << " replication=" << replication;
+      }
     }
   }
 }
@@ -391,38 +373,41 @@ TEST(ParallelSearch, FrontierIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelSearch, StatsCountersThreadInvariant) {
-  const ContractionTree tree = paper_tree();
-  for (const bool replication : {false, true}) {
-    SCOPED_TRACE(replication ? "replication" : "Cannon only");
-    OptimizerConfig cfg;
-    cfg.mem_limit_node_bytes = kNodeLimit4GB;
-    cfg.enable_replication_template = replication;
-    cfg.threads = 1;
-    const OptimizerStats s1 = optimize(tree, model16(), cfg).stats;
-    cfg.threads = 8;
-    const OptimizerStats s8 = optimize(tree, model16(), cfg).stats;
-    EXPECT_EQ(s8.candidates, s1.candidates);
-    EXPECT_EQ(s8.infeasible, s1.infeasible);
-    EXPECT_EQ(s8.dominated, s1.dominated);
-    EXPECT_EQ(s8.bounded, s1.bounded);
-    EXPECT_EQ(s8.kept, s1.kept);
-    EXPECT_EQ(s8.max_per_node, s1.max_per_node);
-    EXPECT_EQ(s8.redistributions, s1.redistributions);
-    EXPECT_EQ(s8.table_lookups, s1.table_lookups);
-    EXPECT_EQ(s8.extrapolations, s1.extrapolations);
-    ASSERT_EQ(s8.nodes.size(), s1.nodes.size());
-    for (std::size_t i = 0; i < s1.nodes.size(); ++i) {
-      EXPECT_EQ(s8.nodes[i].node, s1.nodes[i].node) << i;
-      EXPECT_EQ(s8.nodes[i].candidates, s1.nodes[i].candidates) << i;
-      EXPECT_EQ(s8.nodes[i].bounded, s1.nodes[i].bounded) << i;
-      EXPECT_EQ(s8.nodes[i].kept, s1.nodes[i].kept) << i;
+  for (const ContractionTree& tree : {paper_tree(), sibling_tree()}) {
+    for (const bool replication : {false, true}) {
+      SCOPED_TRACE(tree.node(tree.root()).tensor.name +
+                   (replication ? ", replication" : ", Cannon only"));
+      OptimizerConfig cfg;
+      cfg.mem_limit_node_bytes = kNodeLimit4GB;
+      cfg.enable_replication_template = replication;
+      cfg.threads = 1;
+      const OptimizerStats s1 = optimize(tree, model16(), cfg).stats;
+      cfg.threads = 8;
+      const OptimizerStats s8 = optimize(tree, model16(), cfg).stats;
+      EXPECT_EQ(s8.candidates, s1.candidates);
+      EXPECT_EQ(s8.infeasible, s1.infeasible);
+      EXPECT_EQ(s8.dominated, s1.dominated);
+      EXPECT_EQ(s8.bounded, s1.bounded);
+      EXPECT_EQ(s8.kept, s1.kept);
+      EXPECT_EQ(s8.max_per_node, s1.max_per_node);
+      EXPECT_EQ(s8.redistributions, s1.redistributions);
+      EXPECT_EQ(s8.table_lookups, s1.table_lookups);
+      EXPECT_EQ(s8.extrapolations, s1.extrapolations);
+      ASSERT_EQ(s8.nodes.size(), s1.nodes.size());
+      for (std::size_t i = 0; i < s1.nodes.size(); ++i) {
+        EXPECT_EQ(s8.nodes[i].node, s1.nodes[i].node) << i;
+        EXPECT_EQ(s8.nodes[i].candidates, s1.nodes[i].candidates) << i;
+        EXPECT_EQ(s8.nodes[i].bounded, s1.nodes[i].bounded) << i;
+        EXPECT_EQ(s8.nodes[i].kept, s1.nodes[i].kept) << i;
+      }
     }
   }
 }
 
 TEST(ParallelSearch, ForestPlanIdenticalAcrossThreadCounts) {
-  // Two independent trees — the forest layer fans whole trees across
-  // the pool; the combined plan must not depend on the thread count.
+  // Two independent trees, planned in program order, each fanning out
+  // within its nodes; the combined plan must not depend on the thread
+  // count.
   ParsedProgram program = parse_program(R"(
     index i, j, k, l = 24
     index a, b, c, d = 48
