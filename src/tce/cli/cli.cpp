@@ -15,6 +15,7 @@
 #include "tce/common/parse.hpp"
 #include "tce/core/forest.hpp"
 #include "tce/fuzz/harness.hpp"
+#include "tce/fuzz/oracles.hpp"
 #include "tce/lint/lint.hpp"
 #include "tce/core/plan_json.hpp"
 #include "tce/core/simulate.hpp"
@@ -45,7 +46,9 @@ usage:
       the per-array plan table, totals, and (optionally) pseudocode.
         --procs N            processors, a perfect square (default 16)
         --procs-per-node N   processors per node (default 2)
-        --mem-limit SIZE     per-node limit, e.g. 4GB (default unlimited)
+        --mem-limit SIZE     per-node limit, e.g. 4GB (default 0 =
+                             unlimited; a size below one byte is a
+                             usage error)
         --threads N          planner worker threads; 0 = all hardware
                              threads (default), 1 = sequential.  The
                              plan is identical at every setting.
@@ -93,7 +96,7 @@ usage:
         --procs N            processors, a perfect square (default 16)
         --procs-per-node N   processors per node (default 2)
         --mem-limit SIZE     per-node limit for the infeasibility prover
-                             (default unlimited = prover off)
+                             (default 0 = unlimited, prover off)
         --machine FILE       characterization file, as in plan (default:
                              measure the bundled simulated itanium-2003
                              cluster)
@@ -163,7 +166,9 @@ usage:
                              alone with --seed S --runs 1
         --runs N             number of random instances (default 100)
         --max-nodes N        max contraction/reduction nodes per tree
-                             (default 3; brute-force oracle caps at 3)
+                             (default 3); the brute oracle skips an
+                             instance once a node passes 200,000
+                             solutions
         --oracle NAME        all (default), brute, threads, verify,
                              simnet, exec, lint, or commlb
         --no-shrink          report failures without minimizing them
@@ -732,9 +737,10 @@ std::string cmd_fuzz(Args args) {
   opts.shrink = !args.take_flag("--no-shrink");
   args.expect_empty();
   if (!fuzz::oracle_name_ok(opts.oracle)) {
-    throw UsageError("unknown oracle '" + opts.oracle +
-                     "'; expected all, brute, threads, verify, simnet, "
-                     "exec, lint or commlb");
+    std::string names = "all";
+    for (const fuzz::Oracle& o : fuzz::oracles()) names += ", " + o.name;
+    throw UsageError("unknown oracle '" + opts.oracle + "'; expected " +
+                     names);
   }
   const fuzz::FuzzReport report = fuzz::run_fuzz(opts);
   if (!report.failures.empty()) {
@@ -804,6 +810,10 @@ std::uint64_t parse_byte_size(const std::string& text) {
   // Guard the double->uint64 cast: above ~1.8e19 the conversion is UB.
   if (value * scale >= 18.4e18) {
     throw Error("size '" + text + "' is out of range");
+  }
+  // 0 means unlimited, so a size that would truncate to it is refused.
+  if (value > 0 && value * scale < 1) {
+    throw Error("size '" + text + "' is below one byte");
   }
   return static_cast<std::uint64_t>(value * scale);
 }

@@ -77,7 +77,8 @@ CliResult run_cli(const std::vector<std::string>& args);
 /// Parses a byte-size argument: plain bytes ("1000000"), or with a
 /// KB/MB/GB/TB suffix (decimal, e.g. "4GB" = 4e9).  The number has at
 /// least one digit and at most one dot ("1.5GB", ".5GB").  Throws
-/// tce::Error on malformed or out-of-range input.
+/// tce::Error on malformed or out-of-range input, and on a positive
+/// size below one byte ("0.5B"), which would truncate to 0 = unlimited.
 std::uint64_t parse_byte_size(const std::string& text);
 
 }  // namespace tce

@@ -1,6 +1,6 @@
 #include "tce/fuzz/harness.hpp"
 
-#include <memory>
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -8,77 +8,30 @@
 #include "tce/common/json.hpp"
 #include "tce/common/timer.hpp"
 
-#include "tce/costmodel/characterization.hpp"
-#include "tce/costmodel/characterize.hpp"
 #include "tce/fuzz/oracles.hpp"
 #include "tce/fuzz/shrink.hpp"
 #include "tce/obs/log.hpp"
 #include "tce/obs/metrics.hpp"
-#include "tce/simnet/network.hpp"
-#include "tce/simnet/spec.hpp"
 
 namespace tce::fuzz {
 
 namespace {
 
-const std::vector<std::string>& all_oracles() {
-  static const std::vector<std::string> names = {
-      "brute", "threads", "verify", "simnet", "exec", "lint", "commlb"};
-  return names;
-}
-
-/// Per-(procs, procs_per_node) characterization tables: characterizing
-/// the simulated cluster is by far the most expensive part of a fuzz
-/// run, and every instance on the same grid shares the measurement.
-using TableCache =
-    std::map<std::pair<std::uint32_t, std::uint32_t>, CharacterizationTable>;
-
-/// Everything the oracles need, with owned lifetimes.
-struct Built {
-  ContractionTree tree;
-  std::unique_ptr<Network> net;
-  std::unique_ptr<MachineModel> model;
-
-  OracleInput input(const FuzzInstance& inst) const {
-    return {&inst, &tree, model.get(), net.get()};
-  }
-};
-
-Built build(const FuzzInstance& inst, TableCache& tables) {
-  Built b{build_tree(inst), nullptr, nullptr};
-  b.net = std::make_unique<Network>(ClusterSpec::itanium2003(
-      inst.procs / inst.procs_per_node, inst.procs_per_node));
-  if (inst.characterized) {
-    const auto key = std::make_pair(inst.procs, inst.procs_per_node);
-    auto it = tables.find(key);
-    if (it == tables.end()) {
-      const ProcGrid grid =
-          ProcGrid::make(inst.procs, inst.procs_per_node);
-      it = tables.emplace(key, characterize(*b.net, grid)).first;
-    }
-    b.model = std::make_unique<CharacterizedModel>(it->second);
-  } else {
-    b.model = std::make_unique<AnalyticModel>(analytic_model_of(inst));
-  }
-  return b;
-}
-
 /// Runs one oracle, converting unexpected exceptions into failures —
 /// a crash on generated input is a finding, not a harness error.
 /// Wall time per oracle call lands in a per-oracle histogram
 /// ("fuzz.oracle.<name>.wall_s") so slow oracles show up in p99.
-OracleOutcome run_guarded(const std::string& name, const Built& b,
-                          const FuzzInstance& inst) {
+OracleOutcome run_guarded(const Oracle& oracle, OracleContext& ctx) {
   const Stopwatch sw;
   OracleOutcome out;
   try {
-    out = run_oracle(name, b.input(inst));
+    out = oracle.run(ctx);
   } catch (const std::exception& e) {
     out = {OracleStatus::kFail,
            std::string("unexpected exception: ") + e.what()};
   }
   if (obs::metrics_enabled()) {
-    obs::observe("fuzz.oracle." + name + ".wall_s", sw.elapsed_s());
+    obs::observe("fuzz.oracle." + oracle.name + ".wall_s", sw.elapsed_s());
   }
   return out;
 }
@@ -115,11 +68,9 @@ std::string FuzzReport::str() const {
 }
 
 bool oracle_name_ok(const std::string& name) {
-  if (name == "all") return true;
-  for (const std::string& n : all_oracles()) {
-    if (n == name) return true;
-  }
-  return false;
+  return name == "all" ||
+         std::any_of(oracles().begin(), oracles().end(),
+                     [&](const Oracle& o) { return o.name == name; });
 }
 
 FuzzReport run_fuzz(const FuzzOptions& opts) {
@@ -128,19 +79,17 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
   report.base_seed = opts.seed;
   report.runs = opts.runs;
 
-  std::vector<std::string> oracles;
-  if (opts.oracle == "all") {
-    oracles = all_oracles();
-  } else {
-    oracles = {opts.oracle};
+  std::vector<Oracle> selected;
+  for (const Oracle& o : oracles()) {
+    if (opts.oracle == "all" || opts.oracle == o.name) selected.push_back(o);
   }
 
   // Pre-register every selected oracle so an always-skipped oracle still
   // shows up in the report (str() iterates `executed`): a silently
   // absent row would hide a 100% skip rate.
-  for (const std::string& name : oracles) {
-    report.executed[name];
-    report.skipped[name];
+  for (const Oracle& o : selected) {
+    report.executed[o.name];
+    report.skipped[o.name];
   }
 
   TableCache tables;
@@ -154,10 +103,10 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
         opts.oracle == "exec" || (opts.oracle == "all" && seed % 2 == 0);
 
     std::optional<FuzzInstance> inst_opt;
-    std::optional<Built> built;
+    std::optional<OracleContext> ctx;
     try {
       inst_opt = generate_instance(seed, gen);
-      built.emplace(build(*inst_opt, tables));
+      ctx.emplace(*inst_opt, tables);
     } catch (const std::exception& e) {
       report.failures.push_back(
           {seed, "generate",
@@ -170,10 +119,10 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
       }
       continue;
     }
-    const FuzzInstance& inst = *inst_opt;
 
-    for (const std::string& name : oracles) {
-      OracleOutcome out = run_guarded(name, *built, inst);
+    for (const Oracle& oracle : selected) {
+      const std::string& name = oracle.name;
+      OracleOutcome out = run_guarded(oracle, *ctx);
       if (out.status == OracleStatus::kSkip) {
         ++report.skipped[name];
         ++report.skip_reasons[name + ": " + out.detail];
@@ -182,13 +131,13 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
       ++report.executed[name];
       if (out.status == OracleStatus::kPass) continue;
 
-      FuzzInstance culprit = inst;
+      FuzzInstance culprit = ctx->inst();
       std::string detail = out.detail;
       if (opts.shrink) {
         culprit = shrink_instance(
             std::move(culprit), [&](const FuzzInstance& cand) {
-              const Built cb = build(cand, tables);
-              const OracleOutcome o = run_guarded(name, cb, cand);
+              OracleContext cc(cand, tables);
+              const OracleOutcome o = run_guarded(oracle, cc);
               if (o.status == OracleStatus::kFail) {
                 detail = o.detail;
                 return true;

@@ -2,18 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <optional>
+#include <utility>
 
 #include "tce/cannon/executor.hpp"
-#include "tce/common/assert.hpp"
 #include "tce/common/error.hpp"
 #include "tce/common/json.hpp"
-#include "tce/core/optimizer.hpp"
 #include "tce/core/plan_json.hpp"
 #include "tce/core/simulate.hpp"
-#include "tce/fuzz/brute.hpp"
+#include "tce/costmodel/characterize.hpp"
 #include "tce/lint/lint.hpp"
+#include "tce/simnet/spec.hpp"
 #include "tce/tensor/einsum.hpp"
 #include "tce/tensor/kernel.hpp"
 #include "tce/verify/verifier.hpp"
@@ -47,30 +45,64 @@ std::string decisions_json(OptimizedPlan plan, const IndexSpace& space) {
   return plan_to_json(plan, space);
 }
 
-/// optimize() with InfeasibleError mapped to nullopt.
-std::optional<OptimizedPlan> try_optimize(const OracleInput& in,
-                                          unsigned threads = 1) {
-  try {
-    return optimize(*in.tree, *in.model, config_of(*in.inst, threads));
-  } catch (const InfeasibleError&) {
-    return std::nullopt;
+std::unique_ptr<MachineModel> model_of(const FuzzInstance& inst,
+                                       TableCache& tables) {
+  if (!inst.characterized) {
+    return std::make_unique<AnalyticModel>(analytic_model_of(inst));
   }
+  const auto key = std::make_pair(inst.procs, inst.procs_per_node);
+  auto it = tables.find(key);
+  if (it == tables.end()) {
+    it = tables.emplace(key, characterize_itanium(key.first, key.second))
+             .first;
+  }
+  return std::make_unique<CharacterizedModel>(it->second);
 }
 
 }  // namespace
 
-OracleOutcome oracle_brute(const OracleInput& in) {
-  const OptimizerConfig cfg = config_of(*in.inst);
-  const BruteResult br = brute_force(*in.tree, *in.model, cfg);
+OracleContext::OracleContext(FuzzInstance inst, TableCache& tables)
+    : inst_(std::move(inst)),
+      tree_(build_tree(inst_)),
+      net_(ClusterSpec::itanium2003(inst_.procs / inst_.procs_per_node,
+                                    inst_.procs_per_node)),
+      model_(model_of(inst_, tables)) {}
+
+const std::optional<OptimizedPlan>& OracleContext::plan() {
+  if (!plan_) {
+    try {
+      plan_ = optimize(tree_, *model_, config_of(inst_));
+    } catch (const InfeasibleError&) {
+      plan_.emplace();
+    }
+  }
+  return *plan_;
+}
+
+const std::vector<OptimizedPlan>& OracleContext::frontier() {
+  if (!frontier_) {
+    try {
+      frontier_ = optimize_frontier(tree_, *model_, config_of(inst_));
+    } catch (const InfeasibleError&) {
+      frontier_.emplace();
+    }
+  }
+  return *frontier_;
+}
+
+const BruteResult& OracleContext::brute() {
+  if (!brute_) brute_ = brute_force(tree_, *model_, config_of(inst_));
+  return *brute_;
+}
+
+namespace {
+
+OracleOutcome oracle_brute(OracleContext& ctx) {
+  const BruteResult& br = ctx.brute();
   if (br.skipped) return skip("search space above brute-force cap");
 
-  std::vector<OptimizedPlan> frontier;
-  bool infeasible = false;
-  try {
-    frontier = optimize_frontier(*in.tree, *in.model, cfg);
-  } catch (const InfeasibleError&) {
-    infeasible = true;
-  }
+  const std::vector<OptimizedPlan>& frontier = ctx.frontier();
+  const bool infeasible = frontier.empty();
   if (infeasible != br.root.empty()) {
     return fail(std::string("feasibility disagreement: DP says ") +
                 (infeasible ? "infeasible" : "feasible") +
@@ -81,18 +113,20 @@ OracleOutcome oracle_brute(const OracleInput& in) {
 
   // optimize() solves the root for its cheapest plan alone; it must
   // return the frontier's first plan, bit for bit.
-  const OptimizedPlan best = optimize(*in.tree, *in.model, cfg);
+  const auto& plan = ctx.plan();
+  if (!plan) return fail("optimize found no plan; the frontier did");
+  const OptimizedPlan& best = *plan;
   if (best.total_comm_s != frontier.front().total_comm_s) {
     return fail("optimize cost " + json::number(best.total_comm_s) +
                 " differs from the frontier's first plan, " +
                 json::number(frontier.front().total_comm_s));
   }
-  if (decisions_json(best, in.tree->space()) !=
-      decisions_json(frontier.front(), in.tree->space())) {
+  if (decisions_json(best, ctx.tree().space()) !=
+      decisions_json(frontier.front(), ctx.tree().space())) {
     return fail("optimize picked another plan than the frontier's first");
   }
 
-  const bool lv = cfg.liveness_aware;
+  const bool lv = ctx.inst().liveness;
   double min_cost = br.root.front().fp.cost;
   for (const BruteSol& s : br.root) min_cost = std::min(min_cost, s.fp.cost);
   if (!close(min_cost, frontier.front().total_comm_s)) {
@@ -144,17 +178,21 @@ OracleOutcome oracle_brute(const OracleInput& in) {
   return pass();
 }
 
-OracleOutcome oracle_threads(const OracleInput& in) {
+OracleOutcome oracle_threads(OracleContext& ctx) {
   // Wall times are the one documented nondeterminism in a plan; blank
   // them so the comparison covers every decision-carrying field.
   const auto stamp = [&](OptimizedPlan p) {
     p.stats.search_wall_s = 0;
     for (NodeSearchStats& n : p.stats.nodes) n.wall_s = 0;
-    return plan_to_json(p, in.tree->space());
+    return plan_to_json(p, ctx.tree().space());
   };
   std::optional<std::string> one, eight;
-  if (auto p = try_optimize(in, 1)) one = stamp(std::move(*p));
-  if (auto p = try_optimize(in, 8)) eight = stamp(std::move(*p));
+  if (const auto& p = ctx.plan()) one = stamp(*p);
+  try {
+    eight =
+        stamp(optimize(ctx.tree(), ctx.model(), config_of(ctx.inst(), 8)));
+  } catch (const InfeasibleError&) {
+  }
   if (one.has_value() != eight.has_value()) {
     return fail(std::string("--threads 1 ") +
                 (one ? "found a plan" : "was infeasible") +
@@ -174,18 +212,19 @@ OracleOutcome oracle_threads(const OracleInput& in) {
   return pass();
 }
 
-OracleOutcome oracle_verify(const OracleInput& in) {
-  const auto plan = try_optimize(in);
+OracleOutcome oracle_verify(OracleContext& ctx) {
+  const auto& plan = ctx.plan();
   if (!plan) return skip("infeasible under the memory limit");
+  const ContractionTree& tree = ctx.tree();
   VerifyOptions vo;
-  vo.mem_limit_node_bytes = in.inst->mem_limit_node_bytes;
-  const VerifyReport report = verify_plan(*in.tree, *in.model, *plan, vo);
-  if (!report.ok()) return fail(report.str(*in.tree));
+  vo.mem_limit_node_bytes = ctx.inst().mem_limit_node_bytes;
+  const VerifyReport report = verify_plan(tree, ctx.model(), *plan, vo);
+  if (!report.ok()) return fail(report.str(tree));
 
-  const std::string json = plan_to_json(*plan, in.tree->space());
+  const std::string json = plan_to_json(*plan, tree.space());
   OptimizedPlan back;
   try {
-    back = plan_from_json(json, *in.tree);
+    back = plan_from_json(json, tree);
   } catch (const Error& e) {
     return fail(std::string("plan JSON does not parse back: ") + e.what());
   }
@@ -195,19 +234,19 @@ OracleOutcome oracle_verify(const OracleInput& in) {
       back.peak_live_bytes_per_proc != plan->peak_live_bytes_per_proc) {
     return fail("JSON round trip changed the plan totals");
   }
-  const VerifyReport again = verify_plan(*in.tree, *in.model, back, vo);
+  const VerifyReport again = verify_plan(tree, ctx.model(), back, vo);
   if (!again.ok()) {
     return fail("plan fails verification after JSON round trip:\n" +
-                again.str(*in.tree));
+                again.str(tree));
   }
   return pass();
 }
 
-OracleOutcome oracle_simnet(const OracleInput& in) {
-  if (!in.inst->characterized || in.net == nullptr) {
+OracleOutcome oracle_simnet(OracleContext& ctx) {
+  if (!ctx.inst().characterized) {
     return skip("analytic model has no reference network");
   }
-  const auto plan = try_optimize(in);
+  const auto& plan = ctx.plan();
   if (!plan) return skip("infeasible under the memory limit");
   double pred = 0;
   for (const PlanStep& s : plan->steps) {
@@ -216,11 +255,11 @@ OracleOutcome oracle_simnet(const OracleInput& in) {
   // The model prices each rotating array alone (the additive RotateCost
   // measure_rotation characterized), so the prediction is checked
   // against the serialized replay.  Sharing the network can only help.
-  const ProcGrid& grid = in.model->grid();
-  const double sim = simulate_plan_comm(*in.net, grid, *in.tree, *plan,
+  const ProcGrid& grid = ctx.model().grid();
+  const double sim = simulate_plan_comm(ctx.net(), grid, ctx.tree(), *plan,
                                         ReplayMode::kSerialized);
   const double concurrent =
-      simulate_plan_comm(*in.net, grid, *in.tree, *plan);
+      simulate_plan_comm(ctx.net(), grid, ctx.tree(), *plan);
   if (concurrent > sim) {
     return fail("concurrent replay " + std::to_string(concurrent) +
                 " s is slower than the serialized replay " +
@@ -249,13 +288,13 @@ OracleOutcome oracle_simnet(const OracleInput& in) {
   return pass();
 }
 
-OracleOutcome oracle_exec(const OracleInput& in) {
-  if (in.net == nullptr) return skip("no network to execute on");
-  const auto plan = try_optimize(in);
+OracleOutcome oracle_exec(OracleContext& ctx) {
+  const auto& plan = ctx.plan();
   if (!plan) return skip("infeasible under the memory limit");
 
-  const ProcGrid& grid = in.model->grid();
-  for (const auto& [name, extent] : in.inst->indices) {
+  const ContractionTree& tree = ctx.tree();
+  const ProcGrid& grid = ctx.model().grid();
+  for (const auto& [name, extent] : ctx.inst().indices) {
     if (extent % grid.edge != 0) {
       return skip("extents not divisible by the grid edge");
     }
@@ -268,8 +307,8 @@ OracleOutcome oracle_exec(const OracleInput& in) {
     }
   }
 
-  Rng rng(in.inst->seed ^ 0xE45C0DEDULL);
-  const auto inputs = make_random_inputs(*in.tree, rng);
+  Rng rng(ctx.inst().seed ^ 0xE45C0DEDULL);
+  const auto inputs = make_random_inputs(tree, rng);
   // The ground truth is the reference loop nest, pinned explicitly so
   // the oracle never compares the tiled kernel against itself; the
   // executor then runs under *both* kernels, which differentially
@@ -277,7 +316,7 @@ OracleOutcome oracle_exec(const OracleInput& in) {
   // shape.
   DenseTensor want = [&] {
     ScopedKernelConfig force_ref(KernelKind::kReference);
-    return evaluate_tree(*in.tree, inputs);
+    return evaluate_tree(tree, inputs);
   }();
 
   double scale = 1.0;
@@ -285,7 +324,7 @@ OracleOutcome oracle_exec(const OracleInput& in) {
   for (const KernelKind kind :
        {KernelKind::kReference, KernelKind::kTiled}) {
     ScopedKernelConfig force(kind);
-    const TreeRunResult got = run_plan(*in.net, grid, *in.tree, *plan, inputs);
+    const TreeRunResult got = run_plan(ctx.net(), grid, tree, *plan, inputs);
     const double diff = got.result.max_abs_diff(want);
     if (diff > 1e-9 * scale) {
       return fail(std::string("distributed execution (kernel=") +
@@ -297,13 +336,13 @@ OracleOutcome oracle_exec(const OracleInput& in) {
   return pass();
 }
 
-OracleOutcome oracle_lint(const OracleInput& in) {
-  if (in.inst->mem_limit_node_bytes == 0) {
+OracleOutcome oracle_lint(OracleContext& ctx) {
+  if (ctx.inst().mem_limit_node_bytes == 0) {
     return skip("no memory limit; nothing for the prover to certify");
   }
-  OptimizerConfig cfg = config_of(*in.inst);
+  OptimizerConfig cfg = config_of(ctx.inst());
   const std::optional<lint::InfeasibilityCertificate> cert =
-      lint::prove_infeasible(*in.tree, in.model->grid(),
+      lint::prove_infeasible(ctx.tree(), ctx.model().grid(),
                              lint_config_of(cfg));
   // Prover silence is not a feasibility claim — only a certificate is
   // checkable.
@@ -313,7 +352,7 @@ OracleOutcome oracle_lint(const OracleInput& in) {
   // must also find the instance infeasible.
   cfg.enable_static_prover = false;
   try {
-    const OptimizedPlan plan = optimize(*in.tree, *in.model, cfg);
+    const OptimizedPlan plan = optimize(ctx.tree(), ctx.model(), cfg);
     return fail("prover certified infeasibility (" + cert->str() +
                 ") but the DP found a plan using " +
                 std::to_string(plan.bytes_per_node()) + " bytes/node");
@@ -321,7 +360,7 @@ OracleOutcome oracle_lint(const OracleInput& in) {
   }
 
   // So must exhaustive enumeration, below its cap.
-  const BruteResult br = brute_force(*in.tree, *in.model, cfg);
+  const BruteResult& br = ctx.brute();
   if (br.skipped) return pass();
   if (!br.root.empty()) {
     return fail("prover certified infeasibility (" + cert->str() +
@@ -331,10 +370,10 @@ OracleOutcome oracle_lint(const OracleInput& in) {
   return pass();
 }
 
-OracleOutcome oracle_commlb(const OracleInput& in) {
-  const OptimizerConfig cfg = config_of(*in.inst);
+OracleOutcome oracle_commlb(OracleContext& ctx) {
   const std::uint64_t lb =
-      lint::prove_comm(*in.tree, in.model->grid(), comm_config_of(cfg))
+      lint::prove_comm(ctx.tree(), ctx.model().grid(),
+                       comm_config_of(config_of(ctx.inst())))
           .root_lb_words;
 
   bool checked = false;
@@ -342,7 +381,7 @@ OracleOutcome oracle_commlb(const OracleInput& in) {
   // The DP plan: the stamped certificate must match the prover's and
   // hold against the stamped words (which the verify oracle holds equal
   // to the verifier's independent recount).
-  if (const auto plan = try_optimize(in)) {
+  if (const auto& plan = ctx.plan()) {
     checked = true;
     if (plan->stats.comm_lb_words != lb) {
       return fail("stamped comm_lb_words " +
@@ -358,7 +397,7 @@ OracleOutcome oracle_commlb(const OracleInput& in) {
   }
 
   // Every exhaustive root solution, below brute force's cap.
-  const BruteResult br = brute_force(*in.tree, *in.model, cfg);
+  const BruteResult& br = ctx.brute();
   if (!br.skipped) {
     for (const BruteSol& s : br.root) {
       checked = true;
@@ -376,15 +415,15 @@ OracleOutcome oracle_commlb(const OracleInput& in) {
   return pass();
 }
 
-OracleOutcome run_oracle(const std::string& name, const OracleInput& in) {
-  if (name == "brute") return oracle_brute(in);
-  if (name == "threads") return oracle_threads(in);
-  if (name == "verify") return oracle_verify(in);
-  if (name == "simnet") return oracle_simnet(in);
-  if (name == "exec") return oracle_exec(in);
-  if (name == "lint") return oracle_lint(in);
-  if (name == "commlb") return oracle_commlb(in);
-  TCE_UNREACHABLE("unknown oracle name");
+}  // namespace
+
+const std::vector<Oracle>& oracles() {
+  static const std::vector<Oracle> table = {
+      {"brute", oracle_brute},   {"threads", oracle_threads},
+      {"verify", oracle_verify}, {"simnet", oracle_simnet},
+      {"exec", oracle_exec},     {"lint", oracle_lint},
+      {"commlb", oracle_commlb}};
+  return table;
 }
 
 }  // namespace tce::fuzz

@@ -14,6 +14,7 @@
 #include "tce/common/error.hpp"
 #include "tce/common/json.hpp"
 #include "tce/costmodel/characterize.hpp"
+#include "tce/fuzz/oracles.hpp"
 #include "tce/serve/server.hpp"
 
 #include "paper_workload.hpp"
@@ -49,6 +50,8 @@ TEST(ParseByteSize, AcceptsSuffixes) {
   EXPECT_EQ(parse_byte_size("27MB"), 27'000'000u);
   EXPECT_EQ(parse_byte_size("2 KB"), 2'000u);
   EXPECT_EQ(parse_byte_size("10B"), 10u);
+  EXPECT_EQ(parse_byte_size("0"), 0u);
+  EXPECT_EQ(parse_byte_size("0.0GB"), 0u);
 }
 
 TEST(ParseByteSize, RejectsGarbage) {
@@ -61,6 +64,9 @@ TEST(ParseByteSize, RejectsGarbage) {
   EXPECT_THROW(parse_byte_size("1.2.3GB"), Error);
   // Too many digits for a double.
   EXPECT_THROW(parse_byte_size(std::string(400, '9')), Error);
+  // Positive but below one byte: it would truncate to 0 = unlimited.
+  EXPECT_THROW(parse_byte_size("0.5B"), Error);
+  EXPECT_THROW(parse_byte_size(".0001KB"), Error);
 }
 
 // ------------------------------------------------------------------- CLI
@@ -149,6 +155,26 @@ TEST(Cli, PlanInfeasibleReturnsCode2) {
       {"plan", f.path(), "--procs", "4", "--mem-limit", "1KB"});
   EXPECT_EQ(r.exit_code, kExitInfeasible);
   EXPECT_NE(r.error.find("infeasible"), std::string::npos);
+}
+
+TEST(Cli, MemLimitBelowOneByteIsAUsageError) {
+  // 0.5B once truncated to 0, which means unlimited, while 1B is
+  // infeasible; --mem-limit 0 still plans as if no limit were given.
+  TempFile f("cli_sub_byte.tce", kSmallProgram);
+  const std::vector<std::string> args = {"plan", f.path(), "--procs", "4"};
+  const auto with_limit = [&](const char* limit) {
+    std::vector<std::string> a = args;
+    a.insert(a.end(), {"--mem-limit", limit});
+    return run_cli(a);
+  };
+  const CliResult half = with_limit("0.5B");
+  EXPECT_EQ(half.exit_code, kExitUsage);
+  EXPECT_NE(half.error.find("below one byte"), std::string::npos)
+      << half.error;
+  EXPECT_EQ(with_limit("1B").exit_code, kExitInfeasible);
+  const CliResult zero = with_limit("0");
+  ASSERT_EQ(zero.exit_code, kExitOk) << zero.error;
+  EXPECT_EQ(zero.output, run_cli(args).output);
 }
 
 TEST(Cli, PlanRejectsUnknownFlag) {
@@ -503,6 +529,9 @@ TEST(Cli, FuzzRejectsUnknownOracle) {
   CliResult r = run_cli({"fuzz", "--oracle", "astrology"});
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.error.find("unknown oracle"), std::string::npos);
+  for (const fuzz::Oracle& o : fuzz::oracles()) {
+    EXPECT_NE(r.error.find(o.name), std::string::npos) << o.name;
+  }
 }
 
 TEST(Cli, FuzzRejectsMalformedCount) {

@@ -9,11 +9,13 @@
 #include <string>
 
 #include "tce/common/checked.hpp"
+#include "tce/common/error.hpp"
 #include "tce/common/rng.hpp"
 #include "tce/expr/contraction.hpp"
 #include "tce/fuzz/brute.hpp"
 #include "tce/fuzz/generator.hpp"
 #include "tce/fuzz/harness.hpp"
+#include "tce/fuzz/oracles.hpp"
 #include "tce/fuzz/shrink.hpp"
 
 namespace tce::fuzz {
@@ -83,6 +85,68 @@ TEST(FuzzOracles, PinnedBudgetHasNoDisagreements) {
     ASSERT_NE(it, report.executed.end()) << name << "\n" << report.str();
     EXPECT_GT(it->second, 0) << name << "\n" << report.str();
   }
+}
+
+TEST(FuzzOracles, SharedContextGivesTheVerdictsOfFreshOnes) {
+  // The context runs the one-thread plan, the frontier and the brute
+  // enumeration once for every oracle of an instance.  Each oracle, run
+  // in `all` order on one context, must report what it reports alone on
+  // a context of its own.
+  TableCache tables;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    for (const bool exec_friendly : {false, true}) {
+      GenOptions gen;
+      gen.exec_friendly = exec_friendly;
+      const FuzzInstance inst = generate_instance(seed, gen);
+      OracleContext shared(inst, tables);
+      for (const Oracle& o : oracles()) {
+        OracleContext fresh(inst, tables);
+        const OracleOutcome got = o.run(shared);
+        const OracleOutcome want = o.run(fresh);
+        EXPECT_EQ(got.status, want.status)
+            << "seed " << seed << " " << o.name;
+        EXPECT_EQ(got.detail, want.detail)
+            << "seed " << seed << " " << o.name;
+      }
+    }
+  }
+}
+
+TEST(FuzzOracles, ContextKeepsNoSearchThatThrew) {
+  // A batch contraction (b in both operands and the result) makes every
+  // search throw.  The context keeps nothing, so each oracle that asks
+  // meets the exception again, as it would on a context of its own.
+  FuzzInstance inst;
+  inst.indices = {{"b", 4}, {"i", 4}, {"k", 4}};
+  FuzzStmt s;
+  s.result = "C";
+  s.result_dims = {"b", "i"};
+  s.sum_dims = {"k"};
+  s.left = "A";
+  s.left_dims = {"b", "i", "k"};
+  s.right = "B";
+  s.right_dims = {"b", "k"};
+  inst.stmts = {s};
+  TableCache tables;
+  OracleContext ctx(inst, tables);
+  for (int ask = 0; ask < 2; ++ask) {
+    EXPECT_THROW(ctx.plan(), Error);
+    EXPECT_THROW(ctx.frontier(), Error);
+    EXPECT_THROW(ctx.brute(), Error);
+  }
+}
+
+TEST(FuzzOracles, SixNodeWindowHasNoDisagreements) {
+  // Trees twice the default depth, as deep as the coupled-cluster
+  // four-index transform and more: brute force must still fit some of
+  // them under its enumeration cap, or the window checks no pruning.
+  FuzzOptions opts;
+  opts.seed = 1;
+  opts.runs = 10;
+  opts.max_nodes = 6;
+  const FuzzReport report = run_fuzz(opts);
+  EXPECT_TRUE(report.failures.empty()) << report.str();
+  EXPECT_GE(report.executed.at("brute"), 1) << report.str();
 }
 
 TEST(FuzzOracles, SingleOracleSelectionRunsOnlyThatOracle) {
