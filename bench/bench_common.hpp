@@ -1,9 +1,9 @@
 #pragma once
 /// \file bench_common.hpp
-/// Shared pieces for the benchmark harnesses: the paper's §4 workload,
-/// argument handling and the tce-bench/1 emitter.  bench_paper
-/// regenerates the paper's tables and sweeps, one scenario per run; see
-/// DESIGN.md's per-experiment index.
+/// Shared pieces for the benchmark harnesses (bench_paper, bench_micro,
+/// bench_serve): the paper's §4 workload, argument handling and the
+/// tce-bench/1 emitter.  bench_paper regenerates the paper's evaluation,
+/// one scenario per run; see DESIGN.md's per-experiment index.
 
 #include <cstdint>
 #include <cstdio>
@@ -102,9 +102,8 @@ inline std::uint64_t take_uint_arg(int& argc, char** argv,
 /// 1 = sequential.  Drivers pass the value into
 /// OptimizerConfig::threads and stamp `threads` plus the measured
 /// `opt_wall_ms` on every emitted row, so a bench JSON document records
-/// the parallelism its timings were taken at (docs/FORMATS.md).
-/// Validated like the TCE_KERNEL_THREADS env knob: a non-numeric or
-/// out-of-range count exits 2 with a usage message.
+/// the parallelism its timings were taken at (docs/FORMATS.md).  A
+/// non-numeric or out-of-range count exits 2 with a usage message.
 inline unsigned take_threads_arg(int& argc, char** argv) {
   return static_cast<unsigned>(take_uint_arg(argc, argv, "--threads", 0,
                                              ThreadPool::kMaxThreads));

@@ -2,22 +2,30 @@
 //
 //   bench_paper <scenario> [--threads N] [--json F] [--metrics F]
 //
-// Tables 1–2, the §4 processor-count and memory-limit sweeps, the
-// §2/§3.2 strategy comparison, the §3.3 pruning claim and two extension
-// ablations, all on the paper's §4 workload and the simulated Itanium
-// cluster.  Each scenario prints its table; with --json it also writes a
-// tce-bench/1 document whose `bench` is the scenario name.  Planner rows
-// carry `threads`, the measured `opt_wall_ms` and the run's p50/p99
-// search latency (docs/FORMATS.md).
+// Tables 1–2, the §4 processor-count and memory-limit sweeps, §2's
+// operation counts, the §2/§3.2 strategy comparison, §3.3's RCost
+// characterization and pruning claim, two extension ablations, a
+// beyond-paper coupled-cluster forest and a numeric check of the
+// distributed executor, all on the simulated Itanium cluster.  Each
+// scenario prints its table; with --json it also writes a tce-bench/1
+// document whose `bench` is the scenario name.  Planner rows carry
+// `threads`, the measured `opt_wall_ms` and the run's p50/p99 search
+// latency (docs/FORMATS.md).  A scenario that finds a fault (a verifier
+// diagnostic, a numeric FAIL) exits 1.
 
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <string_view>
 #include <vector>
 
+#include "tce/cannon/executor.hpp"
 #include "tce/common/checked.hpp"
 #include "tce/common/table.hpp"
+#include "tce/core/forest.hpp"
 #include "tce/fusion/memmin.hpp"
 #include "tce/opmin/opmin.hpp"
+#include "tce/tensor/kernel.hpp"
 #include "tce/verify/verifier.hpp"
 
 #include "bench_common.hpp"
@@ -42,25 +50,34 @@ OptimizerConfig config(const Run& run, std::uint64_t limit) {
   return cfg;
 }
 
-/// One timed optimize() call; `plan` is empty when no plan fits.
+/// One timed search; `plan` is empty when no plan fits.
+template <typename Plan>
 struct Attempt {
-  std::optional<OptimizedPlan> plan;
+  std::optional<Plan> plan;
   double wall_ms = 0;
 };
 
-Attempt attempt(const ContractionTree& tree, const MachineModel& model,
-                const OptimizerConfig& cfg) {
+/// Runs \p search (optimize or optimize_forest) under a stopwatch.
+template <typename Search>
+auto timed(const Search& search) {
+  using Plan = decltype(search());
   const Stopwatch sw;
   try {
-    OptimizedPlan plan = optimize(tree, model, cfg);
-    return {std::move(plan), sw.elapsed_s() * 1000};
+    Plan plan = search();
+    return Attempt<Plan>{std::move(plan), sw.elapsed_s() * 1000};
   } catch (const InfeasibleError&) {
-    return {std::nullopt, sw.elapsed_s() * 1000};
+    return Attempt<Plan>{std::nullopt, sw.elapsed_s() * 1000};
   }
 }
 
+Attempt<OptimizedPlan> attempt(const ContractionTree& tree,
+                               const MachineModel& model,
+                               const OptimizerConfig& cfg) {
+  return timed([&] { return optimize(tree, model, cfg); });
+}
+
 /// The plan of a configuration the scenario needs to fit.
-const OptimizedPlan& feasible(const Attempt& a) {
+const OptimizedPlan& feasible(const Attempt<OptimizedPlan>& a) {
   if (!a.plan.has_value()) {
     std::fprintf(stderr, "error: no plan fits the memory limit\n");
     std::exit(1);
@@ -448,6 +465,277 @@ int pruning(const Run& run) {
   return 0;
 }
 
+/// §2's operation-minimization observations: the 4-factor NWChem
+/// expression costs 4N^10 evaluated directly but 6N^6 after factoring
+/// through the intermediates T1, T2 (Fig. 2(a)); and the Fig. 1 example
+/// drops from 2·Ni·Nj·Nk·Nt to Ni·Nj·Nt + Nj·Nk·Nt + 2·Nj·Nt.
+int opmin(const Run& run) {
+  const auto minimize = [](const std::string& program) {
+    const ParsedProgram p = parse_program(program);
+    return minimize_operations(OpMinInput::from_statement(p.statements[0]),
+                               p.space);
+  };
+
+  TextTable table({"N", "naive (4N^10)", "optimal (6N^6)", "speedup"});
+  for (std::size_t c = 1; c < 4; ++c) table.set_right_aligned(c);
+  for (std::uint64_t n : {10ull, 20ull, 40ull, 80ull}) {
+    const OpMinResult r = minimize(
+        "index a, b, c, d, e, f, i, j, k, l = " + std::to_string(n) +
+        "\nS[a,b,i,j] = sum[c,d,e,f,k,l] A[a,c,i,k] * B[b,e,f,l] * "
+        "C[d,f,j,k] * D[c,d,e,l]");
+    const bool saturated =
+        r.naive_flops == std::numeric_limits<std::uint64_t>::max();
+    json::ObjectWriter fields;
+    fields.field("example", "4-factor NWChem")
+        .field("n", n)
+        .field("naive_saturated", saturated)
+        .field("optimal_flops", r.flops);
+    if (!saturated) fields.field("naive_flops", r.naive_flops);
+    run.out.row(fields);
+    table.add_row(
+        {std::to_string(n),
+         saturated ? ">1.8e19 (saturated)" : std::to_string(r.naive_flops),
+         std::to_string(r.flops),
+         saturated ? "-"
+                   : fixed(static_cast<double>(r.naive_flops) /
+                               static_cast<double>(r.flops),
+                           1) +
+                         "x"});
+  }
+  std::printf("%s\n", table.str().c_str());
+
+  std::printf("paper extents (480/64/32):\n");
+  const OpMinResult paper = minimize(R"(
+    index a, b, c, d = 480
+    index e, f = 64
+    index i, j, k, l = 32
+    S[a,b,i,j] = sum[c,d,e,f,k,l] A[a,c,i,k] * B[b,e,f,l] * C[d,f,j,k] * D[c,d,e,l]
+  )");
+  std::printf("  optimal flops: %.3e (naive saturates >1.8e19)\n",
+              static_cast<double>(paper.flops));
+  run.out.row(json::ObjectWriter()
+                  .field("example", "paper extents")
+                  .field("optimal_flops", paper.flops)
+                  .field("largest_intermediate_elems",
+                         paper.largest_intermediate));
+  std::printf("  largest intermediate: %.3e elements (T1's 55.3 GB)\n",
+              static_cast<double>(paper.largest_intermediate));
+  std::printf("  recovered formula sequence (cf. Fig. 2(a)):\n%s\n",
+              paper.sequence.str().c_str());
+
+  std::printf("Fig. 1 example, Ni=10 Nj=20 Nk=30 Nt=5:\n");
+  const OpMinResult fig1 = minimize(R"(
+    index i = 10
+    index j = 20
+    index k = 30
+    index t = 5
+    S[t] = sum[i,j,k] A[i,j,t] * B[j,k,t]
+  )");
+  std::printf("  naive 2NiNjNkNt = %llu, optimal NiNjNt+NjNkNt+2NjNt = "
+              "%llu\n",
+              static_cast<unsigned long long>(fig1.naive_flops),
+              static_cast<unsigned long long>(fig1.flops));
+  std::printf("  recovered formula sequence (cf. Fig. 1(a)):\n%s\n",
+              fig1.sequence.str().c_str());
+  run.out.row(json::ObjectWriter()
+                  .field("example", "fig1")
+                  .field("naive_flops", fig1.naive_flops)
+                  .field("optimal_flops", fig1.flops));
+  return 0;
+}
+
+/// §3.3's empirical characterization: RCost(localsize, α, i) measured on
+/// the simulated cluster for both grid dimensions plus the
+/// redistribution curve, at the two machine sizes the paper evaluates.
+/// Each table is round-tripped through the characterization-file
+/// format, the "generate once, reuse by interpolation" workflow the
+/// paper describes.
+int characterization(const Run& run) {
+  for (std::uint32_t procs : {64u, 16u}) {
+    heading("RCost characterization — " + std::to_string(procs) +
+            " processors");
+    const CharacterizationTable t = characterize_itanium(procs);
+
+    TextTable table({"block bytes", "rotate dim1 (s)", "rotate dim2 (s)",
+                     "redistribute (s)"});
+    for (std::size_t c = 0; c < 4; ++c) table.set_right_aligned(c);
+    const auto& bytes = t.rotate_dim1.sample_bytes();
+    for (std::size_t i = 0; i < bytes.size(); i += 4) {
+      table.add_row({std::to_string(bytes[i]),
+                     fixed(t.rotate_dim1.sample_seconds()[i], 4),
+                     fixed(t.rotate_dim2.sample_seconds()[i], 4),
+                     fixed(t.redistribute.sample_seconds()[i], 4)});
+    }
+    std::printf("%s", table.str().c_str());
+
+    // Round-trip through the file format and spot-check interpolation.
+    const CharacterizedModel model(
+        CharacterizationTable::load_string(t.save_string()));
+    std::printf(
+        "\ninterpolation spot checks (between samples):\n"
+        "  55.3MB rotation:  %s s (Table 2's per-f T1 rotation step cost)\n"
+        "  118MB  rotation:  %s s (Table 2's unfused A/T2 rotation)\n\n",
+        fixed(model.rotate_cost(55'296'000, 1), 2).c_str(),
+        fixed(model.rotate_cost(117'964'800, 1), 2).c_str());
+    run.out.row(json::ObjectWriter()
+                    .field("procs", procs)
+                    .field("samples", bytes.size())
+                    .field("rotate_55mb_s", model.rotate_cost(55'296'000, 1))
+                    .field("rotate_118mb_s",
+                           model.rotate_cost(117'964'800, 1)));
+
+    // The v3 compute curve: per-rank GEMM seconds vs flops, derated from
+    // the peak rate by the tiled kernel's structural efficiency model
+    // (deterministic — no wall clock; docs/KERNELS.md).
+    heading("compute curve (flops → seconds, structural efficiency)");
+    TextTable ct({"n (square GEMM)", "flops", "efficiency", "seconds",
+                  "effective GF/s"});
+    for (std::size_t c = 0; c < 5; ++c) ct.set_right_aligned(c);
+    const auto& cf = t.compute.sample_bytes();
+    for (std::size_t i = 0; i < cf.size(); i += 2) {
+      const double s = t.compute.sample_seconds()[i];
+      const double fl = static_cast<double>(cf[i]);
+      const auto n = static_cast<std::uint64_t>(std::cbrt(fl / 2.0) + 0.5);
+      ct.add_row({std::to_string(n), std::to_string(cf[i]),
+                  fixed(gemm_model_efficiency(n, n, n), 4), fixed(s, 4),
+                  fixed(fl / s / 1e9, 4)});
+    }
+    std::printf("%s", ct.str().c_str());
+  }
+  return 0;
+}
+
+/// Numeric check of the distributed executor: the paper workload scaled
+/// by 1/8 (every extent divisible by the grid edge 4), planned at 16
+/// procs and executed by run_plan, must match the reference einsum.
+/// `tcemin validate` compares predicted and simulated plan cost.
+int validate(const Run& run) {
+  const ContractionTree tree =
+      ContractionTree::from_sequence(parse_formula_sequence(R"(
+    index a, b, c, d = 60
+    index e, f = 8
+    index i, j, k, l = 4
+    T1[b,c,d,f] = sum[e,l] B[b,e,f,l] * D[c,d,e,l]
+    T2[b,c,j,k] = sum[d,f] T1[b,c,d,f] * C[d,f,j,k]
+    S[a,b,i,j]  = sum[c,k] T2[b,c,j,k] * A[a,c,i,k]
+  )"));
+  const ProcGrid grid = ProcGrid::make(16, 2);
+  Network net(ClusterSpec::itanium2003(8));
+  const CharacterizedModel model(characterize(net, grid));
+  const Attempt a = attempt(tree, model, config(run, 0));
+  const OptimizedPlan& plan = feasible(a);  // unfused at this scale
+
+  Rng rng(2026);
+  const auto inputs = make_random_inputs(tree, rng);
+  const TreeRunResult result = run_plan(net, grid, tree, plan, inputs);
+  const double diff = evaluate_tree(tree, inputs).max_abs_diff(result.result);
+  const bool pass = diff < 1e-8;
+
+  std::printf("max |distributed - reference| = %.3e  (%s)\n", diff,
+              pass ? "PASS" : "FAIL");
+  run.out.planner_row(json::ObjectWriter()
+                          .field("scenario", "numeric validation")
+                          .field("max_abs_diff", diff)
+                          .field("pass", pass)
+                          .field("executed_comm_s", result.timing.comm_s)
+                          .field("executed_compute_s",
+                                 result.timing.compute_s)
+                          .field("predicted_comm_s", plan.total_comm_s)
+                          .field("opt_wall_ms", a.wall_ms)
+                          .field("threads", run.threads));
+  std::printf("simulated execution: comm %.2f s, compute %.2f s\n",
+              result.timing.comm_s, result.timing.compute_s);
+  std::printf("optimizer predicted: comm %.2f s\n", plan.total_comm_s);
+  return pass ? 0 : 1;
+}
+
+/// Beyond-paper workload: a CCD doubles-residual-like computation — four
+/// independent output terms (particle-particle ladder, hole-hole ladder,
+/// ring, and a quadratic term that needs operation minimization first) —
+/// planned jointly as a forest under a shared memory limit, with and
+/// without the replicate–compute–reduce extension.  This is the shape of
+/// computation the paper's program-synthesis system targets (NWChem /
+/// coupled cluster); repeated amplitude uses are named apart (Ta..Te)
+/// per the DSL's single-binding rule.
+int ccd(const Run& run) {
+  const ContractionForest forest =
+      ContractionForest::from_sequence(binarize_program(parse_program(R"(
+    index i, j, k, l = 64      # occupied orbitals
+    index a, b, c, d = 256     # virtual orbitals
+    Rpp[a,b,i,j] = sum[c,d] Vabcd[a,b,c,d] * Ta[c,d,i,j]
+    Rhh[a,b,i,j] = sum[k,l] Vklij[k,l,i,j] * Tb[a,b,k,l]
+    Rring[a,b,i,j] = sum[k,c] Vakic[a,k,i,c] * Tc[c,b,k,j]
+    Rquad[a,b,i,j] = sum[k,l,c,d] Wklcd[k,l,c,d] * Td[a,c,i,k] * Te[d,b,l,j]
+  )"), "tmp", /*allow_forest=*/true));
+  std::uint64_t unfused_bytes = 0;
+  for (const ContractionTree& t : forest.trees) {
+    unfused_bytes += t.total_bytes_unfused();
+  }
+  std::printf("%zu output terms, %.3e total flops, %s of arrays unfused\n\n",
+              forest.trees.size(),
+              static_cast<double>(forest.total_flops()),
+              format_bytes_si(unfused_bytes).c_str());
+
+  TextTable table({"procs", "limit/node", "replication", "comm (s)",
+                   "runtime (s)", "comm %", "mem/node"});
+  for (std::size_t c = 3; c < 7; ++c) table.set_right_aligned(c);
+  for (std::uint32_t procs : {16u, 64u}) {
+    CharacterizedModel model(characterize_itanium(procs));
+    for (double gb : {1.0, 2.0, 4.0, 16.0}) {
+      for (bool repl : {false, true}) {
+        OptimizerConfig cfg = config(run, gb_bytes(gb));
+        cfg.enable_replication_template = repl;
+        const Attempt a =
+            timed([&] { return optimize_forest(forest, model, cfg); });
+        std::vector<std::string> row{std::to_string(procs),
+                                     fixed(gb, 0) + " GB",
+                                     repl ? "yes" : "no"};
+        json::ObjectWriter fields;
+        fields.field("procs", procs)
+            .field("mem_limit_bytes", cfg.mem_limit_node_bytes)
+            .field("replication", repl)
+            .field("threads", run.threads)
+            .field("opt_wall_ms", a.wall_ms)
+            .field("feasible", a.plan.has_value());
+        if (a.plan.has_value()) {
+          const ForestPlan& p = *a.plan;
+          row.insert(row.end(), {fixed(p.total_comm_s, 1),
+                                 fixed(p.total_runtime_s(), 1),
+                                 fixed(100 * p.comm_fraction(), 1),
+                                 format_bytes_paper(p.bytes_per_node)});
+          fields.field("comm_s", p.total_comm_s)
+              .field("runtime_s", p.total_runtime_s())
+              .field("comm_fraction", p.comm_fraction())
+              .field("mem_per_node_bytes", p.bytes_per_node);
+        } else {
+          row.insert(row.end(), {"INFEASIBLE", "-", "-", "-"});
+        }
+        run.out.planner_row(fields);
+        table.add_row(std::move(row));
+      }
+    }
+  }
+  std::printf("%s\n", table.str().c_str());
+
+  // The dominant term's plan at a feasible 16-processor setting (the
+  // 34 GB Vabcd integral tensor alone needs >4.3 GB/node on 8 nodes, so
+  // the 16-proc rows above are infeasible at small limits).
+  const CharacterizedModel model(characterize_itanium(16));
+  const ForestPlan plan =
+      optimize_forest(forest, model, config(run, gb_bytes(16.0)));
+  std::size_t biggest = 0;
+  for (std::size_t t = 1; t < plan.plans.size(); ++t) {
+    if (plan.plans[t].total_comm_s > plan.plans[biggest].total_comm_s) {
+      biggest = t;
+    }
+  }
+  const ContractionTree& tree = forest.trees[biggest];
+  std::printf("dominant term (%s) at 16 procs / 16 GB:\n%s\n",
+              tree.node(tree.root()).tensor.name.c_str(),
+              plan.plans[biggest].table(tree.space()).c_str());
+  return 0;
+}
+
 struct Scenario {
   const char* name;  ///< Command-line name and tce-bench/1 `bench`.
   const char* title;
@@ -514,6 +802,19 @@ constexpr Scenario kScenarios[] = {
      "collapse to\na few hundred surviving solutions — per-node sets stay "
      "small, as the paper\nobserved, and the whole search runs in "
      "milliseconds.\n"},
+    {"opmin", "Operation minimization — §2 examples", opmin, ""},
+    {"characterize", "RCost characterization — §3.3, 64 and 16 processors",
+     characterization, ""},
+    {"validate",
+     "Numeric validation — scaled workload executed by the distributed "
+     "Cannon engine",
+     validate,
+     "(the executor overlaps both rotating arrays in one phase; at this "
+     "tiny scale\n per-message latency dominates, so the summed-solo "
+     "prediction is pessimistic —\n at paper scale the two agree within "
+     "~1.5%: tcemin validate examples/paper.tce)\n"},
+    {"ccd", "CCD doubles residual (4 terms) — forest optimization", ccd,
+     ""},
 };
 
 }  // namespace

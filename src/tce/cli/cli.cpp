@@ -195,12 +195,6 @@ environment:
                         the file (default info)
     TCE_KERNEL=NAME     local GEMM kernel (auto | ref | tiled) for any
                         numeric execution (docs/KERNELS.md)
-    TCE_TILE_MC=N       cache-blocking overrides for both kernels
-    TCE_TILE_KC=N       (positive integers in [8, 1048576]); defaults
-    TCE_TILE_NC=N       128/256/3072 (docs/KERNELS.md)
-    TCE_KERNEL_THREADS=N  worker threads for the tiled GEMM's MC loop
-                        (0 = hardware); results are bitwise identical
-                        at every setting
 
 Every run buffers its structured events in an in-memory flight
 recorder; on any nonzero exit the buffered tail is dumped to stderr
@@ -828,9 +822,9 @@ CliResult run_cli(const std::vector<std::string>& args) {
       return finish_cli(std::move(result));
     }
     const std::string cmd = args[0];
-    // Validate TCE_KERNEL / TCE_TILE_* / TCE_KERNEL_THREADS up front so
-    // a malformed environment fails loudly on every subcommand, not
-    // only on the ones that happen to execute a kernel.
+    // Validate TCE_KERNEL up front so a malformed kernel name fails
+    // loudly on every subcommand, not only on the ones that happen to
+    // execute a kernel.
     kernel_config();
     Args rest(std::vector<std::string>(args.begin() + 1, args.end()));
     if (cmd == "plan") {
@@ -857,8 +851,8 @@ CliResult run_cli(const std::vector<std::string>& args) {
     result.exit_code = kExitUsage;
     result.error = std::string("error: ") + e.what() + "\n";
   } catch (const KernelUsageError& e) {
-    // Malformed TCE_KERNEL / TCE_TILE_* settings are usage errors,
-    // even though the tensor layer cannot name UsageError.
+    // A malformed TCE_KERNEL is a usage error, even though the tensor
+    // layer cannot name UsageError.
     result.exit_code = kExitUsage;
     result.error = std::string("error: ") + e.what() + "\n";
   } catch (const IoError& e) {

@@ -14,7 +14,8 @@
 /// times; fused-loop repeats are accounted by symmetry.  This is the one
 /// place a PlanStep becomes simulated phases: the numeric executor
 /// (cannon/executor.hpp) takes its timing from simulate_step of the
-/// unfused step.  bench_validate reports agreement within ~1.5 %.
+/// unfused step.  `tcemin validate` reports agreement within ~1.5 % on
+/// the paper's plans.
 
 #include "tce/core/plan.hpp"
 #include "tce/expr/contraction.hpp"

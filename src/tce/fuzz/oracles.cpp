@@ -98,11 +98,28 @@ const BruteResult& OracleContext::brute() {
 namespace {
 
 OracleOutcome oracle_brute(OracleContext& ctx) {
-  const BruteResult& br = ctx.brute();
-  if (br.skipped) return skip("search space above brute-force cap");
-
+  // optimize() solves the root for its cheapest plan alone; it must
+  // return the frontier's first plan, bit for bit.  That needs no
+  // enumeration, so it runs above brute force's cap too.
   const std::vector<OptimizedPlan>& frontier = ctx.frontier();
   const bool infeasible = frontier.empty();
+  if (!infeasible) {
+    const auto& plan = ctx.plan();
+    if (!plan) return fail("optimize found no plan; the frontier did");
+    const OptimizedPlan& best = *plan;
+    if (best.total_comm_s != frontier.front().total_comm_s) {
+      return fail("optimize cost " + json::number(best.total_comm_s) +
+                  " differs from the frontier's first plan, " +
+                  json::number(frontier.front().total_comm_s));
+    }
+    if (decisions_json(best, ctx.tree().space()) !=
+        decisions_json(frontier.front(), ctx.tree().space())) {
+      return fail("optimize picked another plan than the frontier's first");
+    }
+  }
+
+  const BruteResult& br = ctx.brute();
+  if (br.skipped) return skip("search space above brute-force cap");
   if (infeasible != br.root.empty()) {
     return fail(std::string("feasibility disagreement: DP says ") +
                 (infeasible ? "infeasible" : "feasible") +
@@ -110,21 +127,6 @@ OracleOutcome oracle_brute(OracleContext& ctx) {
                 (br.root.empty() ? "infeasible" : "feasible"));
   }
   if (infeasible) return pass();
-
-  // optimize() solves the root for its cheapest plan alone; it must
-  // return the frontier's first plan, bit for bit.
-  const auto& plan = ctx.plan();
-  if (!plan) return fail("optimize found no plan; the frontier did");
-  const OptimizedPlan& best = *plan;
-  if (best.total_comm_s != frontier.front().total_comm_s) {
-    return fail("optimize cost " + json::number(best.total_comm_s) +
-                " differs from the frontier's first plan, " +
-                json::number(frontier.front().total_comm_s));
-  }
-  if (decisions_json(best, ctx.tree().space()) !=
-      decisions_json(frontier.front(), ctx.tree().space())) {
-    return fail("optimize picked another plan than the frontier's first");
-  }
 
   const bool lv = ctx.inst().liveness;
   double min_cost = br.root.front().fp.cost;

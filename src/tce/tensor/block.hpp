@@ -1,8 +1,7 @@
 #pragma once
 /// \file block.hpp
 /// Distributed block geometry: which slice of a full array lives on grid
-/// position (z1, z2) under a distribution ⟨i,j⟩, and copying between full
-/// arrays and per-rank blocks.
+/// position (z1, z2) under a distribution ⟨i,j⟩.
 ///
 /// §3.1: a processor P_{z1,z2} owns
 /// v(myrange(z1, N_{α[1]}, √P), ..., myrange(z2, N_{α[2]}, √P), ...)
@@ -43,18 +42,5 @@ struct BlockRange {
 BlockRange block_range(const TensorRef& v, const Distribution& alpha,
                        const IndexSpace& space, const ProcGrid& grid,
                        std::uint32_t z1, std::uint32_t z2);
-
-/// Copies the slice \p r out of \p full into a fresh block tensor with
-/// the same dimension labels.
-DenseTensor extract_block(const DenseTensor& full, const BlockRange& r);
-
-/// Writes \p block (shaped like \p r) into \p full at \p r.
-void place_block(const DenseTensor& block, const BlockRange& r,
-                 DenseTensor& full);
-
-/// Accumulates (+=) \p block into \p full at \p r — used when assembling
-/// results replicated across a grid dimension.
-void accumulate_block(const DenseTensor& block, const BlockRange& r,
-                      DenseTensor& full);
 
 }  // namespace tce

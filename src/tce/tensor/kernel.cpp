@@ -8,7 +8,6 @@
 
 #include "tce/common/annotations.hpp"
 #include "tce/common/checked.hpp"
-#include "tce/common/parse.hpp"
 #include "tce/common/thread_pool.hpp"
 #include "tce/common/timer.hpp"
 #include "tce/obs/metrics.hpp"
@@ -23,37 +22,8 @@ namespace tce {
 
 namespace {
 
-constexpr std::size_t kTileMin = 8;
-constexpr std::size_t kTileMax = std::size_t{1} << 20;
-
 std::size_t round_up(std::size_t v, std::size_t unit) {
   return (v + unit - 1) / unit * unit;
-}
-
-/// Parses one TCE_TILE_* variable; absent keeps the default.
-std::size_t env_tile(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  const auto v = parse_u64_in(raw, kTileMin, kTileMax);
-  if (!v.has_value()) {
-    throw KernelUsageError(std::string(name) + "='" + raw +
-                           "' must be an integer in [" +
-                           std::to_string(kTileMin) + ", " +
-                           std::to_string(kTileMax) + "]");
-  }
-  return static_cast<std::size_t>(*v);
-}
-
-unsigned env_threads(const char* name) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return 0;
-  const auto v = parse_u64_in(raw, 0, ThreadPool::kMaxThreads);
-  if (!v.has_value()) {
-    throw KernelUsageError(std::string(name) + "='" + raw +
-                           "' must be an integer in [0, " +
-                           std::to_string(ThreadPool::kMaxThreads) + "]");
-  }
-  return static_cast<unsigned>(*v);
 }
 
 KernelConfig config_from_env() {
@@ -62,10 +32,6 @@ KernelConfig config_from_env() {
       raw != nullptr && *raw != '\0') {
     cfg.kind = parse_kernel_kind(raw);
   }
-  cfg.tiles.mc = env_tile("TCE_TILE_MC", cfg.tiles.mc);
-  cfg.tiles.kc = env_tile("TCE_TILE_KC", cfg.tiles.kc);
-  cfg.tiles.nc = env_tile("TCE_TILE_NC", cfg.tiles.nc);
-  cfg.threads = env_threads("TCE_KERNEL_THREADS");
   return cfg;
 }
 

@@ -37,7 +37,7 @@
 
 namespace tce {
 
-/// Thrown on malformed TCE_KERNEL / TCE_TILE_* settings; the CLI maps
+/// Thrown on a malformed TCE_KERNEL setting; the CLI maps
 /// it to the usage exit code (1) like its own UsageError.
 class KernelUsageError : public Error {
  public:
@@ -56,7 +56,7 @@ inline constexpr std::size_t kMicroN = 6;
 /// ~32 KB L1 / ~1 MB L2 / shared L3 machine: an MC×KC packed A panel is
 /// MC·KC·8 = 256 KB (L2-resident), a KC×NC packed B panel 6 MB
 /// (L3-resident), and each microkernel step streams KC·(MR+NR)·8 =
-/// 28 KB through L1.  Overridable via TCE_TILE_MC/KC/NC.
+/// 28 KB through L1.
 struct TileConfig {
   std::size_t mc = 128;
   std::size_t kc = 256;
@@ -84,17 +84,17 @@ const char* kernel_kind_name(KernelKind kind) noexcept;
 /// KernelUsageError on anything else.
 KernelKind parse_kernel_kind(const std::string& name);
 
-/// The current process-wide configuration.  First use parses the
-/// environment: TCE_KERNEL (kernel name), TCE_TILE_MC/KC/NC (positive
-/// integers in [8, 2^20]) and TCE_KERNEL_THREADS — throwing
-/// KernelUsageError on malformed or out-of-range values.
+/// The current process-wide configuration.  First use reads the kernel
+/// name from TCE_KERNEL, throwing KernelUsageError on an unknown name;
+/// tiles and threads keep their defaults unless set_kernel_config
+/// replaces them.
 const KernelConfig& kernel_config();
 
 /// Replaces the process-wide configuration (ScopedKernelConfig, tests).
 void set_kernel_config(const KernelConfig& cfg);
 
 /// Discards any cached/overridden configuration and re-reads the
-/// environment on next use (tests that mutate TCE_* variables).
+/// environment on next use (tests that set TCE_KERNEL).
 void reset_kernel_config_from_env();
 
 /// RAII kernel-config override; restores the previous config on exit.

@@ -23,6 +23,8 @@
 #include "tce/tensor/kernel.hpp"
 #include "tce/tensor/ttgt.hpp"
 
+#include "block_reference.hpp"
+
 namespace tce {
 namespace {
 

@@ -1,7 +1,7 @@
 // Tests for the local contraction kernels: the tiled packing GEMM must
 // match the reference kernel (and a naive triple loop) on every shape,
 // stay bitwise deterministic across thread counts, honor the
-// kernel-selection layer and its TCE_TILE_* validation, cover the TTGT
+// kernel-selection layer and its TCE_KERNEL validation, cover the TTGT
 // edge cases, keep plans/pseudocode byte-identical under every kernel
 // setting, and emit its observability metrics.
 
@@ -28,6 +28,7 @@
 #include "tce/tensor/matmul.hpp"
 #include "tce/tensor/ttgt.hpp"
 
+#include "block_reference.hpp"
 #include "paper_workload.hpp"
 
 namespace tce {
@@ -324,12 +325,11 @@ TEST(Kernel, ParseKernelKind) {
   EXPECT_THROW(parse_kernel_kind(""), KernelUsageError);
 }
 
-/// Restores the prior kernel config and TCE_TILE_MC on scope exit.
+/// Restores the prior kernel config and TCE_KERNEL on scope exit.
 class EnvGuard {
  public:
   EnvGuard() : saved_(kernel_config()) {}
   ~EnvGuard() {
-    ::unsetenv("TCE_TILE_MC");
     ::unsetenv("TCE_KERNEL");
     set_kernel_config(saved_);
   }
@@ -337,22 +337,6 @@ class EnvGuard {
  private:
   KernelConfig saved_;
 };
-
-TEST(Kernel, TileEnvOverrideApplies) {
-  EnvGuard guard;
-  ::setenv("TCE_TILE_MC", "64", 1);
-  reset_kernel_config_from_env();
-  EXPECT_EQ(kernel_config().tiles.mc, 64u);
-}
-
-TEST(Kernel, MalformedTileEnvThrowsUsageError) {
-  EnvGuard guard;
-  for (const char* bad : {"0", "7", "2097152", "abc", "-8", "128x"}) {
-    ::setenv("TCE_TILE_MC", bad, 1);
-    reset_kernel_config_from_env();
-    EXPECT_THROW(kernel_config(), KernelUsageError) << "TCE_TILE_MC=" << bad;
-  }
-}
 
 TEST(Kernel, MalformedKernelEnvThrowsUsageError) {
   EnvGuard guard;

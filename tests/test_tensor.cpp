@@ -9,6 +9,8 @@
 #include "tce/tensor/einsum.hpp"
 #include "tce/tensor/ttgt.hpp"
 
+#include "block_reference.hpp"
+
 namespace tce {
 namespace {
 

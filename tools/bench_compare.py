@@ -8,15 +8,18 @@ which selects the spec in SPECS.  For that bench:
 
 * CURRENT has as many compared rows as BASELINE, and BASELINE has at
   least one (a spec may compare only the rows with a given `name`);
-* each current row carries every field of its baseline row;
+* each baseline row carries every pinned field, and each current row
+  every field of its baseline row;
 * each pinned field equals the baseline's exactly: these are the
-  deterministic plan, sweep and cache fields;
+  deterministic plan, sweep, search and cache fields;
 * each floor holds on the current row: `value >= floor`.
 
 Wall times drift with hardware and are never compared.  Exit 0 when the
 document matches; 1 after listing every mismatch.  CI runs it against
 the checked-in BENCH_table1.json, BENCH_table2.json, BENCH_micro.json
-and BENCH_serve.json.
+and BENCH_serve.json, and on `bench_paper pruning` run at 1 and 8
+threads: the search promises the same counters and plans at every
+thread count (docs/ALGORITHM.md, "Parallel search").
 """
 
 import json
@@ -45,6 +48,11 @@ SPECS = {
                          "cache_capacity", "hits", "misses", "hit_rate",
                          "min_speedup"),
                   (("speedup_p50", "min_speedup"),)),
+    # The search counters, the largest frontier at any node and the
+    # plan's cost, scenario by scenario in the same order.
+    "pruning": Spec(None, ("scenario", "candidates", "infeasible",
+                           "dominated", "bounded", "kept", "max_per_node",
+                           "comm_s"), ()),
 }
 
 
@@ -70,11 +78,14 @@ def compare(base, cur):
                 f"{len(cur_rows)}"]
     errors = []
     for i, (b, c) in enumerate(zip(base_rows, cur_rows)):
+        errors += [f"{name} baseline row {i}: {key} missing"
+                   for key in spec.pinned if key not in b]
         errors += [f"{name} row {i}: {key} missing"
                    for key in b if key not in c]
         errors += [f"{name} row {i} {key}: baseline {b[key]!r} vs current "
                    f"{c[key]!r}"
-                   for key in spec.pinned if key in c and c[key] != b[key]]
+                   for key in spec.pinned
+                   if key in b and key in c and c[key] != b[key]]
         for value, floor in spec.floors:
             if value in c and floor in c and not c[value] >= c[floor]:
                 errors.append(f"{name} row {i}: {value} {c[value]!r} below "
