@@ -7,6 +7,7 @@
 #include "tce/common/checked.hpp"
 #include "tce/common/error.hpp"
 #include "tce/common/json.hpp"
+#include "tce/core/accounting.hpp"
 #include "tce/core/simulate.hpp"
 #include "tce/obs/log.hpp"
 #include "tce/obs/metrics.hpp"
@@ -278,15 +279,10 @@ CannonRunResult replicated_numerics(const ProcGrid& grid,
   TCE_EXPECTS_MSG(distribution_valid_for(step.result_dist, node.tensor),
                   "result distribution names a missing dimension");
 
-  // The partial result before the reduction is split only by the
-  // stationary operand's result-side index (the position where the
-  // result and stationary distributions agree); the scatter position is
-  // a zero-cost relabel applied at gather time.
-  auto partial_pos = [&](int d) {
-    const IndexId r = step.result_dist.at(d);
-    return (r != kNoIndex && stationary_dist.at(d) == r) ? r : kNoIndex;
-  };
-  const Distribution partial_dist(partial_pos(1), partial_pos(2));
+  // The partial result before the reduction, as the plan prices it; the
+  // scatter position is a zero-cost relabel applied at gather time.
+  const Distribution partial_layout =
+      partial_dist(stationary_dist, step.result_dist);
 
   // Each rank contracts its stationary block against the replicated
   // operand (every rank holds it whole; the contraction reads the
@@ -311,7 +307,7 @@ CannonRunResult replicated_numerics(const ProcGrid& grid,
     return block_range(repl_ref, repl_slice_dist, space, grid, z1, z2);
   };
   auto partial_range = [&](std::uint32_t z1, std::uint32_t z2) {
-    return block_range(node.tensor, partial_dist, space, grid, z1, z2);
+    return block_range(node.tensor, partial_layout, space, grid, z1, z2);
   };
   CannonRunResult out;
   out.result = make_tensor(node.tensor, space);
@@ -396,7 +392,9 @@ CannonRunResult run_step(const Network& net, const ProcGrid& grid,
   PlanStep unfused = step;
   unfused.fusion = IndexSet();
   unfused.effective_fused = IndexSet();
-  out.timing = simulate_step(net, grid, space, node, unfused);
+  out.timing = simulate_step(net, grid, space, node, unfused,
+                             TensorRef{"left", left_full.dims()},
+                             TensorRef{"right", right_full.dims()});
   if (obs::metrics_enabled()) {
     // One sample per ring-shift step of a Cannon rotation, all alike;
     // one for a replicated step.
@@ -451,9 +449,9 @@ TreeRunResult run_plan(const Network& net, const ProcGrid& grid,
         // A pure reduction over locally complete data: modeled as local
         // compute (one add per input element per processor share).
         produce(id, einsum_reduce(*values.at(n.left), n.tensor.dims));
-        out.timing.compute_s +=
-            static_cast<double>(tree.flops(id) / grid.procs) /
-            net.spec().flops_per_proc;
+        const PhaseResult t = simulate_reduce(net, grid, tree.flops(id));
+        out.timing.comm_s += t.comm_s;
+        out.timing.compute_s += t.compute_s;
         break;
       }
     }

@@ -662,8 +662,10 @@ std::string cmd_validate(Args args) {
   for (const PlanStep& step : plan.steps) {
     const double pred =
         step.rot_left_s + step.rot_right_s + step.rot_result_s;
+    const ContractionNode& n = tree.node(step.node);
     const double sim =
-        simulate_step(net, grid, tree.space(), tree.node(step.node), step)
+        simulate_step(net, grid, tree.space(), n, step,
+                      tree.node(n.left).tensor, tree.node(n.right).tensor)
             .comm_s;
     pred_total += pred;
     sim_total += sim;

@@ -194,8 +194,9 @@ class Renderer {
                          " everywhere; " + tree_.node(stat).tensor.name +
                          " stationary " + stat_dist.str(space_);
       if (s.reduce_dim != 0) {
-        note += "; reduce-scatter partials along dim " +
-                std::to_string(s.reduce_dim);
+        const bool scatter = s.result_dist.at(s.reduce_dim) != kNoIndex;
+        note += std::string(scatter ? "; reduce-scatter" : "; allreduce") +
+                " partials along dim " + std::to_string(s.reduce_dim);
       }
       line(indent, "replicated " + reduced_name(id) + " += " +
                        operand_name(n.left, s.effective_fused) + " * " +

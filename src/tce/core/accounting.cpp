@@ -60,18 +60,24 @@ ReplStep repl_step(const ReplUnit& u, IndexId j_pick) {
   st.repl_right = u.repl_right;
   st.stationary = Distribution(u.s_r, u.s_k);
   st.result = Distribution(u.s_r, j_pick);
-  st.partial = Distribution(u.s_r, kNoIndex);
   if (u.tr) {
     st.stationary = st.stationary.transposed();
     st.result = st.result.transposed();
-    st.partial = st.partial.transposed();
   }
   st.reduce_dim = st.stationary.dim_of(u.s_k);
-  st.scatter = j_pick != kNoIndex;
   for (IndexId t : {u.s_r, u.s_k, j_pick}) {
     if (t != kNoIndex) st.triplet.insert(t);
   }
   return st;
+}
+
+Distribution partial_dist(const Distribution& stationary,
+                          const Distribution& result) {
+  const auto shared = [&](int d) {
+    const IndexId i = result.at(d);
+    return stationary.at(d) == i ? i : kNoIndex;
+  };
+  return Distribution(shared(1), shared(2));
 }
 
 Distribution compact_dist(const TensorRef& ref) {
@@ -114,63 +120,27 @@ std::optional<Delivered> produced_operand(
   return out;
 }
 
-StepComm cannon_comm(const MachineModel& model, GeomCache& geom,
-                     const CannonChoice& c, const TensorRef& left,
-                     const TensorRef& right, const TensorRef& result,
-                     IndexSet f_eff) {
-  StepComm out;
-  const GeomCache::Loops lp = geom.loops(f_eff);
-  const std::uint64_t hops = geom.grid().edge - 1u;
-  const auto rotate = [&](const TensorRef& v, const Distribution& d,
-                          int dim) {
-    const std::uint64_t block = geom.bytes(v, d, f_eff);
-    out.max_msg = std::max(out.max_msg, block);
-    out.words = saturating_add(
-        out.words, saturating_mul(lp.trips, saturating_mul(hops, block / 8)));
-    return lp.repeat * model.rotate_cost(block, dim);
-  };
-  if (c.rotates_left()) {
-    out.left_s = rotate(left, c.left_dist(), c.left_rot_dim());
-  }
-  if (c.rotates_right()) {
-    out.right_s = rotate(right, c.right_dist(), c.right_rot_dim());
-  }
-  if (c.rotates_result()) {
-    out.result_s = rotate(result, c.result_dist(), c.result_rot_dim());
-  }
-  return out;
-}
-
-StepComm replicated_comm(const MachineModel& model, GeomCache& geom,
-                         const ReplStep& step, const TensorRef& gathered,
-                         const TensorRef& result, IndexSet f_eff) {
-  StepComm out;
+StepCollectives replicated_collectives(GeomCache& geom, const ReplStep& step,
+                                       const TensorRef& gathered,
+                                       const TensorRef& result,
+                                       IndexSet f_eff) {
+  StepCollectives out;
   const GeomCache::Loops ag = geom.loops(f_eff & gathered.index_set());
   const std::uint64_t slice = geom.fused_total(gathered, f_eff);
-  (step.repl_right ? out.right_s : out.left_s) =
-      ag.repeat * model.allgather_cost(slice);
-  const std::uint64_t slice_words = slice / 8;
-  out.words =
-      saturating_mul(ag.trips, slice_words - slice_words / geom.grid().procs);
-
+  (step.repl_right ? out.right : out.left) = {Collective::Kind::kAllgather,
+                                              0, slice, ag};
   const IndexSet f_red = f_eff & result.index_set();
   const GeomCache::Loops red = geom.loops(f_red);
-  const std::uint64_t partial = geom.bytes(result, step.partial, f_red);
+  const Distribution partial = partial_dist(step.stationary, step.result);
+  const std::uint64_t partial_bytes = geom.bytes(result, partial, f_red);
   if (step.reduce_dim != 0) {
-    out.result_s =
-        red.repeat * model.reduce_scatter_cost(partial, step.reduce_dim);
-    const std::uint64_t partial_words = partial / 8;
-    std::uint64_t rs_words = saturating_mul(
-        red.trips, partial_words - partial_words / geom.grid().edge);
-    if (!step.scatter) {
-      out.result_s *= 2.0;
-      rs_words = saturating_mul(rs_words, 2);
-    }
-    out.words = saturating_add(out.words, rs_words);
+    out.result = {partial == step.result ? Collective::Kind::kAllreduce
+                                         : Collective::Kind::kReduceScatter,
+                  step.reduce_dim, partial_bytes, red};
   }
   const std::uint64_t own_block = geom.bytes(result, step.result, f_eff);
-  out.max_msg =
-      checked_add(slice, partial > own_block ? partial - own_block : 0);
+  out.max_msg = checked_add(
+      slice, partial_bytes > own_block ? partial_bytes - own_block : 0);
   return out;
 }
 

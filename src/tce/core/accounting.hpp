@@ -10,7 +10,8 @@
 /// number from here.  The brute-force oracle therefore checks
 /// enumeration, pruning and feasibility, while the verifier (tce/verify)
 /// and the hand-enumerated chains in tests/test_optimality.cpp re-derive
-/// the pricing independently.  A new template or grid shape is priced
+/// the pricing independently.  The flow replay (core/simulate.hpp) runs
+/// the collectives listed here.  A new template or grid shape is priced
 /// here once, plus a verifier rule.
 ///
 /// Cost model (DESIGN.md §5 and §7 give the paper's formulas):
@@ -205,15 +206,16 @@ struct ReplStep {
   bool repl_right = false;  ///< The right operand is the gathered one.
   Distribution stationary;  ///< ⟨s_r, s_k⟩: the stationary operand.
   Distribution result;      ///< ⟨s_r, j_pick⟩.
-  Distribution partial;     ///< ⟨s_r, ·⟩: result partials before the
-                            ///< reduce-scatter.
   int reduce_dim = 0;       ///< Grid dim holding s_k; 0 = nothing to
                             ///< reduce.
-  bool scatter = false;     ///< j_pick is set; without it the reduced
-                            ///< result stays replicated along the line.
   IndexSet triplet;         ///< {s_r, s_k, j_pick} without empty slots.
 };
 ReplStep repl_step(const ReplUnit& u, IndexId j_pick);
+
+/// A replicated step's result partials ⟨s_r, ·⟩ before their reduction:
+/// the positions \p result shares with \p stationary.
+Distribution partial_dist(const Distribution& stationary,
+                          const Distribution& result);
 
 /// A compact storage layout for a leaf whose consumer takes any layout
 /// (the gathered operand of a replicated step): split the first (up to)
@@ -268,24 +270,96 @@ struct StepComm {
   std::uint64_t words = 0;
 };
 
-/// A generalized-Cannon step (§3.2): every rotated array moves its f_eff
-/// block √P − 1 hops, once per fused iteration.
-StepComm cannon_comm(const MachineModel& model, GeomCache& geom,
-                     const CannonChoice& c, const TensorRef& left,
-                     const TensorRef& right, const TensorRef& result,
-                     IndexSet f_eff);
+/// One collective of a step, run once per iteration of the fused loops
+/// around it on `bytes` per rank along grid dimension `dim` (an
+/// allgather: on the whole slice, dim 0).  An allreduce is priced and
+/// replayed as twice a reduce-scatter.
+struct Collective {
+  enum class Kind : std::uint8_t {
+    kNone, kRotate, kAllgather, kReduceScatter, kAllreduce
+  };
+  Kind kind = Kind::kNone;
+  int dim = 0;
+  std::uint64_t bytes = 0;
+  GeomCache::Loops loops;
+};
 
-/// A replicated step: the gathered operand's f_eff slice is allgathered
-/// once per iteration of the fused loops that slice it; the result
-/// partials are reduce-scattered along the grid dimension holding s_k
-/// once per iteration of the fused loops that slice the result
-/// (partials for other loops accumulate locally and the reduction
-/// hoists out) — an allreduce, twice the traffic, without a scatter
-/// index.  The gathered slice plus the partial's excess over the result
-/// block is the step's transient.
-StepComm replicated_comm(const MachineModel& model, GeomCache& geom,
-                         const ReplStep& step, const TensorRef& gathered,
-                         const TensorRef& result, IndexSet f_eff);
+/// A step's collectives, one per array, and its largest message or
+/// transient: what the search prices and core/simulate replays.
+struct StepCollectives {
+  Collective left, right, result;
+  std::uint64_t max_msg = 0;
+};
+
+/// The collectives of a generalized-Cannon step (§3.2): every rotated
+/// array moves its f_eff block √P − 1 hops, once per fused iteration.
+inline StepCollectives cannon_collectives(GeomCache& geom,
+                                          const CannonChoice& c,
+                                          const TensorRef& left,
+                                          const TensorRef& right,
+                                          const TensorRef& result,
+                                          IndexSet f_eff) {
+  StepCollectives out;
+  const GeomCache::Loops lp = geom.loops(f_eff);
+  const auto rotate = [&](Collective& slot, const TensorRef& v,
+                          const Distribution& d, int dim) {
+    if (dim == 0) return;
+    slot = {Collective::Kind::kRotate, dim, geom.bytes(v, d, f_eff), lp};
+    out.max_msg = std::max(out.max_msg, slot.bytes);
+  };
+  rotate(out.left, left, c.left_dist(), c.left_rot_dim());
+  rotate(out.right, right, c.right_dist(), c.right_rot_dim());
+  rotate(out.result, result, c.result_dist(), c.result_rot_dim());
+  return out;
+}
+
+/// The collectives of a replicated step: the gathered operand's f_eff
+/// slice is allgathered once per iteration of the fused loops that
+/// slice it; the result partials are reduce-scattered along the grid
+/// dimension holding s_k once per iteration of the fused loops that
+/// slice the result (partials for other loops accumulate locally and
+/// the reduction hoists out) — an allreduce, twice the traffic, without
+/// a scatter index.  The gathered slice plus the partial's excess over
+/// the result block is the step's transient.
+StepCollectives replicated_collectives(GeomCache& geom, const ReplStep& step,
+                                       const TensorRef& gathered,
+                                       const TensorRef& result,
+                                       IndexSet f_eff);
+
+/// The priced collectives of a step: each one's repeat times the
+/// model's seconds (doubled for an allreduce) and canonical words.
+/// Inline, with cannon_collectives, because the search prices every
+/// candidate.
+inline StepComm price(const MachineModel& model, const StepCollectives& sc) {
+  const ProcGrid& grid = model.grid();
+  StepComm out;
+  out.max_msg = sc.max_msg;
+  const auto seconds = [&](const Collective& c) {
+    using Kind = Collective::Kind;
+    if (c.kind == Kind::kNone) return 0.0;
+    const std::uint64_t w = c.bytes / 8;
+    double s = c.kind == Kind::kRotate ? model.rotate_cost(c.bytes, c.dim)
+               : c.kind == Kind::kAllgather
+                   ? model.allgather_cost(c.bytes)
+                   : model.reduce_scatter_cost(c.bytes, c.dim);
+    std::uint64_t words =
+        c.kind == Kind::kRotate      ? saturating_mul(grid.edge - 1u, w)
+        : c.kind == Kind::kAllgather ? w - w / grid.procs
+                                     : w - w / grid.edge;
+    s = c.loops.repeat * s;
+    words = saturating_mul(c.loops.trips, words);
+    if (c.kind == Kind::kAllreduce) {
+      s *= 2.0;
+      words = saturating_mul(words, 2);
+    }
+    out.words = saturating_add(out.words, words);
+    return s;
+  };
+  out.left_s = seconds(sc.left);
+  out.right_s = seconds(sc.right);
+  out.result_s = seconds(sc.result);
+  return out;
+}
 
 /// A reduce node whose child layout \p from splits a summed index: the
 /// partial sums are combined across that grid dimension, once per fused

@@ -595,8 +595,8 @@ class Search {
           if (!fusion_nesting_ok(f_u, ro.fusion, r_loops)) continue;
           if (bounded_early(lo, ro, local, out)) continue;
           const IndexSet f_eff = f_u | lo.fusion | ro.fusion;
-          const StepComm comm = cannon_comm(model_, geom, c, ln.tensor,
-                                            rn.tensor, n.tensor, f_eff);
+          const StepComm comm = price(model_, cannon_collectives(
+              geom, c, ln.tensor, rn.tensor, n.tensor, f_eff));
           Sol s = step_sol(alpha, f_u, f_eff, lo, ro, comm);
           s.choice = c;
           s.left_dist = beta;
@@ -678,9 +678,10 @@ class Search {
                 priced.begin(), priced.end(),
                 [&](const auto& p) { return p.first == f_eff; });
             if (hit == priced.end()) {
-              hit = priced.emplace(priced.end(), f_eff,
-                                   replicated_comm(model_, geom, st, gn.tensor,
-                                                   n.tensor, f_eff));
+              hit = priced.emplace(
+                  priced.end(), f_eff,
+                  price(model_, replicated_collectives(geom, st, gn.tensor,
+                                                       n.tensor, f_eff)));
             }
             const StepComm& comm = hit->second;
             Sol s = step_sol(st.result, f_u, f_eff, u.repl_right ? so : go,

@@ -3,19 +3,18 @@
 /// Brute-force flow-level simulation of an optimized plan.
 ///
 /// The optimizer *predicts* communication from the characterization
-/// table; this module *replays* the plan's communication on the cluster
-/// simulator and so checks the plan's own accounting: which arrays move
-/// at each step, how many bytes, and how many times the fused loops
-/// repeat them.  The flows themselves are the collectives the table was
-/// measured from (costmodel/characterize.hpp): ring shifts for Cannon
-/// steps, allgathers and reduce-scatters for replicated steps, plus each
-/// rank's block-product flops.  A Cannon rotation is timed as
-/// characterization times it, one ring-shift step simulated and run √P
-/// times; fused-loop repeats are accounted by symmetry.  This is the one
-/// place a PlanStep becomes simulated phases: the numeric executor
-/// (cannon/executor.hpp) takes its timing from simulate_step of the
-/// unfused step.  `tcemin validate` reports agreement within ~1.5 % on
-/// the paper's plans.
+/// table; this module *replays* each step's collectives, as
+/// core/accounting.hpp lists and prices them, on the cluster simulator,
+/// as the collectives the table was measured from: ring shifts for Cannon
+/// steps, allgathers and reduce-scatters (twice for an allreduce) for
+/// replicated steps, plus each rank's block-product flops.  It checks the
+/// characterized curves; the plan verifier recounts bytes and repeats.  A
+/// Cannon rotation is timed as characterization times it, one ring-shift
+/// step simulated and run √P times; fused-loop repeats are accounted by
+/// symmetry.  Redistributions and reduce-node collectives are priced but
+/// not replayed, so `tcemin validate` leaves them out of both its columns;
+/// it reports agreement within ~1.5 % on the paper's plans.  The numeric
+/// executor (cannon/executor.hpp) takes its timing from here.
 
 #include "tce/core/plan.hpp"
 #include "tce/expr/contraction.hpp"
@@ -29,13 +28,18 @@ namespace tce {
 /// RotateCost prices them (DESIGN §7).
 enum class ReplayMode { kConcurrent, kSerialized };
 
-/// Simulated time of plan step \p step, which computes \p node: the
-/// communication of its collectives over every fused-loop repeat, and
-/// the per-rank compute of its block products.
+/// Simulated time of plan step \p step, which computes \p node from \p left
+/// and \p right: the communication of its collectives over every fused-loop
+/// repeat, and the per-rank compute of its block products.
 PhaseResult simulate_step(const Network& net, const ProcGrid& grid,
                           const IndexSpace& space,
                           const ContractionNode& node, const PlanStep& step,
+                          const TensorRef& left, const TensorRef& right,
                           ReplayMode mode = ReplayMode::kConcurrent);
+
+/// Simulated time of a reduce node of \p flops: each rank computes its share.
+PhaseResult simulate_reduce(const Network& net, const ProcGrid& grid,
+                            std::uint64_t flops);
 
 /// Sum over all steps of a plan of their simulated communication.
 double simulate_plan_comm(const Network& net, const ProcGrid& grid,

@@ -127,8 +127,8 @@ class Brute {
               n.left, operands(n.left, c.left_dist(), triplet, false),
               n.right, operands(n.right, c.right_dist(), triplet, false),
               [&](IndexSet f_eff) {
-                return cannon_comm(model_, geom_, c, lref, rref, n.tensor,
-                                   f_eff);
+                return price(model_, cannon_collectives(geom_, c, lref, rref,
+                                                        n.tensor, f_eff));
               },
               sols, seen);
     }
@@ -148,8 +148,8 @@ class Brute {
                   operands(repl_id, compact_dist(gathered), st.triplet,
                            true),
                   [&](IndexSet f_eff) {
-                    return replicated_comm(model_, geom_, st, gathered,
-                                           n.tensor, f_eff);
+                    return price(model_, replicated_collectives(
+                        geom_, st, gathered, n.tensor, f_eff));
                   },
                   sols, seen);
         }

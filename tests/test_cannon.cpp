@@ -380,7 +380,9 @@ TEST_F(CannonFixture, TimingEqualsThePlanReplayBitwise) {
       step.node = id;
       const CannonRunResult r = run_step(net_, grid_, space, n, step, a, b);
       const PhaseResult replay =
-          simulate_step(net_, grid_, space, n, step);
+          simulate_step(net_, grid_, space, n, step,
+                        tree_.node(n.left).tensor,
+                        tree_.node(n.right).tensor);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.comm_s),
                 std::bit_cast<std::uint64_t>(replay.comm_s))
           << n.tensor.name << " rot=" << int(choice.rot)

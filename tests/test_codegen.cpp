@@ -73,6 +73,26 @@ TEST(Codegen, ReplicatedStepsRender) {
   EXPECT_NE(code.find("allgather"), std::string::npos) << code;
 }
 
+TEST(Codegen, AllreduceIsNamed) {
+  // T keeps only a and b: with X stationary on <b,d>, no index is left to
+  // scatter T's partials along d's grid dimension, so every rank keeps
+  // the whole sum.
+  ContractionTree tree = ContractionTree::from_sequence(
+      parse_formula_sequence("index a = 3\nindex b = 16\nindex d = 8\n"
+                             "index e = 12\n"
+                             "T[a,b] = sum[d,e] X[d,a,e,b] * Y[d,e]"));
+  CharacterizedModel model(characterize_itanium(4));
+  OptimizerConfig cfg;
+  cfg.mem_limit_node_bytes = 30'000;
+  cfg.enable_replication_template = true;
+  const std::string code =
+      generate_pseudocode(tree, optimize(tree, model, cfg));
+  EXPECT_NE(code.find("; allreduce partials along dim 2 → <b,·>"),
+            std::string::npos)
+      << code;
+  EXPECT_EQ(code.find("reduce-scatter"), std::string::npos) << code;
+}
+
 TEST(Codegen, ReduceNodesRender) {
   FormulaSequence seq = parse_formula_sequence(R"(
     index i, j, k = 64

@@ -75,8 +75,8 @@ TEST(Optimizer, SingleMatmulKeepsLargestArrayFixed) {
 // ------------------------------------------------------------ RotateCost
 
 // The paper's §3.3 RotateCost = MsgFactor · RCost(DistSize) as the search
-// prices it (cannon_comm, produced_operand), at Table 2's 16 processors
-// under the analytic model.
+// prices it (price of cannon_collectives, produced_operand), at Table 2's
+// 16 processors under the analytic model.
 class RotateCostFixture : public ::testing::Test {
  protected:
   RotateCostFixture()
@@ -113,8 +113,9 @@ TEST_F(RotateCostFixture, UnfusedRotationIsOneFullRotation) {
                        .transposed = true, .rot = id("k")};
   ASSERT_EQ(c.right_dist(), Distribution(id("a"), id("k")));
   ASSERT_EQ(c.right_rot_dim(), 2);
-  const StepComm comm = cannon_comm(model_, geom_, c, tensor("T2"), a,
-                                    tensor("S"), IndexSet());
+  const StepComm comm = price(
+      model_,
+      cannon_collectives(geom_, c, tensor("T2"), a, tensor("S"), IndexSet()));
   const std::uint64_t block =
       dist_bytes(a, c.right_dist(), IndexSet(), sp_, grid_);
   EXPECT_DOUBLE_EQ(comm.right_s, model_.rotate_cost(block, 2));
@@ -131,8 +132,9 @@ TEST_F(RotateCostFixture, FusedRotationMultipliesMessages) {
                        .transposed = true, .rot = id("b")};
   ASSERT_EQ(c.left_dist(), Distribution(id("e"), id("b")));
   ASSERT_EQ(c.left_rot_dim(), 1);
-  const StepComm comm = cannon_comm(model_, geom_, c, b, tensor("D"),
-                                    tensor("T1"), fused);
+  const StepComm comm = price(
+      model_,
+      cannon_collectives(geom_, c, b, tensor("D"), tensor("T1"), fused));
   EXPECT_NEAR(comm.left_s, 25.7, 3.0);
   // Identity: MsgFactor (N_f = 64 fused iterations) × RCost(DistSize).
   EXPECT_DOUBLE_EQ(
@@ -150,8 +152,9 @@ TEST_F(RotateCostFixture, FusedT1RotationDominates) {
   ASSERT_EQ(c.left_dist(), Distribution(id("d"), id("b")));
   ASSERT_EQ(c.left_rot_dim(), 1);
   const StepComm comm =
-      cannon_comm(model_, geom_, c, tensor("T1"), tensor("C"),
-                  tensor("T2"), IndexSet::single(id("f")));
+      price(model_,
+            cannon_collectives(geom_, c, tensor("T1"), tensor("C"),
+                               tensor("T2"), IndexSet::single(id("f"))));
   EXPECT_GT(comm.left_s, 700.0);
   EXPECT_LT(comm.left_s, 1300.0);
 }

@@ -173,6 +173,42 @@ TEST(Collectives, ExecutorAllgatherIsTheCharacterizedOne) {
   }
 }
 
+TEST(Collectives, AllreduceReplaysAtItsPrice) {
+  // At 4 procs and 30 KB per node, T's step gathers Y and keeps X
+  // stationary on <b,d>: the partials are summed along d's grid
+  // dimension, and T has no index left to scatter them by, so the
+  // reduction is an allreduce, priced as twice a reduce-scatter.  The
+  // replay runs the collectives the search priced, so every step
+  // replays within 1% of its priced seconds.
+  const ContractionTree tree =
+      ContractionTree::from_sequence(parse_formula_sequence(
+          "index a = 3\nindex b = 16\nindex d = 8\nindex e = 12\n"
+          "T[a,b] = sum[d,e] X[d,a,e,b] * Y[d,e]"));
+  const ProcGrid grid = ProcGrid::make(4, 2);
+  const Network net(ClusterSpec::itanium2003(grid.nodes()));
+  const CharacterizedModel model(characterize(net, grid));
+  OptimizerConfig cfg;
+  cfg.mem_limit_node_bytes = 30'000;
+  cfg.enable_replication_template = true;
+  const OptimizedPlan plan = optimize(tree, model, cfg);
+
+  std::size_t allreduces = 0;
+  for (const PlanStep& s : plan.steps) {
+    if (s.tmpl == StepTemplate::kReplicated && s.reduce_dim != 0 &&
+        s.result_dist.at(s.reduce_dim) == kNoIndex) {
+      ++allreduces;
+    }
+    const ContractionNode& n = tree.node(s.node);
+    const double priced = s.rot_left_s + s.rot_right_s + s.rot_result_s;
+    const double replayed =
+        simulate_step(net, grid, tree.space(), n, s,
+                      tree.node(n.left).tensor, tree.node(n.right).tensor)
+            .comm_s;
+    EXPECT_NEAR(replayed, priced, 0.01 * priced) << s.result_name;
+  }
+  EXPECT_EQ(allreduces, 1u);
+}
+
 // ------------------------------------------------------------ optimizer
 
 TEST(Replication, OffByDefaultKeepsPaperPlans) {
@@ -364,10 +400,10 @@ TEST(ReplicationExecutor, MatchesReferenceForAllSpecs) {
 
 TEST(ReplicationExecutor, TimingEqualsThePlanReplayBitwise) {
   // run_step takes its timing from core/simulate's replay, so for every
-  // side, stationary split, reduction and orientation on 2×2, 4×4 and
-  // 6×6 grids the executor's timing is bit for bit the replay of its
-  // unfused plan step, and its compute_s is one rank's share of the
-  // flops.
+  // side, stationary split, reduction (a reduce-scatter, an allreduce or
+  // none) and orientation on 2×2, 4×4 and 6×6 grids the executor's
+  // timing is bit for bit the replay of its unfused plan step, and its
+  // compute_s is one rank's share of the flops.
   ContractionTree tree = ContractionTree::from_sequence(
       parse_formula_sequence("index i0, i1, j0, k0, k1 = 12\n"
                              "C[i0,i1,j0] = sum[k0,k1] A[i0,k0,i1,k1] * "
@@ -394,42 +430,48 @@ TEST(ReplicationExecutor, TimingEqualsThePlanReplayBitwise) {
       for (const IndexId s_r : s_rs) {
         for (const IndexId s_k : {k0, k1, kNoIndex}) {
           for (const bool tr : {false, true}) {
-            Distribution stationary(s_r, s_k);
-            if (tr) stationary = stationary.transposed();
-            const int reduce_dim = stationary.dim_of(s_k);
-            Distribution alpha(s_r, reduce_dim != 0 ? (repl_right ? j0 : i0)
-                                                    : kNoIndex);
-            PlanStep step = replicated_step(node, repl_right, stationary,
-                                            tr ? alpha.transposed() : alpha,
-                                            reduce_dim);
-            step.node = root;
+            for (const bool scatter : {true, false}) {
+              Distribution stationary(s_r, s_k);
+              if (tr) stationary = stationary.transposed();
+              const int reduce_dim = stationary.dim_of(s_k);
+              if (reduce_dim == 0 && !scatter) continue;
+              // Without a scatter index the reduction is an allreduce.
+              Distribution alpha(s_r, reduce_dim != 0 && scatter
+                                          ? (repl_right ? j0 : i0)
+                                          : kNoIndex);
+              PlanStep step = replicated_step(node, repl_right, stationary,
+                                              tr ? alpha.transposed() : alpha,
+                                              reduce_dim);
+              step.node = root;
 
-            const CannonRunResult r =
-                run_step(net, grid, space, node, step, a, b);
-            const PhaseResult replay =
-                simulate_step(net, grid, space, node, step);
-            const std::uint32_t splits = (s_r != kNoIndex ? 1u : 0u) +
-                                         (s_k != kNoIndex ? 1u : 0u);
-            std::uint64_t flops = tree.flops(root);
-            for (std::uint32_t d = 0; d < splits; ++d) flops /= grid.edge;
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.comm_s),
-                      std::bit_cast<std::uint64_t>(replay.comm_s))
-                << "procs=" << procs << " repl_right=" << repl_right
-                << " s_r=" << int(s_r) << " s_k=" << int(s_k)
-                << " tr=" << tr;
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.compute_s),
-                      std::bit_cast<std::uint64_t>(replay.compute_s));
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.compute_s),
-                      std::bit_cast<std::uint64_t>(
-                          static_cast<double>(flops) /
-                          net.spec().flops_per_proc));
-            ++runs;
+              const CannonRunResult r =
+                  run_step(net, grid, space, node, step, a, b);
+              const PhaseResult replay = simulate_step(
+                  net, grid, space, node, step, tree.node(node.left).tensor,
+                  tree.node(node.right).tensor);
+              const std::uint32_t splits = (s_r != kNoIndex ? 1u : 0u) +
+                                           (s_k != kNoIndex ? 1u : 0u);
+              std::uint64_t flops = tree.flops(root);
+              for (std::uint32_t d = 0; d < splits; ++d) flops /= grid.edge;
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.comm_s),
+                        std::bit_cast<std::uint64_t>(replay.comm_s))
+                  << "procs=" << procs << " repl_right=" << repl_right
+                  << " s_r=" << int(s_r) << " s_k=" << int(s_k)
+                  << " tr=" << tr << " scatter=" << scatter;
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.compute_s),
+                        std::bit_cast<std::uint64_t>(replay.compute_s));
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(r.timing.compute_s),
+                        std::bit_cast<std::uint64_t>(
+                            static_cast<double>(flops) /
+                            net.spec().flops_per_proc));
+              ++runs;
+            }
           }
         }
       }
     }
   }
-  EXPECT_EQ(runs, 3u * (3 + 2) * 3 * 2);
+  EXPECT_EQ(runs, 3u * (3 + 2) * (2 * 2 + 1) * 2);
 }
 
 TEST(ReplicationExecutor, WholeTreeWithMixedTemplates) {
