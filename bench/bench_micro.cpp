@@ -74,8 +74,20 @@ void run_kernel_sweep(BenchOutput& out) {
     const int reps = n >= 1024 ? 2 : 3;
     const double ref_s = best_of(
         reps, [&] { gemm_ref(a, b, c, n, n, n, tiles); });
-    const double tiled_s = best_of(
-        reps, [&] { gemm_tiled(a, b, c, n, n, n, tiles, /*threads=*/1); });
+    // The tiled kernel as the executor runs it: both operands packed
+    // (inside the timed region) and multiplied once.
+    PackedGemm gemm(n, n, n, KernelConfig{KernelKind::kTiled, tiles, 1});
+    std::vector<double> ap(gemm.a_size()), bp(gemm.b_size());
+    std::vector<std::uint64_t> rows(n), cols(n);
+    for (std::uint64_t x = 0; x < n; ++x) {
+      rows[x] = x * n;
+      cols[x] = x;
+    }
+    const double tiled_s = best_of(reps, [&] {
+      gemm.pack_a(a, rows, cols, ap);
+      gemm.pack_b(b, rows, cols, bp);
+      gemm.multiply_acc(ap, bp, c);
+    });
     const double speedup = ref_s / tiled_s;
     const double eff = gemm_model_efficiency(n, n, n);
     std::printf("%6llu %12.2f %12.2f %8.2fx %9.3f\n",

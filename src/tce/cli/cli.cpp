@@ -674,8 +674,11 @@ std::string cmd_validate(Args args) {
   }
   const double err =
       sim_total > 0 ? 100.0 * (pred_total - sim_total) / sim_total : 0.0;
+  // An error that rounds to zero prints unsigned, never as "-0.0".
+  std::string err_text = fixed(err, 1);
+  if (err_text == "-0.0") err_text = "0.0";
   out += "TOTAL: predicted " + fixed(pred_total, 2) + " s, simulated " +
-         fixed(sim_total, 2) + " s (" + fixed(err, 1) + "% error)\n";
+         fixed(sim_total, 2) + " s (" + err_text + "% error)\n";
   return out;
 }
 

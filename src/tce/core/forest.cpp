@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "tce/common/error.hpp"
+#include "tce/core/accounting.hpp"
 
 namespace tce {
 
@@ -27,15 +28,16 @@ TreeMem summarize(const OptimizedPlan& plan) {
   return m;
 }
 
-/// One partial selection over a prefix of the trees.
+/// One partial selection over a prefix of the trees.  Its memory terms
+/// are a Footprint's, so the DP's memory_metric and fits apply: `mem`
+/// sums the trees' array bytes per processor, `max_msg` is the largest
+/// message anywhere, `input_bytes` sums every tree's inputs and `peak`
+/// is the largest live-intermediate peak over the tree positions.
 struct State {
   double cost = 0;
   double compute = 0;
-  std::uint64_t mem_sum = 0;     ///< Summed model: Σ array bytes/proc.
-  std::uint64_t max_msg = 0;     ///< Largest message anywhere.
-  std::uint64_t inputs_sum = 0;  ///< Liveness: Σ inputs/proc, all trees.
+  Footprint fp;
   std::uint64_t out_prefix = 0;  ///< Outputs of finished trees.
-  std::uint64_t peak = 0;        ///< Max over tree positions (no inputs).
   std::vector<std::size_t> picks;
 };
 
@@ -55,9 +57,8 @@ ForestPlan optimize_forest(const ContractionForest& forest,
     frontiers.push_back(optimize_frontier(tree, model, config));
   }
 
-  const bool liveness = config.liveness_aware;
   auto metric = [&](const State& s) {
-    return liveness ? checked_add(s.inputs_sum, s.peak) : s.mem_sum;
+    return memory_metric(s.fp, config.liveness_aware);
   };
 
   std::vector<State> states(1);
@@ -70,12 +71,12 @@ ForestPlan optimize_forest(const ContractionForest& forest,
         State s = base;
         s.cost += plan.total_comm_s;
         s.compute += plan.total_compute_s;
-        s.mem_sum = checked_add(s.mem_sum, plan.array_bytes_per_proc);
-        s.max_msg = std::max(s.max_msg, plan.max_msg_bytes_per_proc);
-        s.peak = std::max(s.peak,
-                          checked_add(s.out_prefix, m.peak_inter_pp));
+        s.fp.mem = checked_add(s.fp.mem, plan.array_bytes_per_proc);
+        s.fp.max_msg = std::max(s.fp.max_msg, plan.max_msg_bytes_per_proc);
+        s.fp.peak = std::max(s.fp.peak,
+                             checked_add(s.out_prefix, m.peak_inter_pp));
         s.out_prefix = checked_add(s.out_prefix, m.output_pp);
-        s.inputs_sum = checked_add(s.inputs_sum, m.inputs_pp);
+        s.fp.input_bytes = checked_add(s.fp.input_bytes, m.inputs_pp);
         s.picks.push_back(p);
         next.push_back(std::move(s));
       }
@@ -87,12 +88,12 @@ ForestPlan optimize_forest(const ContractionForest& forest,
       for (const State& q : next) {
         if (&q == &s) continue;
         const bool leq = q.cost <= s.cost && metric(q) <= metric(s) &&
-                         q.max_msg <= s.max_msg &&
+                         q.fp.max_msg <= s.fp.max_msg &&
                          q.out_prefix <= s.out_prefix;
         // Ties are broken by position so exactly one of two identical
         // states survives.
         const bool strict = q.cost < s.cost || metric(q) < metric(s) ||
-                            q.max_msg < s.max_msg ||
+                            q.fp.max_msg < s.fp.max_msg ||
                             q.out_prefix < s.out_prefix || (&q < &s);
         if (leq && strict) {
           dominated = true;
@@ -106,12 +107,7 @@ ForestPlan optimize_forest(const ContractionForest& forest,
 
   const State* best = nullptr;
   for (const State& s : states) {
-    if (config.mem_limit_node_bytes != 0) {
-      const std::uint64_t per_node = checked_mul(
-          checked_add(metric(s), s.max_msg),
-          model.grid().procs_per_node);
-      if (per_node > config.mem_limit_node_bytes) continue;
-    }
+    if (!fits(s.fp, config, model.grid())) continue;
     if (best == nullptr || s.cost < best->cost) best = &s;
   }
   if (best == nullptr) {

@@ -3,8 +3,8 @@
 /// Reference tensor algebra: straightforward loop-nest evaluation of
 /// contractions, reductions, and whole ContractionTrees.  This is the
 /// ground truth the distributed Cannon executor is validated against —
-/// clarity over speed (use the matmul fast path in tce/tensor/matmul.hpp
-/// for performance-sensitive block products).
+/// clarity over speed.  einsum_pair hands a large covered contraction to
+/// the TTGT fast path, ttgt_contract_acc in tce/tensor/ttgt.hpp.
 
 #include <map>
 #include <string>

@@ -269,15 +269,6 @@ void pack_b_panel(const double* src, const std::uint64_t* row_off,
   }
 }
 
-/// Offsets of \p count positions \p stride apart: the identity walk of
-/// a row-major matrix's rows (stride = row length) or columns (1).
-std::vector<std::uint64_t> strided_offsets(std::size_t count,
-                                           std::uint64_t stride) {
-  std::vector<std::uint64_t> out(count);
-  for (std::size_t x = 0; x < count; ++x) out[x] = x * stride;
-  return out;
-}
-
 /// True when every element src[rows[r] + cols[c]] lies inside \p src.
 bool reads_inside(std::span<const double> src,
                   std::span<const std::uint64_t> rows,
@@ -301,10 +292,10 @@ void gather_row_major(std::span<const double> src,
   }
 }
 
-/// The macro-kernel shared by both tiled entry points: C (mc_eff×nc_eff
-/// at \p c, row stride \p ldc) += one packed MC×KC panel of A (\p ap)
-/// times one packed KC×NC panel of B (\p bp), MR×NR micro-tile by
-/// micro-tile; the micro-kernel adds each tile's valid corner into C.
+/// The tiled kernel's macro-kernel: C (mc_eff×nc_eff at \p c, row
+/// stride \p ldc) += one packed MC×KC panel of A (\p ap) times one
+/// packed KC×NC panel of B (\p bp), MR×NR micro-tile by micro-tile; the
+/// micro-kernel adds each tile's valid corner into C.
 void macro_kernel(const double* ap, const double* bp, std::size_t mc_eff,
                   std::size_t nc_eff, std::size_t kc_eff, double* c,
                   std::size_t ldc) {
@@ -334,27 +325,6 @@ void for_each_mc_block(std::size_t m_blocks, unsigned threads,
   }
   ThreadPool::shared().parallel_for(m_blocks, threads, fn);
 }
-
-/// One tiled-GEMM call's metrics.  The clock is read only while the
-/// registry records, and not at all when \p tiled is false (the
-/// reference kernel is not instrumented).
-class TiledCallMetrics {
- public:
-  explicit TiledCallMetrics(bool tiled = true) {
-    if (tiled && obs::metrics_enabled()) sw_.emplace();
-  }
-
-  /// Records kernel.gemm_s, kernel.tiled_calls and \p pack_bytes.
-  void record(std::uint64_t pack_bytes = 0) const {
-    if (!sw_.has_value()) return;
-    obs::observe("kernel.gemm_s", sw_->elapsed_s());
-    if (pack_bytes > 0) obs::count("kernel.pack_bytes", pack_bytes);
-    obs::count("kernel.tiled_calls");
-  }
-
- private:
-  std::optional<Stopwatch> sw_;
-};
 
 }  // namespace
 
@@ -434,57 +404,6 @@ void gemm_ref(std::span<const double> a, std::span<const double> b,
   }
 }
 
-void gemm_tiled(std::span<const double> a, std::span<const double> b,
-                std::span<double> c, std::size_t m, std::size_t k,
-                std::size_t n, const TileConfig& tiles, unsigned threads) {
-  TCE_EXPECTS(a.size() == m * k);
-  TCE_EXPECTS(b.size() == k * n);
-  TCE_EXPECTS(c.size() == m * n);
-  if (m == 0 || n == 0 || k == 0) return;  // C += 0: nothing to do
-
-  const TiledCallMetrics metrics;
-  const std::size_t mc = round_up(tiles.mc, kMicroM);
-  const std::size_t kc = tiles.kc;
-  const std::size_t nc = round_up(tiles.nc, kMicroN);
-
-  const std::size_t m_blocks = (m + mc - 1) / mc;
-  const unsigned use_threads = std::min<std::size_t>(
-      ThreadPool::resolve_threads(threads), m_blocks);
-
-  // The identity walks of row-major A and B.
-  const std::vector<std::uint64_t> a_row_off = strided_offsets(m, k);
-  const std::vector<std::uint64_t> b_row_off = strided_offsets(k, n);
-  const std::vector<std::uint64_t> col_off =
-      strided_offsets(std::max(k, n), 1);
-
-  std::uint64_t pack_bytes = 0;
-  std::vector<double> bpack;
-  for (std::size_t jc = 0; jc < n; jc += nc) {
-    const std::size_t nc_eff = std::min(nc, n - jc);
-    const std::size_t nc_pad = round_up(nc_eff, kMicroN);
-    for (std::size_t pc = 0; pc < k; pc += kc) {
-      const std::size_t kc_eff = std::min(kc, k - pc);
-      bpack.resize(nc_pad * kc_eff);
-      pack_b_panel(b.data(), b_row_off.data() + pc, col_off.data() + jc,
-                   kc_eff, nc_eff, bpack.data());
-      pack_bytes += nc_pad * kc_eff * sizeof(double);
-      pack_bytes += round_up(m, kMicroM) * kc_eff * sizeof(double);
-
-      for_each_mc_block(m_blocks, use_threads, [&](std::size_t bi) {
-        const std::size_t ic = bi * mc;
-        const std::size_t mc_eff = std::min(mc, m - ic);
-        thread_local std::vector<double> apack;
-        apack.resize(round_up(mc_eff, kMicroM) * kc_eff);
-        pack_a_panel(a.data(), a_row_off.data() + ic, col_off.data() + pc,
-                     mc_eff, kc_eff, apack.data());
-        macro_kernel(apack.data(), bpack.data(), mc_eff, nc_eff, kc_eff,
-                     c.data() + ic * n + jc, n);
-      });
-    }
-  }
-  metrics.record(pack_bytes);
-}
-
 PackedGemm::PackedGemm(std::size_t m, std::size_t k, std::size_t n,
                        const KernelConfig& cfg)
     : m_(m),
@@ -518,8 +437,7 @@ void PackedGemm::pack_a(std::span<const double> src,
     gather_row_major(src, rows, cols, out);
   } else {
     // KC block pc holds round_up(m, MR)·kc_eff elements: the MR-row
-    // micro-panels of every MC block, which gemm_tiled packs one MC
-    // block at a time.
+    // micro-panels of every MC block in order.
     const std::size_t m_pad = round_up(m_, kMicroM);
     for (std::size_t pc = 0; pc < k_; pc += tiles_.kc) {
       const std::size_t kc_eff = std::min(tiles_.kc, k_ - pc);
@@ -591,8 +509,11 @@ void PackedGemm::multiply_acc(std::span<const double> a_packed,
   TCE_EXPECTS(c.size() == m_ * n_);
   if (m_ == 0 || n_ == 0 || k_ == 0) return;  // C += 0: nothing to do
 
+  // Only the tiled kernel is instrumented, and the clock is read only
+  // while the registry records.
   const bool tiled = kind_ == KernelKind::kTiled;
-  const TiledCallMetrics metrics(tiled);
+  std::optional<Stopwatch> sw;
+  if (tiled && obs::metrics_enabled()) sw.emplace();
   if (tiled && k_ <= tiles_.kc) {
     // One KC panel: each micro-tile adds its whole sum to c once, the
     // same additions as a product into a zeroed block added to c.
@@ -608,7 +529,10 @@ void PackedGemm::multiply_acc(std::span<const double> a_packed,
     }
     for (std::size_t x = 0; x < c.size(); ++x) c[x] += scratch_[x];
   }
-  metrics.record();
+  if (sw.has_value()) {
+    obs::observe("kernel.gemm_s", sw->elapsed_s());
+    obs::count("kernel.tiled_calls");
+  }
 }
 
 double gemm_model_efficiency(std::uint64_t m, std::uint64_t n,

@@ -2,25 +2,26 @@
 /// \file kernel.hpp
 /// Local GEMM kernels and the process-wide kernel-selection layer.
 ///
-/// Two kernels implement C (m×n) += A (m×k) · B (k×n) over row-major
-/// dense buffers:
+/// Two kernels implement C (m×n) += A (m×k) · B (k×n):
 ///
-///  * `gemm_ref`   — the historical cache-blocked i-k-j loop nest.  Its
-///    blocking constants are the same TileConfig the tiled kernel uses
-///    (satellite of the old hardcoded `kBlock = 64`).
-///  * `gemm_tiled` — a BLIS-style packing GEMM: A is packed into
-///    MC×KC panels of MR-row micro-panels, B into KC×NC panels of
-///    NR-column micro-panels, and an 8×6 register-blocked FMA
+///  * `gemm_ref`  — the historical cache-blocked i-k-j loop nest over
+///    row-major dense buffers.  Its blocking constants are the same
+///    TileConfig the tiled kernel uses.
+///  * the tiled kernel, run by `PackedGemm` — a BLIS-style packing GEMM:
+///    A is packed into MC×KC panels of MR-row micro-panels, B into KC×NC
+///    panels of NR-column micro-panels, and an 8×6 register-blocked FMA
 ///    microkernel (AVX2+FMA when the CPU has it, a portable unrolled
 ///    fallback otherwise) walks the panels and adds each tile's valid
-///    corner into C itself.  The MC loop runs on the
-///    shared thread pool; every thread writes a disjoint row-block of C
-///    and the KC accumulation order is fixed, so results are bitwise
-///    identical at every thread count.
+///    corner into C itself.  The MC loop runs on the shared thread
+///    pool; every thread writes a disjoint row-block of C and the KC
+///    accumulation order is fixed, so results are bitwise identical at
+///    every thread count.
 ///
-/// `PackedGemm` runs either kernel on operands packed once into that
-/// kernel's layout, for callers that multiply the same blocks many
-/// times (the Cannon executor).
+/// `PackedGemm` packs its operands into the layout of the kernel it
+/// resolved (under the reference kernel, row-major), straight from a
+/// block of a larger tensor, and multiplies them any number of times:
+/// the Cannon executor keeps every rank's blocks packed across its
+/// steps, and the one-shot TTGT contraction packs each batch once.
 ///
 /// Which kernel runs is decided at *execution* time by the process-wide
 /// KernelConfig (`TCE_KERNEL`, auto by default with a size cutoff).
@@ -126,20 +127,12 @@ void gemm_ref(std::span<const double> a, std::span<const double> b,
               std::span<double> c, std::size_t m, std::size_t k,
               std::size_t n, const TileConfig& tiles);
 
-/// Tiled kernel: packing GEMM with the MR×NR microkernel; MC row-blocks
-/// run on the shared thread pool (\p threads, 0 = hardware).  Bitwise
-/// deterministic across thread counts.
-void gemm_tiled(std::span<const double> a, std::span<const double> b,
-                std::span<double> c, std::size_t m, std::size_t k,
-                std::size_t n, const TileConfig& tiles,
-                unsigned threads = 0);
-
 /// An m×k · k×n GEMM whose operands are packed once, into the layout
 /// of the kernel that runs them, and then multiplied any number of
 /// times without further packing.  The kernel, tiles and threads are
 /// resolved once, at construction.  Under the tiled kernel a packed
-/// operand is gemm_tiled's MR/NR micro-panels concatenated over its
-/// KC/NC blocks; under the reference kernel it is row-major.
+/// operand is its MR/NR micro-panels concatenated over its KC (and, for
+/// B, NC) blocks; under the reference kernel it is row-major.
 class PackedGemm {
  public:
   /// Resolves \p cfg (kAuto by size) for this shape.
@@ -190,7 +183,7 @@ class PackedGemm {
 /// ("avx2" or "generic") — for bench/diagnostic output.
 const char* gemm_microkernel_isa() noexcept;
 
-/// Deterministic structural efficiency model of gemm_tiled at the
+/// Deterministic structural efficiency model of the tiled kernel at the
 /// *default* TileConfig, in (0, 1]: useful flops divided by useful
 /// flops plus modeled overhead (partial-tile padding, A/B pack and C
 /// update traffic, per-call setup).  This is what the characterization

@@ -7,7 +7,7 @@
 #include "tce/common/error.hpp"
 #include "tce/obs/metrics.hpp"
 #include "tce/tensor/einsum.hpp"
-#include "tce/tensor/matmul.hpp"
+#include "tce/tensor/kernel.hpp"
 
 namespace tce {
 
@@ -120,12 +120,6 @@ TtgtGroups classify_ttgt(const DenseTensor& a, const DenseTensor& b,
       g.covered = false;
     }
   }
-  for (IndexId d : g.batch) {
-    g.batch_elems = checked_mul(g.batch_elems, a.extent_of(d));
-  }
-  for (IndexId d : g.m) g.m_elems = checked_mul(g.m_elems, a.extent_of(d));
-  for (IndexId d : g.n) g.n_elems = checked_mul(g.n_elems, b.extent_of(d));
-  for (IndexId d : g.k) g.k_elems = checked_mul(g.k_elems, a.extent_of(d));
   return g;
 }
 
@@ -153,31 +147,8 @@ TtgtLowering lower_ttgt(const TtgtGroups& g, const DenseTensor& a,
   return low;
 }
 
-// Both walks go row by row.  Strided columns take one offset per
-// element; columns that come in runs move a run per offset.
-void gather_packed(std::span<const double> src, const PackedWalk& walk,
-                   std::span<double> out) {
-  TCE_EXPECTS(out.size() == walk.size());
-  TCE_EXPECTS(last_offset(walk) < src.size());
-  const std::uint64_t* cols = walk.cols.data();
-  const std::size_t n = walk.cols.size();
-  const std::uint64_t run = walk.col_run;
-  double* d = out.data();
-  for (const std::uint64_t b : walk.batch) {
-    for (const std::uint64_t r : walk.rows) {
-      const double* row = src.data() + b + r;
-      if (run == 1) {
-        for (std::size_t x = 0; x < n; ++x) d[x] = row[cols[x]];
-        d += n;
-        continue;
-      }
-      for (std::size_t x = 0; x < n; x += run) {
-        d = std::copy_n(row + cols[x], run, d);
-      }
-    }
-  }
-}
-
+// Row by row: strided columns take one offset per element, and columns
+// that come in runs move a run per offset.
 void scatter_packed_acc(std::span<const double> buf, const PackedWalk& walk,
                         std::span<double> dst) {
   TCE_EXPECTS(buf.size() == walk.size());
@@ -234,28 +205,27 @@ void ttgt_contract_acc(const DenseTensor& a, const DenseTensor& b,
 
   const TtgtLowering low = lower_ttgt(g, *pa, pa->extents(), *pb,
                                       pb->extents(), c, c.extents());
-  std::vector<double> am(low.a.size());
-  std::vector<double> bm(low.b.size());
+  // Each batch slice is packed straight from the operands and
+  // multiplied as a fresh product into its zeroed slice of cm.
+  PackedGemm gemm(low.m(), low.k(), low.n());
+  std::vector<double> ap(gemm.a_size());
+  std::vector<double> bp(gemm.b_size());
   std::vector<double> cm(low.c.size(), 0.0);
-  gather_packed(pa->data(), low.a, am);
-  gather_packed(pb->data(), low.b, bm);
-
-  const std::size_t a_slice = low.m() * low.k();
-  const std::size_t b_slice = low.k() * low.n();
   const std::size_t c_slice = low.m() * low.n();
   for (std::uint64_t bi = 0; bi < low.batch(); ++bi) {
-    matmul_acc(std::span<const double>(am).subspan(bi * a_slice, a_slice),
-               std::span<const double>(bm).subspan(bi * b_slice, b_slice),
-               std::span<double>(cm).subspan(bi * c_slice, c_slice),
-               low.m(), low.k(), low.n());
+    gemm.pack_a(pa->data().subspan(low.a.batch[bi]), low.a.rows, low.a.cols,
+                ap);
+    gemm.pack_b(pb->data().subspan(low.b.batch[bi]), low.b.rows, low.b.cols,
+                bp);
+    gemm.multiply_acc(ap, bp,
+                      std::span<double>(cm).subspan(bi * c_slice, c_slice));
   }
   scatter_packed_acc(cm, low.c, c.data());
 
   if (obs::metrics_enabled()) {
-    // Pack traffic of the lowering itself: both operand gathers plus
-    // the zero-init and scatter of the result buffer.
-    obs::count("kernel.pack_bytes",
-               (am.size() + bm.size() + 2 * cm.size()) * sizeof(double));
+    // The operand packs count themselves; add the zero-init and scatter
+    // of the result buffer.
+    obs::count("kernel.pack_bytes", 2 * cm.size() * sizeof(double));
   }
 }
 

@@ -14,18 +14,17 @@
 /// pre-reducing that operand (einsum_reduce) before the lowering; K may
 /// be empty (pure outer product, GEMM with k = 1).
 ///
-/// The lowering comes in two pieces, shared by the one-shot
-/// ttgt_contract_acc and the Cannon executor (which lowers once per
-/// run and keeps every rank's blocks packed across all its steps):
+/// The lowering is shared by the one-shot ttgt_contract_acc and the
+/// Cannon executor (which lowers once per run and keeps every rank's
+/// blocks packed across all its steps):
 ///   * lower_ttgt — the classification's K order and each tensor's
 ///     PackedWalk: the offsets of a block's batch positions, rows and
 ///     columns in the full tensor holding it;
-///   * gather_packed / scatter_packed_acc — a copy of one block of a
-///     full tensor, through those offsets, into contiguous
-///     [batch][rows][cols] order, and back with accumulation.
-/// The executor hands a walk's row and column offsets to PackedGemm,
-/// which packs its kernel's layout straight from the full tensor
-/// (docs/KERNELS.md).
+///   * PackedGemm (tce/tensor/kernel.hpp) packs an operand's kernel
+///     layout through a walk's row and column offsets, straight from
+///     the full tensor;
+///   * scatter_packed_acc adds a contiguous [batch][rows][cols] result
+///     back into the full tensor through its walk (docs/KERNELS.md).
 
 #include <span>
 
@@ -49,11 +48,6 @@ struct TtgtGroups {
   /// the reference loop nest silently pins such dims to index 0, so
   /// callers must fall back to it to preserve semantics.
   bool covered = true;
-
-  std::uint64_t batch_elems = 1;
-  std::uint64_t m_elems = 1;
-  std::uint64_t n_elems = 1;
-  std::uint64_t k_elems = 1;
 };
 
 /// Classifies \p result_dims / \p sum_indices against the operands.
@@ -108,21 +102,16 @@ TtgtLowering lower_ttgt(const TtgtGroups& g, const DenseTensor& a,
                         const DenseTensor& c,
                         std::span<const std::uint64_t> c_block);
 
-/// Copies the block that starts at \p src[0] (a full tensor's storage
-/// from the block's origin on) into \p out in \p walk's packed order.
-void gather_packed(std::span<const double> src, const PackedWalk& walk,
-                   std::span<double> out);
-
-/// Adds the packed \p buf into the block that starts at \p dst[0], the
-/// inverse walk of gather_packed.
+/// Adds \p buf, in \p walk's packed order, into the block that starts
+/// at \p dst[0] (a full tensor's storage from the block's origin on).
 void scatter_packed_acc(std::span<const double> buf, const PackedWalk& walk,
                         std::span<double> dst);
 
-/// c[c.dims()] += Σ_sum a·b via lower → gather → GEMM → scatter.  \p c
+/// c[c.dims()] += Σ_sum a·b via lower → pack → GEMM → scatter.  \p c
 /// must carry exactly the non-summed labels (the classification is
-/// derived from it); requires classify_ttgt(...).covered.  The
-/// per-batch GEMMs go through matmul_acc, so the kernel-selection layer
-/// applies.
+/// derived from it); requires classify_ttgt(...).covered.  One
+/// PackedGemm, built under the process-wide kernel config, packs and
+/// multiplies each batch slice.
 void ttgt_contract_acc(const DenseTensor& a, const DenseTensor& b,
                        IndexSet sum_indices, DenseTensor& c);
 

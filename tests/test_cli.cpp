@@ -304,6 +304,20 @@ TEST(Cli, ValidateComparesPredictedAndSimulated) {
   EXPECT_NE(r.output.find("predicted"), std::string::npos);
   EXPECT_NE(r.output.find("simulated"), std::string::npos);
   EXPECT_NE(r.output.find("TOTAL"), std::string::npos);
+
+  // An allreduce step priced a hair below its replay: the error rounds
+  // to zero and prints unsigned.
+  TempFile g("cli_val_allreduce.tce",
+             "index a = 3\nindex b = 16\nindex d = 8\nindex e = 12\n"
+             "T[a,b] = sum[d,e] X[d,a,e,b] * Y[d,e]\n");
+  r = run_cli({"validate", g.path(), "--procs", "4", "--mem-limit", "30KB",
+               "--replication"});
+  ASSERT_EQ(r.exit_code, 0) << r.error;
+  EXPECT_NE(r.output.find("TOTAL: predicted 0.24 s, simulated 0.24 s "
+                          "(0.0% error)"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("-0.0%"), std::string::npos) << r.output;
 }
 
 TEST(Cli, ValidateReplicatesOnANonPowerOfTwoGrid) {

@@ -1,4 +1,4 @@
-// Tests for the local contraction kernels: the tiled packing GEMM must
+// Tests for the local contraction kernels: the packed tiled GEMM must
 // match the reference kernel (and a naive triple loop) on every shape,
 // stay bitwise deterministic across thread counts, honor the
 // kernel-selection layer and its TCE_KERNEL validation, cover the TTGT
@@ -25,7 +25,6 @@
 #include "tce/tensor/einsum.hpp"
 #include "tce/tensor/kernel.hpp"
 #include "tce/tensor/kernel_internal.hpp"
-#include "tce/tensor/matmul.hpp"
 #include "tce/tensor/ttgt.hpp"
 
 #include "block_reference.hpp"
@@ -61,22 +60,70 @@ bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
 }
 
+/// C[i][j] after the micro-kernels' contract: c0 plus one chain per KC
+/// panel, each starting at 0.0 and running in ascending k, fused
+/// (std::fma) or as a rounded product then a sum.
+double panel_chains(const std::vector<double>& a, const std::vector<double>& b,
+                    double c0, std::size_t i, std::size_t j, std::size_t k,
+                    std::size_t n, std::size_t kc, bool fused) {
+  double c = c0;
+  for (std::size_t pc = 0; pc < k; pc += kc) {
+    double chain = 0.0;
+    for (std::size_t p = pc; p < std::min(pc + kc, k); ++p) {
+      if (fused) {
+        chain = std::fma(a[i * k + p], b[p * n + j], chain);
+      } else {
+        // volatile keeps the compiler from contracting this into an fma.
+        volatile double product = a[i * k + p] * b[p * n + j];
+        chain += product;
+      }
+    }
+    c += chain;
+  }
+  return c;
+}
+
 /// c + the \p kind kernel's product computed into a zeroed block: what
-/// PackedGemm::multiply_acc must give bit for bit.
+/// PackedGemm::multiply_acc must give bit for bit.  The tiled product
+/// is the micro-kernels' per-KC-panel chains into a zeroed cell, fused,
+/// or unfused when \p fused is false (the portable kernel may not
+/// contract its multiply-add).
 std::vector<double> fresh_product(KernelKind kind,
                                   const std::vector<double>& a,
                                   const std::vector<double>& b,
                                   std::vector<double> c, std::size_t m,
                                   std::size_t k, std::size_t n,
-                                  const TileConfig& tiles) {
+                                  const TileConfig& tiles,
+                                  bool fused = true) {
   std::vector<double> product(m * n, 0.0);
   if (kind == KernelKind::kTiled) {
-    gemm_tiled(a, b, product, m, k, n, tiles, /*threads=*/1);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        product[i * n + j] = panel_chains(a, b, 0.0, i, j, k, n, tiles.kc,
+                                          fused);
+      }
+    }
   } else {
     gemm_ref(a, b, product, m, k, n, tiles);
   }
   for (std::size_t i = 0; i < c.size(); ++i) c[i] += product[i];
   return c;
+}
+
+/// The tiled product \p got is one of fresh_product's: fused, or
+/// unfused when the dispatched micro-kernel is the portable one.
+bool is_fresh_product(const std::vector<double>& got, KernelKind kind,
+                      const std::vector<double>& a,
+                      const std::vector<double>& b,
+                      const std::vector<double>& c, std::size_t m,
+                      std::size_t k, std::size_t n, const TileConfig& tiles) {
+  if (same_bits(got, fresh_product(kind, a, b, c, m, k, n, tiles))) {
+    return true;
+  }
+  return kind == KernelKind::kTiled &&
+         std::string(gemm_microkernel_isa()) != "avx2" &&
+         same_bits(got, fresh_product(kind, a, b, c, m, k, n, tiles,
+                                      /*fused=*/false));
 }
 
 /// Offsets of \p count positions \p stride apart: the identity walk of a
@@ -124,23 +171,18 @@ void expect_gemms_agree(std::size_t m, std::size_t k, std::size_t n,
   const std::vector<double> c0 = random_vec(m * n, 3);
   std::vector<double> want = c0;
   std::vector<double> got_ref = c0;
-  std::vector<double> got_tiled = c0;
   gemm_naive(a, b, want, m, k, n);
   gemm_ref(a, b, got_ref, m, k, n, tiles);
-  gemm_tiled(a, b, got_tiled, m, k, n, tiles, /*threads=*/1);
   // |Δ| grows with the K-sum length; operands are in [-1, 1).
   const double tol = 1e-13 * static_cast<double>(k == 0 ? 1 : k);
   for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_NEAR(got_ref[i], want[i], tol)
         << "ref " << m << "x" << k << "x" << n << " at " << i;
-    ASSERT_NEAR(got_tiled[i], want[i], tol)
-        << "tiled " << m << "x" << k << "x" << n << " at " << i;
   }
   for (const KernelKind kind : {KernelKind::kReference, KernelKind::kTiled}) {
     const std::vector<double> got_packed =
         packed_product(kind, a, b, c0, m, k, n, tiles, /*threads=*/1);
-    ASSERT_TRUE(
-        same_bits(got_packed, fresh_product(kind, a, b, c0, m, k, n, tiles)))
+    ASSERT_TRUE(is_fresh_product(got_packed, kind, a, b, c0, m, k, n, tiles))
         << "packed " << kernel_kind_name(kind) << " " << m << "x" << k << "x"
         << n;
     for (std::size_t i = 0; i < want.size(); ++i) {
@@ -170,29 +212,6 @@ TEST(Gemm, TinyTilesStillCorrect) {
   tiles.kc = 8;
   tiles.nc = 12;
   expect_gemms_agree(33, 29, 31, tiles);
-}
-
-/// C[i][j] after the micro-kernels' contract: c0 plus one chain per KC
-/// panel, each starting at 0.0 and running in ascending k, fused
-/// (std::fma) or as a rounded product then a sum.
-double panel_chains(const std::vector<double>& a, const std::vector<double>& b,
-                    double c0, std::size_t i, std::size_t j, std::size_t k,
-                    std::size_t n, std::size_t kc, bool fused) {
-  double c = c0;
-  for (std::size_t pc = 0; pc < k; pc += kc) {
-    double chain = 0.0;
-    for (std::size_t p = pc; p < std::min(pc + kc, k); ++p) {
-      if (fused) {
-        chain = std::fma(a[i * k + p], b[p * n + j], chain);
-      } else {
-        // volatile keeps the compiler from contracting this into an fma.
-        volatile double product = a[i * k + p] * b[p * n + j];
-        chain += product;
-      }
-    }
-    c += chain;
-  }
-  return c;
 }
 
 TEST(Gemm, EveryMicroKernelAddsEdgeTilesExactly) {
@@ -277,16 +296,7 @@ TEST(Gemm, BitwiseDeterministicAcrossThreadCounts) {
   const std::vector<double> a = random_vec(m * k, 4);
   const std::vector<double> b = random_vec(k * n, 5);
   const TileConfig tiles;
-  std::vector<double> c1(m * n, 0.5);
-  gemm_tiled(a, b, c1, m, k, n, tiles, 1);
-  for (unsigned threads : {2u, 3u, 8u, 0u}) {
-    std::vector<double> ct(m * n, 0.5);
-    gemm_tiled(a, b, ct, m, k, n, tiles, threads);
-    for (std::size_t i = 0; i < c1.size(); ++i) {
-      ASSERT_EQ(c1[i], ct[i]) << "threads=" << threads << " at " << i;
-    }
-  }
-  // The packed-operand GEMM, with K in one KC panel and across three.
+  // K in one KC panel and across three.
   const std::vector<double> c0(m * n, 0.5);
   TileConfig short_kc;
   short_kc.kc = 64;
@@ -294,8 +304,10 @@ TEST(Gemm, BitwiseDeterministicAcrossThreadCounts) {
     for (const KernelKind kind :
          {KernelKind::kReference, KernelKind::kTiled}) {
       const std::vector<double> want =
-          fresh_product(kind, a, b, c0, m, k, n, t);
-      for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
+          packed_product(kind, a, b, c0, m, k, n, t, /*threads=*/1);
+      ASSERT_TRUE(is_fresh_product(want, kind, a, b, c0, m, k, n, t))
+          << kernel_kind_name(kind) << " kc=" << t.kc;
+      for (unsigned threads : {2u, 3u, 8u, 0u}) {
         ASSERT_TRUE(same_bits(
             packed_product(kind, a, b, c0, m, k, n, t, threads), want))
             << kernel_kind_name(kind) << " kc=" << t.kc
@@ -367,9 +379,12 @@ TEST(Ttgt, ClassifiesGroups) {
   EXPECT_EQ(g.m, std::vector<IndexId>{0});
   EXPECT_EQ(g.n, std::vector<IndexId>{2});
   EXPECT_EQ(g.k, std::vector<IndexId>{1});
-  EXPECT_EQ(g.m_elems, 3u);
-  EXPECT_EQ(g.n_elems, 5u);
-  EXPECT_EQ(g.k_elems, 4u);
+  const DenseTensor c({0, 2}, {3, 5});
+  const TtgtLowering low =
+      lower_ttgt(g, a, a.extents(), b, b.extents(), c, c.extents());
+  EXPECT_EQ(low.m(), 3u);
+  EXPECT_EQ(low.n(), 5u);
+  EXPECT_EQ(low.k(), 4u);
 }
 
 TEST(Ttgt, BatchAndOneOperandSums) {
@@ -431,7 +446,9 @@ TEST(Ttgt, OuterProductHasEmptyK) {
   y.fill_random(rng);
   const TtgtGroups g = classify_ttgt(x, y, {0, 1}, IndexSet{});
   EXPECT_TRUE(g.k.empty());
-  EXPECT_EQ(g.k_elems, 1u);
+  const DenseTensor c({0, 1}, {6, 5});
+  EXPECT_EQ(lower_ttgt(g, x, x.extents(), y, y.extents(), c, c.extents()).k(),
+            1u);
   expect_ttgt_matches_einsum(x, y, {0, 1}, IndexSet{});
 }
 
@@ -460,11 +477,11 @@ struct BlockTriple {
 };
 
 /// Lowers \p t's block triple and requires (1) packing each operand
-/// block straight from its full tensor to equal extract_block plus a
-/// row-major pack, bit for bit, under the reference kernel, the tiled
-/// kernel and tiled 8/8/8 tiles, and (2) the gather → GEMM → scatter of
-/// the full tensors to equal the one-shot lowering of the extracted
-/// blocks bit for bit.
+/// block straight from its full tensor to equal packing the extracted
+/// block through its own lowering, bit for bit, under the reference
+/// kernel, the tiled kernel and tiled 8/8/8 tiles, and (2) the pack →
+/// GEMM → scatter of the full tensors to equal the one-shot lowering of
+/// the extracted blocks bit for bit.
 void expect_blocks_match(BlockTriple t) {
   const TtgtGroups g = classify_ttgt(t.a, t.b, t.c.dims(), t.sums);
   const TtgtLowering low = lower_ttgt(g, t.a, t.ar.extents(), t.b,
@@ -474,11 +491,7 @@ void expect_blocks_match(BlockTriple t) {
   DenseTensor cb(t.c.dims(), t.cr.extents());
   const TtgtLowering own = lower_ttgt(g, ab, ab.extents(), bb, bb.extents(),
                                       cb, cb.extents());
-  std::vector<double> am(low.a.size()), bm(low.b.size());
-  gather_packed(ab.data(), own.a, am);
-  gather_packed(bb.data(), own.b, bm);
   const std::size_t m = low.m(), k = low.k(), n = low.n();
-  const std::size_t as = m * k, bs = k * n, cs = m * n;
 
   TileConfig tiny;
   tiny.mc = tiny.kc = tiny.nc = 8;
@@ -489,34 +502,35 @@ void expect_blocks_match(BlockTriple t) {
         KernelConfig{KernelKind::kTiled, TileConfig{}, 1},
         KernelConfig{KernelKind::kTiled, tiny, 1}}) {
     const PackedGemm gemm(m, k, n, cfg);
+    std::vector<double> got_a(gemm.a_size()), got_b(gemm.b_size());
+    std::vector<double> want_a(gemm.a_size()), want_b(gemm.b_size());
     for (std::size_t bi = 0; bi < low.batch(); ++bi) {
-      std::vector<double> got_a(gemm.a_size()), got_b(gemm.b_size());
       gemm.pack_a(a_full.subspan(low.a.batch[bi]), low.a.rows, low.a.cols,
                   got_a);
       gemm.pack_b(b_full.subspan(low.b.batch[bi]), low.b.rows, low.b.cols,
                   got_b);
-      EXPECT_TRUE(same_bits(
-          got_a, pack_row_major_a(
-                     gemm, std::span<const double>(am).subspan(bi * as, as),
-                     m, k)))
+      gemm.pack_a(ab.data().subspan(own.a.batch[bi]), own.a.rows,
+                  own.a.cols, want_a);
+      gemm.pack_b(bb.data().subspan(own.b.batch[bi]), own.b.rows,
+                  own.b.cols, want_b);
+      EXPECT_TRUE(same_bits(got_a, want_a))
           << kernel_kind_name(cfg.kind) << " mc=" << cfg.tiles.mc
           << " batch " << bi;
-      EXPECT_TRUE(same_bits(
-          got_b, pack_row_major_b(
-                     gemm, std::span<const double>(bm).subspan(bi * bs, bs),
-                     k, n)))
+      EXPECT_TRUE(same_bits(got_b, want_b))
           << kernel_kind_name(cfg.kind) << " mc=" << cfg.tiles.mc
           << " batch " << bi;
     }
   }
 
-  // The packed operands of the full tensors equal am and bm, so the
-  // products run on them.
+  // Each batch of the full tensors packed, multiplied as a fresh product
+  // and scattered back.
+  PackedGemm gemm(m, k, n);
+  std::vector<double> ap(gemm.a_size()), bp(gemm.b_size());
   std::vector<double> cm(low.c.size(), 0.0);
   for (std::size_t bi = 0; bi < low.batch(); ++bi) {
-    matmul_acc(std::span<const double>(am).subspan(bi * as, as),
-               std::span<const double>(bm).subspan(bi * bs, bs),
-               std::span<double>(cm).subspan(bi * cs, cs), m, k, n);
+    gemm.pack_a(a_full.subspan(low.a.batch[bi]), low.a.rows, low.a.cols, ap);
+    gemm.pack_b(b_full.subspan(low.b.batch[bi]), low.b.rows, low.b.cols, bp);
+    gemm.multiply_acc(ap, bp, std::span<double>(cm).subspan(bi * m * n, m * n));
   }
   scatter_packed_acc(cm, low.c, t.c.data().subspan(t.c.offset(t.cr.lo)));
 
@@ -702,30 +716,41 @@ TEST(Kernel, TiledGemmEmitsMetrics) {
   const std::vector<double> a = random_vec(n * n, 13);
   const std::vector<double> b = random_vec(n * n, 14);
   std::vector<double> c(n * n, 0.0);
-  gemm_tiled(a, b, c, n, n, n, TileConfig{}, 1);
-  const auto snap = obs::metrics_snapshot();
-  ASSERT_TRUE(snap.contains("kernel.gemm_s"));
-  EXPECT_GE(snap.at("kernel.gemm_s").count, 1u);
-  ASSERT_TRUE(snap.contains("kernel.pack_bytes"));
-  EXPECT_GE(snap.at("kernel.pack_bytes").total,
-            n * n * 2 * sizeof(double));
-  ASSERT_TRUE(snap.contains("kernel.tiled_calls"));
 
   // The packed-operand GEMM counts its panel packs once and each
-  // multiply as one tiled call.
+  // multiply as one tiled call (ScopedMetrics starts from zero).
   PackedGemm gemm(n, n, n, KernelConfig{KernelKind::kTiled, TileConfig{}, 1});
   const std::vector<double> ap = pack_row_major_a(gemm, a, n, n);
   const std::vector<double> bp = pack_row_major_b(gemm, b, n, n);
   gemm.multiply_acc(ap, bp, c);
   gemm.multiply_acc(ap, bp, c);
   const auto after = obs::metrics_snapshot();
-  EXPECT_EQ(after.at("kernel.gemm_s").count,
-            snap.at("kernel.gemm_s").count + 2);
-  EXPECT_EQ(after.at("kernel.tiled_calls").total,
-            snap.at("kernel.tiled_calls").total + 2);
+  ASSERT_TRUE(after.contains("kernel.gemm_s"));
+  ASSERT_TRUE(after.contains("kernel.pack_bytes"));
+  ASSERT_TRUE(after.contains("kernel.tiled_calls"));
+  EXPECT_EQ(after.at("kernel.gemm_s").count, 2u);
+  EXPECT_EQ(after.at("kernel.tiled_calls").total, 2u);
   EXPECT_EQ(after.at("kernel.pack_bytes").total,
-            snap.at("kernel.pack_bytes").total +
-                (ap.size() + bp.size()) * sizeof(double));
+            (ap.size() + bp.size()) * sizeof(double));
+
+  // A one-shot contraction with no batch label packs each operand once
+  // and zero-fills and scatters its m×n result buffer: one tiled call.
+  const std::uint64_t tm = 37, tk = 50, tn = 29;
+  Rng rng(15);
+  DenseTensor ta({0, 1}, {tm, tk}), tb({1, 2}, {tk, tn}), tc({0, 2}, {tm, tn});
+  ta.fill_random(rng);
+  tb.fill_random(rng);
+  const KernelConfig tiled{KernelKind::kTiled, TileConfig{}, 1};
+  const ScopedKernelConfig force(tiled);
+  const PackedGemm shape(tm, tk, tn, tiled);
+  ttgt_contract_acc(ta, tb, IndexSet::single(1), tc);
+  const auto one_shot = obs::metrics_snapshot();
+  EXPECT_EQ(one_shot.at("kernel.pack_bytes").total,
+            after.at("kernel.pack_bytes").total +
+                (shape.a_size() + shape.b_size() + 2 * tm * tn) *
+                    sizeof(double));
+  EXPECT_EQ(one_shot.at("kernel.tiled_calls").total,
+            after.at("kernel.tiled_calls").total + 1);
 }
 
 }  // namespace
