@@ -439,6 +439,22 @@ std::string render_diagnostics(const std::vector<lint::Diagnostic>& diags) {
               " structural errors:\n" + render_diagnostics(errs));
 }
 
+/// Builds the program's contraction trees; \p allow_forest admits
+/// several outputs.  Under --opmin, multi-factor statements are
+/// binarized first, and binarize_program admits one output only.  On a
+/// validation failure, re-diagnoses with the batched linter so every
+/// independent structural error is reported, not just the first.
+ContractionForest build_forest(const ParsedProgram& program, bool opmin,
+                               bool allow_forest) {
+  try {
+    return ContractionForest::from_sequence(
+        opmin ? binarize_program(program)
+              : to_formula_sequence(program, allow_forest));
+  } catch (const Error&) {
+    rethrow_batched(program);
+  }
+}
+
 /// Renders a LintReport as the stable "tce-lint/1" JSON document
 /// (docs/FORMATS.md): every diagnostic with its rule id, plus both
 /// machine-readable certificate families.
@@ -534,20 +550,11 @@ std::string cmd_plan(Args args) {
   args.expect_empty();
 
   const std::string text = read_file(path);
-  ParsedProgram program = parse_program(text);
+  const ParsedProgram program = parse_program(text);
 
-  // A multi-output program is planned jointly as a forest.  On a
-  // validation failure, re-diagnose with the batched linter so every
-  // independent structural error is reported, not just the first.
-  ContractionForest forest;
-  try {
-    FormulaSequence seq =
-        opts.opmin ? binarize_program(program)
-                   : to_formula_sequence(program, /*allow_forest=*/true);
-    forest = ContractionForest::from_sequence(seq);
-  } catch (const Error&) {
-    rethrow_batched(program);
-  }
+  // A multi-output program is planned jointly as a forest.
+  const ContractionForest forest =
+      build_forest(program, opts.opmin, /*allow_forest=*/true);
   if (forest.trees.size() == 1) {
     const ContractionTree& tree = forest.trees[0];
     const Stopwatch plan_sw;
@@ -651,10 +658,10 @@ std::string cmd_validate(Args args) {
   Network net(ClusterSpec::itanium2003(grid.nodes(), grid.procs_per_node));
   CharacterizedModel model(characterize(net, grid));
 
-  ParsedProgram program = parse_program(read_file(path));
-  FormulaSequence seq = opts.opmin ? binarize_program(program)
-                                   : to_formula_sequence(program);
-  ContractionTree tree = ContractionTree::from_sequence(seq);
+  const ContractionForest forest =
+      build_forest(parse_program(read_file(path)), opts.opmin,
+                   /*allow_forest=*/false);
+  const ContractionTree& tree = forest.trees.front();
   OptimizedPlan plan = optimize(tree, model, opts.cfg);
 
   std::string out;

@@ -5,7 +5,7 @@
 #include "tce/common/checked.hpp"
 #include "tce/common/error.hpp"
 #include "tce/common/units.hpp"
-#include "tce/fusion/fused.hpp"
+#include "tce/core/accounting.hpp"
 #include "tce/tensor/kernel.hpp"
 
 namespace tce {
@@ -68,60 +68,59 @@ class Renderer {
     }
   }
 
-  /// True when the edge from \p child to its parent is fused.
-  bool edge_fused(NodeId child) const {
-    auto it = steps_.find(child);
-    return it != steps_.end() && !it->second->fusion.empty();
+  /// The loops node \p id is fused over with its parent, read from its
+  /// array row so that fused reduce nodes (which have no step) count.
+  IndexSet fusion_of(NodeId id) const {
+    const ContractionNode& n = tree_.node(id);
+    if (n.kind == ContractionNode::Kind::kInput) return IndexSet();
+    auto it = arrays_.find(n.tensor.name);
+    if (it == arrays_.end()) return IndexSet();
+    return it->second->full.index_set() - it->second->reduced.index_set();
   }
 
-  /// Collects the fused cluster rooted at \p u (nodes joined by fused
-  /// edges), in post order.
-  void collect_cluster(NodeId u, std::vector<NodeId>& members,
-                       IndexSet& loops) const {
+  /// Renders the full computation of node \p u: the materialized
+  /// intermediates its fused cluster reads, hoisted first, then the
+  /// cluster itself.
+  void render_cluster(NodeId u, int indent) {
+    hoist(u, indent);
+    render_fused(u, IndexSet(), indent);
+  }
+
+  /// Renders the unfused internal children of every member of \p u's
+  /// fused cluster, members in post order.
+  void hoist(NodeId u, int indent) {
     const ContractionNode& n = tree_.node(u);
+    std::vector<NodeId> fused, materialized;
     for (NodeId c : {n.left, n.right}) {
       if (c == kNoNode) continue;
       if (tree_.node(c).kind == ContractionNode::Kind::kInput) continue;
-      if (edge_fused(c)) {
-        loops = loops | steps_.at(c)->fusion;
-        collect_cluster(c, members, loops);
-      }
+      (fusion_of(c).empty() ? materialized : fused).push_back(c);
     }
-    members.push_back(u);
+    for (NodeId c : fused) hoist(c, indent);
+    for (NodeId c : materialized) render_cluster(c, indent);
   }
 
-  /// Renders the full computation of node \p u (its hoisted dependencies
-  /// first, then its fused cluster).
-  void render_cluster(NodeId u, int indent) {
-    std::vector<NodeId> members;
-    IndexSet loops;
-    collect_cluster(u, members, loops);
-
-    // Hoisted dependencies: unfused internal children of any member.
-    for (NodeId m : members) {
-      const ContractionNode& n = tree_.node(m);
-      for (NodeId c : {n.left, n.right}) {
-        if (c == kNoNode) continue;
-        if (tree_.node(c).kind == ContractionNode::Kind::kInput) continue;
-        if (!edge_fused(c)) render_cluster(c, indent);
-      }
-    }
-
-    // Accumulators that live across the fused loops.
-    const ContractionNode& root_node = tree_.node(u);
+  /// Renders \p u inside the loops \p open: its accumulator is zeroed
+  /// there, each fused child runs inside \p open plus the child's own
+  /// fusion (opening the loops not yet open), and u's line follows once
+  /// the loops the children's fused children opened have closed.
+  void render_fused(NodeId u, IndexSet open, int indent) {
     line(indent, reduced_name(u) + " = 0");
-    (void)root_node;
-
+    const ContractionNode& n = tree_.node(u);
     int body = indent;
-    for (IndexId j : loops) {
-      line(body, "for " + space_.name(j) + " = 0 .. " +
-                     std::to_string(space_.extent(j) - 1) + ":");
-      ++body;
+    for (NodeId c : {n.left, n.right}) {
+      if (c == kNoNode) continue;
+      const IndexSet f = fusion_of(c);
+      if (f.empty()) continue;
+      for (IndexId j : f - open) {
+        line(body, "for " + space_.name(j) + " = 0 .. " +
+                       std::to_string(space_.extent(j) - 1) + ":");
+        ++body;
+      }
+      open = open | f;
+      render_fused(c, open, body);
     }
-    for (NodeId m : members) {
-      if (m != u) line(body, reduced_name(m) + " = 0");
-      emit_contraction(m, body);
-    }
+    emit_contraction(u, body);
   }
 
   std::string reduced_name(NodeId id) const {
@@ -148,7 +147,9 @@ class Renderer {
   /// auto-selection (select_kernel with the default cutoff) on the
   /// per-rank local block shapes.  A loop label's local extent is its
   /// global extent divided by the grid edge when some side of the step
-  /// distributes it; fused labels are pinned (extent 1) and skipped.
+  /// distributes it; fused labels are pinned (extent 1) and skipped.  A
+  /// replicated step multiplies each rank's partial block, which splits
+  /// only the result labels its stationary operand splits too.
   std::string kernel_note(const ContractionNode& n,
                           const PlanStep& s) const {
     if (edge_ == 0) return "";
@@ -158,9 +159,14 @@ class Renderer {
       if (split) e = std::max<std::uint64_t>(e / edge_, 1);
       local = saturating_mul(local, e);
     };
+    const Distribution result_blocks =
+        s.tmpl == StepTemplate::kReplicated
+            ? partial_dist(s.replicate_right ? s.left_dist : s.right_dist,
+                           s.result_dist)
+            : s.result_dist;
     for (IndexId l : n.tensor.dims) {
       if (s.effective_fused.contains(l)) continue;
-      fold(l, s.result_dist.contains(l));
+      fold(l, result_blocks.contains(l));
     }
     for (IndexId l : n.sum_indices) {
       if (s.effective_fused.contains(l)) continue;
@@ -176,7 +182,7 @@ class Renderer {
     if (n.kind == ContractionNode::Kind::kReduce) {
       line(indent, reduced_name(id) + " += reduce" +
                        n.sum_indices.str(space_) + " " +
-                       operand_name(n.left, IndexSet()));
+                       operand_name(n.left, fusion_of(id) | fusion_of(n.left)));
       return;
     }
     auto it = steps_.find(id);

@@ -10,9 +10,12 @@
 /// generalized-Cannon contraction line per tree node annotated with the
 /// rotation index and the arrays being rotated.
 ///
-/// Structure: every maximal chain of fused edges forms a *cluster* that
-/// executes inside the union of its fused loops; intermediates on
-/// unfused edges are fully materialized and hoisted before the loops.
+/// Structure: nodes joined by fused edges form a *cluster*.  Each fused
+/// child runs inside its parent's open loops plus its own fusion, with
+/// its accumulator zeroed there, and the parent's line follows once the
+/// loops the child's own fused children opened have closed.
+/// Intermediates on unfused edges are fully materialized and hoisted
+/// before the loops.
 
 #include "tce/core/plan.hpp"
 #include "tce/expr/contraction.hpp"

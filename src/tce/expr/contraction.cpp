@@ -1,6 +1,7 @@
 #include "tce/expr/contraction.hpp"
 
-#include <map>
+#include <string_view>
+#include <unordered_map>
 
 #include "tce/common/error.hpp"
 
@@ -41,112 +42,137 @@ void decompose(ContractionNode& n, IndexSet left_set, IndexSet right_set,
 
 }  // namespace
 
-ContractionTree ContractionTree::from_expr(const ExprTree& tree) {
-  ContractionTree out;
-  out.space_ = tree.space();
+ContractionTree ContractionTree::from_sequence(const FormulaSequence& seq) {
+  seq.validate();
+  return std::move(trees_of(seq).front());
+}
 
-  // Maps ExprTree node id -> ContractionTree node id.  Sum chains collapse:
-  // a kSum whose child maps to a contraction node that is not yet consumed
-  // folds its indices into that node and maps to the same id.
-  std::map<NodeId, NodeId> to_out;
-
-  for (NodeId id : tree.post_order()) {
-    const ExprNode& e = tree.node(id);
-    switch (e.kind) {
-      case ExprNode::Kind::kLeaf: {
-        ContractionNode n;
-        n.kind = ContractionNode::Kind::kInput;
-        n.tensor = e.tensor;
-        to_out[id] = out.add_node(std::move(n));
-        break;
-      }
-      case ExprNode::Kind::kMult:
-      case ExprNode::Kind::kContract: {
-        ContractionNode n;
-        n.kind = ContractionNode::Kind::kContraction;
-        n.tensor = e.tensor;
-        n.sum_indices = e.sum_indices;  // empty for kMult
-        n.left = to_out.at(e.left);
-        n.right = to_out.at(e.right);
-        const IndexSet ls =
-            out.nodes_[static_cast<std::size_t>(n.left)].tensor.index_set();
-        const IndexSet rs =
-            out.nodes_[static_cast<std::size_t>(n.right)].tensor.index_set();
-        decompose(n, ls, rs, out.space_);
-        NodeId nid = out.add_node(std::move(n));
-        out.nodes_[static_cast<std::size_t>(out.nodes_[nid].left)].parent =
-            nid;
-        out.nodes_[static_cast<std::size_t>(out.nodes_[nid].right)].parent =
-            nid;
-        to_out[id] = nid;
-        break;
-      }
-      case ExprNode::Kind::kSum: {
-        // Summations commute, so a chain of kSum nodes above a kMult can
-        // be re-associated freely: every summed index shared by both
-        // operands of the multiplication folds into the contraction's K
-        // (the product is accumulated, never materialized); the remaining
-        // indices stay in (at most one) kReduce node above it.
-        const NodeId m = to_out.at(e.left);
-        const bool m_is_reduce =
-            out.nodes_[static_cast<std::size_t>(m)].kind ==
-            ContractionNode::Kind::kReduce;
-        const NodeId c =
-            m_is_reduce ? out.nodes_[static_cast<std::size_t>(m)].left : m;
-
-        IndexSet rest = e.sum_indices;
-        ContractionNode& cn = out.nodes_[static_cast<std::size_t>(c)];
-        if (cn.kind == ContractionNode::Kind::kContraction) {
-          const IndexSet ls =
-              out.nodes_[static_cast<std::size_t>(cn.left)]
-                  .tensor.index_set();
-          const IndexSet rs =
-              out.nodes_[static_cast<std::size_t>(cn.right)]
-                  .tensor.index_set();
-          const IndexSet fold = rest & ls & rs;
-          if (!fold.empty()) {
-            rest = rest - fold;
-            cn.sum_indices = cn.sum_indices | fold;
-            // Shrink the contraction's result array by the folded dims.
-            TensorRef shrunk;
-            shrunk.name = cn.tensor.name;
-            for (IndexId d : cn.tensor.dims) {
-              if (!fold.contains(d)) shrunk.dims.push_back(d);
-            }
-            cn.tensor = std::move(shrunk);
-            decompose(cn, ls, rs, out.space_);
-          }
-        }
-
-        if (m_is_reduce) {
-          ContractionNode& rn = out.nodes_[static_cast<std::size_t>(m)];
-          rn.sum_indices = rn.sum_indices | rest;
-          rn.tensor = e.tensor;
-          to_out[id] = m;
-        } else if (rest.empty()) {
-          out.nodes_[static_cast<std::size_t>(m)].tensor = e.tensor;
-          to_out[id] = m;
-        } else {
-          ContractionNode n;
-          n.kind = ContractionNode::Kind::kReduce;
-          n.tensor = e.tensor;
-          n.sum_indices = rest;
-          n.left = m;
-          NodeId nid = out.add_node(std::move(n));
-          out.nodes_[static_cast<std::size_t>(m)].parent = nid;
-          to_out[id] = nid;
-        }
-        break;
-      }
+std::vector<ContractionTree> ContractionTree::trees_of(
+    const FormulaSequence& seq) {
+  // Operands name only earlier results (the sequence is validated), so
+  // one pass links every operand to its producer.
+  const std::vector<Formula>& formulas = seq.formulas();
+  std::unordered_map<std::string_view, std::size_t> by_name;
+  Producers producers(formulas.size(), {kNoFormula, kNoFormula});
+  std::vector<bool> consumed(formulas.size(), false);
+  for (std::size_t i = 0; i < formulas.size(); ++i) {
+    const Formula& f = formulas[i];
+    for (std::size_t k = 0; k < (f.rhs ? 2u : 1u); ++k) {
+      auto it = by_name.find(k == 0 ? f.lhs.name : f.rhs->name);
+      if (it == by_name.end()) continue;
+      producers[i][k] = it->second;
+      consumed[it->second] = true;
     }
+    by_name.emplace(f.result.name, i);
   }
+  std::vector<ContractionTree> trees;
+  for (std::size_t i = 0; i < formulas.size(); ++i) {
+    if (!consumed[i]) trees.push_back(build(seq, producers, i));
+  }
+  TCE_ENSURES(!trees.empty());
+  return trees;
+}
 
-  out.root_ = to_out.at(tree.root());
+ContractionTree ContractionTree::build(const FormulaSequence& seq,
+                                       const Producers& producers,
+                                       std::size_t root) {
+  ContractionTree out;
+  out.space_ = seq.space();
+  // Iterative post-order walk from the root formula: a frame expands its
+  // formula's operands left to right, then adds the formula's node, so
+  // every node id is its post-order position.
+  struct Frame {
+    std::size_t formula;
+    std::array<NodeId, 2> operands{kNoNode, kNoNode};
+    std::size_t done = 0;
+  };
+  std::vector<Frame> stack{{root}};
+  NodeId finished = kNoNode;
+  while (true) {
+    Frame& fr = stack.back();
+    const Formula& f = seq.formulas()[fr.formula];
+    if (finished != kNoNode) fr.operands[fr.done++] = finished;
+    finished = kNoNode;
+    if (fr.done < (f.rhs ? 2u : 1u)) {
+      const std::size_t p = producers[fr.formula][fr.done];
+      if (p != kNoFormula) {
+        stack.push_back({p});
+      } else {
+        ContractionNode leaf;
+        leaf.tensor = fr.done == 0 ? f.lhs : *f.rhs;
+        fr.operands[fr.done++] = out.add_node(std::move(leaf));
+      }
+      continue;
+    }
+    finished = out.add_formula(f, fr.operands);
+    stack.pop_back();
+    if (stack.empty()) break;
+  }
+  out.root_ = finished;
   return out;
 }
 
-ContractionTree ContractionTree::from_sequence(const FormulaSequence& seq) {
-  return from_expr(ExprTree::from_sequence(seq));
+NodeId ContractionTree::add_formula(const Formula& f,
+                                    std::array<NodeId, 2> operands) {
+  if (f.kind != Formula::Kind::kSum) {
+    ContractionNode n;
+    n.kind = ContractionNode::Kind::kContraction;
+    n.tensor = f.result;
+    n.sum_indices = f.sum_indices;  // empty for a multiplication
+    n.left = operands[0];
+    n.right = operands[1];
+    decompose(n, at(n.left).tensor.index_set(),
+              at(n.right).tensor.index_set(), space_);
+    const NodeId id = add_node(std::move(n));
+    at(operands[0]).parent = id;
+    at(operands[1]).parent = id;
+    return id;
+  }
+
+  // Summations commute, so a chain of sums above a multiplication can be
+  // re-associated freely: every summed index shared by both operands of
+  // the multiplication folds into the contraction's K (the product is
+  // accumulated, never materialized); the remaining indices stay in (at
+  // most one) kReduce node above it.
+  const NodeId m = operands[0];
+  const bool m_is_reduce = at(m).kind == ContractionNode::Kind::kReduce;
+  ContractionNode& cn = at(m_is_reduce ? at(m).left : m);
+  IndexSet rest = f.sum_indices;
+  if (cn.kind == ContractionNode::Kind::kContraction) {
+    const IndexSet ls = at(cn.left).tensor.index_set();
+    const IndexSet rs = at(cn.right).tensor.index_set();
+    const IndexSet fold = rest & ls & rs;
+    if (!fold.empty()) {
+      rest = rest - fold;
+      cn.sum_indices = cn.sum_indices | fold;
+      // Shrink the contraction's result array by the folded dims.
+      TensorRef shrunk;
+      shrunk.name = cn.tensor.name;
+      for (IndexId d : cn.tensor.dims) {
+        if (!fold.contains(d)) shrunk.dims.push_back(d);
+      }
+      cn.tensor = std::move(shrunk);
+      decompose(cn, ls, rs, space_);
+    }
+  }
+
+  if (m_is_reduce) {
+    at(m).sum_indices = at(m).sum_indices | rest;
+    at(m).tensor = f.result;
+    return m;
+  }
+  if (rest.empty()) {
+    at(m).tensor = f.result;
+    return m;
+  }
+  ContractionNode n;
+  n.kind = ContractionNode::Kind::kReduce;
+  n.tensor = f.result;
+  n.sum_indices = rest;
+  n.left = m;
+  const NodeId id = add_node(std::move(n));
+  at(m).parent = id;
+  return id;
 }
 
 std::vector<NodeId> ContractionTree::post_order() const {

@@ -6,15 +6,21 @@
 /// multiplication C(I,J) += A(I,K) · B(K,J): the result indices split into
 /// the set I appearing only in the left operand and J appearing only in
 /// the right operand, while the summation indices K appear in both
-/// operands.  ContractionTree is the ExprTree with
-///   * chains of kSum nodes merged into the kMult below them (the paper's
-///     Fig. 2(a) combined form — the unsummed product is accumulated, not
-///     materialized), and
+/// operands.  ContractionTree is the paper's expression tree (Fig. 1(b)),
+/// built straight from a formula sequence, with
+///   * input arrays at the leaves and the final formula at the root;
+///   * chains of summation formulas merged into the multiplication below
+///     them (the paper's Fig. 2(a) combined form — the unsummed product is
+///     accumulated, not materialized); and
 ///   * each binary node decomposed into (I, J, K) plus a residual "batch"
 ///     set H of indices shared by both operands *and* the result.  H is
 ///     empty for true contractions; the Cannon planner rejects nodes with
 ///     H ≠ ∅ (e.g. the elementwise product in Fig. 1), matching the
 ///     paper's restriction.
+///
+/// Nodes live in a pool and are referred to by integer NodeId, their
+/// post-order position, so search algorithms attach side tables indexed
+/// by node.
 ///
 /// Terminology from §3.2 carried on each node:
 ///   * loop_indices  = v.indices — all loops of the node's loop nest
@@ -22,13 +28,17 @@
 ///   * dimens        = v.dimens  — the node's *array* dimensions, i.e.
 ///     loop_indices minus the summation indices.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "tce/expr/tree.hpp"
+#include "tce/expr/formula.hpp"
 
 namespace tce {
+
+using NodeId = int;
+inline constexpr NodeId kNoNode = -1;
 
 /// One node of a ContractionTree.
 struct ContractionNode {
@@ -59,10 +69,16 @@ struct ContractionNode {
 /// A tree of contraction/reduce nodes over an IndexSpace.
 class ContractionTree {
  public:
-  /// Normalizes an ExprTree (merging kSum chains into the kMult below).
-  static ContractionTree from_expr(const ExprTree& tree);
-  /// Convenience: sequence -> ExprTree -> ContractionTree.
+  /// Validates \p seq as a single-tree sequence and builds its tree.
   static ContractionTree from_sequence(const FormulaSequence& seq);
+
+  /// One tree per output of \p seq (a result no formula consumes), in
+  /// production order; \p seq must already be validated, with either
+  /// rule.  Each operand that a formula produces expands into that
+  /// formula, and every other operand becomes a fresh input leaf, so a
+  /// product that uses one input twice (e.g. the quadratic T·T terms of
+  /// coupled cluster) still yields a tree.
+  static std::vector<ContractionTree> trees_of(const FormulaSequence& seq);
 
   const IndexSpace& space() const noexcept { return space_; }
   NodeId root() const noexcept { return root_; }
@@ -99,7 +115,18 @@ class ContractionTree {
   std::vector<ContractionNode> nodes_;
   NodeId root_ = kNoNode;
 
+  /// For each formula, the formula producing each of its operands, or
+  /// kNoFormula for an input.
+  static constexpr std::size_t kNoFormula = static_cast<std::size_t>(-1);
+  using Producers = std::vector<std::array<std::size_t, 2>>;
+
+  static ContractionTree build(const FormulaSequence& seq,
+                               const Producers& producers, std::size_t root);
   NodeId add_node(ContractionNode n);
+  NodeId add_formula(const Formula& f, std::array<NodeId, 2> operands);
+  ContractionNode& at(NodeId id) {
+    return nodes_[static_cast<std::size_t>(id)];
+  }
   void render(NodeId id, int depth, std::string& out) const;
 };
 

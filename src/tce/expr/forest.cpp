@@ -1,44 +1,11 @@
 #include "tce/expr/forest.hpp"
 
-#include <algorithm>
-#include <map>
-#include <set>
-
-#include "tce/common/error.hpp"
-
 namespace tce {
 
 ContractionForest ContractionForest::from_sequence(
     const FormulaSequence& seq) {
   seq.validate(/*allow_forest=*/true);
-
-  // Assign each formula to the root whose subtree it belongs to: walk
-  // backwards, propagating membership from consumers to producers (each
-  // result has exactly one consumer).
-  const std::vector<std::string> roots = seq.root_names();
-  std::map<std::string, std::size_t> owner;  // result name -> tree index
-  for (std::size_t r = 0; r < roots.size(); ++r) owner[roots[r]] = r;
-
-  const auto& formulas = seq.formulas();
-  std::vector<std::vector<Formula>> groups(roots.size());
-  for (std::size_t i = formulas.size(); i-- > 0;) {
-    const Formula& f = formulas[i];
-    auto it = owner.find(f.result.name);
-    TCE_ENSURES(it != owner.end());  // consumers are later formulas
-    const std::size_t tree = it->second;
-    owner[f.lhs.name] = tree;
-    if (f.rhs) owner[f.rhs->name] = tree;
-    groups[tree].push_back(f);
-  }
-
-  ContractionForest forest;
-  forest.space = seq.space();
-  for (auto& g : groups) {
-    std::reverse(g.begin(), g.end());  // restore program order
-    FormulaSequence sub(seq.space(), std::move(g));
-    forest.trees.push_back(ContractionTree::from_sequence(sub));
-  }
-  return forest;
+  return ContractionForest{seq.space(), ContractionTree::trees_of(seq)};
 }
 
 }  // namespace tce

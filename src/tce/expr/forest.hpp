@@ -20,8 +20,9 @@ struct ContractionForest {
   /// One tree per program output, in production order of their roots.
   std::vector<ContractionTree> trees;
 
-  /// Splits a (possibly multi-output) formula sequence.  Validates with
-  /// the forest rule; a single-root sequence yields a one-tree forest.
+  /// Builds the trees of a (possibly multi-output) formula sequence.
+  /// Validates once, with the forest rule; a single-root sequence yields a
+  /// one-tree forest.
   static ContractionForest from_sequence(const FormulaSequence& seq);
 
   /// Total operation count across all trees.

@@ -192,33 +192,31 @@ ParsedProgram parse_program(std::string_view text) {
   return program;
 }
 
+Formula to_formula(const ParsedStatement& stmt) {
+  if (stmt.factors.size() == 1) {
+    if (stmt.sum_indices.empty()) {
+      throw Error("statement producing " + stmt.result.name +
+                  " is a plain copy; not a formula");
+    }
+    return Formula::sum(stmt.result, stmt.factors[0], stmt.sum_indices);
+  }
+  if (stmt.factors.size() == 2) {
+    if (stmt.sum_indices.empty()) {
+      return Formula::mult(stmt.result, stmt.factors[0], stmt.factors[1]);
+    }
+    return Formula::contract(stmt.result, stmt.factors[0], stmt.factors[1],
+                             stmt.sum_indices);
+  }
+  throw Error("statement producing " + stmt.result.name + " has " +
+              std::to_string(stmt.factors.size()) +
+              " factors; binarize it with the operation-minimization "
+              "search (tce/opmin) before building a formula sequence");
+}
+
 FormulaSequence to_formula_sequence(const ParsedProgram& program,
                                     bool allow_forest) {
   FormulaSequence seq(program.space, {});
-  for (const auto& stmt : program.statements) {
-    if (stmt.factors.size() == 1) {
-      if (stmt.sum_indices.empty()) {
-        throw Error("statement producing " + stmt.result.name +
-                    " is a plain copy; not a formula");
-      }
-      seq.push_back(
-          Formula::sum(stmt.result, stmt.factors[0], stmt.sum_indices));
-    } else if (stmt.factors.size() == 2) {
-      if (stmt.sum_indices.empty()) {
-        seq.push_back(
-            Formula::mult(stmt.result, stmt.factors[0], stmt.factors[1]));
-      } else {
-        seq.push_back(Formula::contract(stmt.result, stmt.factors[0],
-                                        stmt.factors[1], stmt.sum_indices));
-      }
-    } else {
-      throw Error(
-          "statement producing " + stmt.result.name + " has " +
-          std::to_string(stmt.factors.size()) +
-          " factors; binarize it with the operation-minimization search "
-          "(tce/opmin) before building a formula sequence");
-    }
-  }
+  for (const auto& stmt : program.statements) seq.push_back(to_formula(stmt));
   seq.validate(allow_forest);
   return seq;
 }

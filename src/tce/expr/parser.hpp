@@ -40,6 +40,11 @@ struct ParsedProgram {
 /// Parses the text format; throws ParseError with an offset on bad input.
 ParsedProgram parse_program(std::string_view text);
 
+/// The formula of a one- or two-factor statement; throws tce::Error for a
+/// plain copy (one factor, no summation) and for a statement that needs
+/// binarization (more than two factors).
+Formula to_formula(const ParsedStatement& stmt);
+
 /// Converts a parsed program whose statements all have one or two factors
 /// into a validated FormulaSequence; throws tce::Error for statements that
 /// need binarization (use tce/opmin for those).  With \p allow_forest the

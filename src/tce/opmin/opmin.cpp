@@ -230,24 +230,8 @@ FormulaSequence binarize_program(const ParsedProgram& program,
   int stmt_no = 0;
   for (const ParsedStatement& stmt : program.statements) {
     ++stmt_no;
-    if (stmt.factors.size() == 1 && stmt.sum_indices.empty()) {
-      throw Error("statement producing " + stmt.result.name +
-                  " is a plain copy; not a formula");
-    }
-    if (stmt.factors.size() == 1) {
-      formulas.push_back(
-          Formula::sum(stmt.result, stmt.factors[0], stmt.sum_indices));
-      continue;
-    }
-    if (stmt.factors.size() == 2) {
-      if (stmt.sum_indices.empty()) {
-        formulas.push_back(
-            Formula::mult(stmt.result, stmt.factors[0], stmt.factors[1]));
-      } else {
-        formulas.push_back(Formula::contract(
-            stmt.result, stmt.factors[0], stmt.factors[1],
-            stmt.sum_indices));
-      }
+    if (stmt.factors.size() <= 2) {
+      formulas.push_back(to_formula(stmt));
       continue;
     }
     OpMinResult r = minimize_operations(

@@ -639,6 +639,30 @@ TEST(Cli, PlanReportsAllStructuralErrorsBatched) {
   EXPECT_NE(r.error.find("rule=expr.repeated-dim"), std::string::npos);
   EXPECT_NE(r.error.find("rule=expr.sum-not-in-factors"),
             std::string::npos);
+
+  // validate builds its tree through the same path, so it lists every
+  // error too, not just the first ill-formed formula.
+  TempFile g("cli_validate_batched.tce", R"(
+    index a, b, c = 4
+    T[a,a] = sum[c] X[a,c] * Y[c,b]
+    S[a] = sum[b] T[a,b] * Z[b,c]
+  )");
+  for (const char* cmd : {"plan", "validate"}) {
+    r = run_cli({cmd, g.path(), "--procs", "4"});
+    EXPECT_EQ(r.exit_code, kExitInput) << cmd;
+    EXPECT_NE(r.error.find("program has 4 structural errors"),
+              std::string::npos)
+        << cmd << ": " << r.error;
+    EXPECT_NE(r.error.find("node=T rule=expr.repeated-dim"),
+              std::string::npos)
+        << cmd << ": " << r.error;
+    EXPECT_NE(r.error.find("node=S rule=expr.result-indices"),
+              std::string::npos)
+        << cmd << ": " << r.error;
+    EXPECT_NE(r.error.find("node=T rule=expr.inconsistent-arity"),
+              std::string::npos)
+        << cmd << ": " << r.error;
+  }
 }
 
 TEST(Cli, FuzzLintOracleIsSelectable) {

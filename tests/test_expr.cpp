@@ -1,5 +1,5 @@
-// Tests for tce/expr: index spaces, index sets, formulas, trees, and the
-// normalization into contraction form.
+// Tests for tce/expr: index spaces, index sets, formulas, and contraction
+// trees built from formula sequences.
 
 #include <gtest/gtest.h>
 
@@ -185,28 +185,29 @@ TEST(Validate, RejectsWrongResultIndices) {
                Error);
 }
 
-// -------------------------------------------------------------- Expression tree
+// ------------------------------------------------------------ ContractionTree
 
-TEST(ExprTree, BuildsPaperTreeShape) {
-  ExprTree tree =
-      ExprTree::from_sequence(parse_formula_sequence(kPaperProgram));
-  // 4 leaves + 3 contract nodes.
+TEST(ContractionTree, BuildsPaperTreeShape) {
+  ContractionTree tree = paper_tree();
+  // 4 leaves + 3 contractions.
   EXPECT_EQ(tree.size(), 7u);
-  const ExprNode& root = tree.node(tree.root());
-  EXPECT_EQ(root.kind, ExprNode::Kind::kContract);
+  const ContractionNode& root = tree.node(tree.root());
+  EXPECT_EQ(root.kind, ContractionNode::Kind::kContraction);
   EXPECT_EQ(root.tensor.name, "S");
   EXPECT_EQ(root.parent, kNoNode);
-  std::vector<NodeId> order = tree.post_order();
-  EXPECT_EQ(order.back(), tree.root());
+  EXPECT_EQ(tree.post_order().back(), tree.root());
 }
 
-TEST(ExprTree, PostOrderVisitsChildrenFirst) {
-  ExprTree tree =
-      ExprTree::from_sequence(parse_formula_sequence(kPaperProgram));
+TEST(ContractionTree, PostOrderVisitsChildrenFirst) {
+  ContractionTree tree = paper_tree();
   std::vector<NodeId> order = tree.post_order();
+  ASSERT_EQ(order.size(), tree.size());
   std::vector<bool> seen(tree.size(), false);
-  for (NodeId id : order) {
-    const ExprNode& n = tree.node(id);
+  for (std::size_t pos = 0; pos < order.size(); ++pos) {
+    const NodeId id = order[pos];
+    // Node ids are post-order positions.
+    EXPECT_EQ(id, static_cast<NodeId>(pos));
+    const ContractionNode& n = tree.node(id);
     if (n.left != kNoNode) {
       EXPECT_TRUE(seen[static_cast<size_t>(n.left)]);
     }
@@ -215,9 +216,38 @@ TEST(ExprTree, PostOrderVisitsChildrenFirst) {
     }
     seen[static_cast<size_t>(id)] = true;
   }
+  EXPECT_EQ(order.back(), tree.root());
 }
 
-// ------------------------------------------------------------ ContractionTree
+TEST(ContractionTree, BuildsA20000StatementChain) {
+  // Each statement multiplies the previous result by a fresh input, so
+  // the tree is 20,000 levels deep; the builder walks it without
+  // recursing on that depth.
+  constexpr int kStatements = 20000;
+  IndexSpace space;
+  const IndexId i = space.add("i", 2);
+  FormulaSequence seq(space, {});
+  TensorRef prev{"X0", {i}};
+  for (int k = 1; k <= kStatements; ++k) {
+    TensorRef t{"T" + std::to_string(k), {i}};
+    seq.push_back(
+        Formula::mult(t, prev, TensorRef{"X" + std::to_string(k), {i}}));
+    prev = std::move(t);
+  }
+  const ContractionTree tree = ContractionTree::from_sequence(seq);
+  ASSERT_EQ(tree.size(), 2u * kStatements + 1);
+  EXPECT_EQ(tree.node(tree.root()).tensor.name, "T20000");
+  EXPECT_EQ(tree.node(0).tensor.name, "X0");
+  EXPECT_EQ(tree.node(1).tensor.name, "X1");
+  EXPECT_EQ(tree.node(2).tensor.name, "T1");
+  const std::vector<NodeId> order = tree.post_order();
+  ASSERT_EQ(order.size(), tree.size());
+  std::size_t misplaced = 0;
+  for (std::size_t pos = 0; pos < order.size(); ++pos) {
+    if (order[pos] != static_cast<NodeId>(pos)) ++misplaced;
+  }
+  EXPECT_EQ(misplaced, 0u);
+}
 
 TEST(ContractionTree, DecomposesPaperContractions) {
   ContractionTree t =
